@@ -1,0 +1,114 @@
+"""Pinned bytes of the radial recipe's files and of the catalog laws.
+
+The rdiag outputs come from the S-transform inversion and a monotone cubic
+interpolant, and the catalog laws are closed-form rational expressions, so a
+refactor that keeps the arithmetic keeps these digests.  Outputs that pass
+through a dense eigensolve (simulate, field) depend on the LAPACK build and
+are compared between commits by hand instead of being pinned here.
+"""
+
+import json
+import math
+from hashlib import sha256
+
+import numpy as np
+import pytest
+
+from freeprob import cli
+from freeprob.measures import ScalarMeasure
+from freeprob.rdiagonal import OperatorTag, catalog_brown
+
+RDIAG_DIGESTS = {
+    "two_point": {
+        "two_point_radial.json": "41def99b906082120753f08d3910ad676a6471857042625287c197762b4c419f",
+        "two_point_cdf.csv": "7f87423a7837db2299f23a917725f0ba0e76f6eb1f589e29f5644ce007128377",
+    },
+    "with_density": {
+        "with_density_radial.json": "93b88643888c529f0d4fe5496513322352faaf8e0e11c325307baecd9b66bf6e",
+        "with_density_cdf.csv": "7766328da245bb7bbeea2873179c30d6a054d986e41d8b8338e9d99207c4ba27",
+    },
+}
+
+# per tag: sha256 of cdf(GRID), density(GRID > 0) and to_json()
+CATALOG_DIGESTS = {
+    "W1F12": (
+        "81d73250a26d4712980f77e15f41105233515b2c0b6b56795e424274579dbcc0",
+        "f4f2bc690234c5bbbdbcbc845b4c3313b0a25d2e7c492536c4e4cf18eb32b62f",
+        "956fe85cabc4f48c6e7d09083055a8539c8eb07a357e7ea1b73683ea58860edd",
+    ),
+    "E12_plus_F12": (
+        "ea8df6891b0336f19165e0c50e8f8b1c3d3a4825f91d776cc5e07530edfd5933",
+        "117e3c357834ecd11d1fb9ad67c76802212d0ba4cebff3c288169a55df09ccbe",
+        "0cc5fe95170405deeb0c95de29ff1a9c19a265656f974eb3a7f60a076c0bb012",
+    ),
+    "E12_plus_F12_squared": (
+        "c057fb662c244c47ca5b0315978c0ac7f8f0d89b0013e21566138cc666655ad0",
+        "44956d6310c3643f34e6c0b1f0ecec44b8a7941ceb876b3332cfbbb21d41a995",
+        "092755e0ea92ce865c1e381d1bcdb399d60afc8cfd14d390659fbfee72c35736",
+    ),
+    "W1_plus_F12_squared": (
+        "ea8df6891b0336f19165e0c50e8f8b1c3d3a4825f91d776cc5e07530edfd5933",
+        "117e3c357834ecd11d1fb9ad67c76802212d0ba4cebff3c288169a55df09ccbe",
+        "0c3a51dab743e0792c5c59cca5dc46b433daa655e41855c9218f99347b805e9d",
+    ),
+    "W1_plus_F12": (
+        "ea8df6891b0336f19165e0c50e8f8b1c3d3a4825f91d776cc5e07530edfd5933",
+        "117e3c357834ecd11d1fb9ad67c76802212d0ba4cebff3c288169a55df09ccbe",
+        "c88d7172b04258fa6818cfda8dc920831addbfb2a09e077980ecf8cdfc5b64b0",
+    ),
+}
+
+SQRT_HALF = 1.0 / math.sqrt(2.0)
+# r < 0, r = 0, both outer radii and their left neighbours, and r > outer
+GRID = np.unique(
+    np.concatenate(
+        (
+            np.linspace(-0.25, 1.0, 41),
+            [SQRT_HALF, np.nextafter(SQRT_HALF, 0.0), np.nextafter(0.5, 0.0)],
+        )
+    )
+)
+
+MEASURES = {
+    "two_point": ScalarMeasure(((0.0, 0.5), (1.0, 0.5))),
+    "with_density": ScalarMeasure(
+        ((0.0, 0.25),), ((0.5, 0.75), (1.0, 0.75), (1.5, 0.75))
+    ),
+}
+
+
+def _digest(data: bytes) -> str:
+    return sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("stem", sorted(RDIAG_DIGESTS))
+def test_rdiag_output_digests(stem, tmp_path):
+    measure_file = tmp_path / f"{stem}.json"
+    measure_file.write_text(MEASURES[stem].to_json())
+    out = tmp_path / "out"
+    assert cli.main(["rdiag", str(measure_file), "--out-dir", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["outputs"] == RDIAG_DIGESTS[stem]
+
+
+@pytest.mark.parametrize("tag", [t.value for t in OperatorTag])
+def test_catalog_law_digests(tag):
+    law = catalog_brown(tag)
+    cdf = np.asarray(law.cdf(GRID), dtype=float)
+    density = np.asarray(law.density(GRID[GRID > 0.0]), dtype=float)
+    got = (
+        _digest(cdf.tobytes()),
+        _digest(density.tobytes()),
+        _digest(law.to_json().encode()),
+    )
+    assert got == CATALOG_DIGESTS[tag]
+
+
+def test_catalog_edges():
+    # the grid reaches each edge the digests are meant to cover
+    assert GRID.min() < 0.0 and 0.0 in GRID and GRID.max() > SQRT_HALF
+    for tag in OperatorTag:
+        law = catalog_brown(tag)
+        assert law.cdf(-0.25) == 0.0
+        assert law.cdf(1.0) == 1.0
+        assert law.cdf(0.0) == law.center_atom_mass
