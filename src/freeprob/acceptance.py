@@ -20,7 +20,7 @@ import math
 import tempfile
 import time
 from contextlib import redirect_stdout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
@@ -50,11 +50,11 @@ from .matmodel import (
 )
 from .measures import ScalarMeasure, s_transform
 from .rdiagonal import (
-    SQRT_HALF,
     OperatorTag,
     brown_rdiagonal,
     catalog_brown,
     conditional_cdf,
+    pullback_radii,
 )
 
 # Frozen master seed.  All stochastic criteria derive child streams from it
@@ -208,10 +208,11 @@ def _criterion_2() -> CriterionResult:
     started = time.time()
     mu = ScalarMeasure(((0.0, 0.5), (1.0, 0.5)))
     radial = brown_rdiagonal(mu)
+    law = catalog_brown(OperatorTag.W1F12)
     atom = radial.center_atom_mass
-    outer_err = abs(radial.support_outer - SQRT_HALF)
-    rs = np.linspace(0.0, SQRT_HALF - 1e-3, 4001)
-    target = 1.0 / (2.0 * (1.0 - rs * rs))
+    outer_err = abs(radial.support_outer - law.support_outer)
+    rs = np.linspace(0.0, law.support_outer - 1e-3, 4001)
+    target = law.cdf(rs)
     sup_err = float(np.max(np.abs(np.asarray(radial.cdf(rs), dtype=float) - target)))
     runtime = time.time() - started
     passed = atom == 0.5 and outer_err <= 1e-10 and sup_err <= 1e-8 and runtime < 1.0
@@ -236,12 +237,13 @@ def _criterion_2() -> CriterionResult:
 def _criterion_3(cache: _SpectraCache) -> CriterionResult:
     started = time.time()
     samples = cache.samples()[OperatorTag.W1F12]
-    cond = conditional_cdf(catalog_brown(OperatorTag.W1F12))
+    catalog = catalog_brown(OperatorTag.W1F12)
+    cond = conditional_cdf(catalog)
     kernel_devs = []
     ks_values = []
     for sample in samples:
-        emp = empirical_radial_cdf(sample)
-        kernel_devs.append(abs(emp.atom_fraction - 0.5))
+        emp = empirical_radial_cdf(sample, catalog.center)
+        kernel_devs.append(abs(emp.atom_fraction - catalog.center_atom_mass))
         ks_values.append(ks_distance(emp.radii[emp.radii > 0.0], cond))
     worst_kernel = max(kernel_devs)
     mean_ks = float(np.mean(ks_values))
@@ -276,8 +278,8 @@ def _criterion_4(cache: _SpectraCache) -> CriterionResult:
     ks_squared = []
     violations = 0
     for sample in samples:
-        radii = np.abs(sample.eigenvalues)
-        violations += int(np.sum(radii > SQRT_HALF + SUPPORT_MARGIN))
+        radii = pullback_radii(OperatorTag.E12_plus_F12, sample.eigenvalues)
+        violations += int(np.sum(radii > catalog.support_outer + SUPPORT_MARGIN))
         ks_values.append(ks_distance(radii, catalog.cdf))
         # spectral mapping: the squared operator's radial samples are |lambda|^2
         ks_squared.append(ks_distance(radii * radii, squared.cdf))
@@ -287,7 +289,7 @@ def _criterion_4(cache: _SpectraCache) -> CriterionResult:
     # Adjudicate the density-constant question numerically.  Candidate A is
     # the radial CDF family used by this package; candidates B and C are the
     # density forms with the radial factor dropped.
-    rs = np.linspace(0.0, SQRT_HALF, 20001)
+    rs = np.linspace(0.0, catalog.support_outer, 20001)
     mass_without_r = float(2.0 * np.trapezoid((1.0 - rs * rs) ** -2.0, rs))
     rho = np.linspace(1e-6, 0.5, 20001)
     probe = float(0.5 * np.trapezoid(rho**-1.0 * (1.0 - rho) ** -2.0, rho))
@@ -343,8 +345,8 @@ def _criterion_5(cache: _SpectraCache) -> CriterionResult:
         # |lambda^2 - 1| is simultaneously the squared operator's distance to
         # its center 1 and the pullback coordinate of the unsquared law, so
         # one spectrum feeds both statements.
-        radii = np.abs(sample.eigenvalues * sample.eigenvalues - 1.0)
-        violations += int(np.sum(radii > SQRT_HALF + SUPPORT_MARGIN))
+        radii = pullback_radii(OperatorTag.W1_plus_F12, sample.eigenvalues)
+        violations += int(np.sum(radii > squared.support_outer + SUPPORT_MARGIN))
         ks_values.append(ks_distance(radii, squared.cdf))
     mean_ks = float(np.mean(ks_values))
     runtime = time.time() - started

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -210,29 +210,20 @@ def _svd_column(
 def logdet_field(
     matrix: np.ndarray,
     grid: GridSpec,
-    path: str = "auto",
     threads: int = 1,
 ) -> BrownField:
     """Evaluate the log-determinant field on the grid.
 
-    Two kernels: "schur" triangularizes once and reads eigenvalue distances
-    (exact for epsilon = 0 and O(total nodes x N) afterwards); "svd" forms
-    the Gram matrix per node and is the only honest choice for epsilon > 0.
-    "auto" picks by epsilon.  Grid rows are farmed out to threads and
+    The kernel follows epsilon.  At epsilon = 0 the "schur" kernel
+    triangularizes once and reads eigenvalue distances (exact, and
+    O(total nodes x N) afterwards); at epsilon > 0 the "svd" kernel forms
+    the Gram matrix per node.  Grid rows are farmed out to threads and
     written back by index, so the result is identical for any thread count.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"expected a square matrix, got {matrix.shape}")
-    if path == "auto":
-        path = "schur" if grid.epsilon == 0.0 else "svd"
-    if path not in ("schur", "svd"):
-        raise DomainError(f"unknown field path {path!r}")
-    if path == "schur" and grid.epsilon > 0.0:
-        raise DomainError(
-            "the triangularization path computes the unregularized field; "
-            "use the svd path when epsilon > 0"
-        )
+    path = "schur" if grid.epsilon == 0.0 else "svd"
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))
@@ -332,15 +323,7 @@ def brown_laplacian(field_in: BrownField) -> BrownField:
         )
     else:
         floor = math.inf
-    return BrownField(
-        grid=grid,
-        values=field_in.values,
-        path=field_in.path,
-        flagged=field_in.flagged,
-        sentinels=field_in.sentinels,
-        laplacian_mass=mass,
-        noise_floor=float(floor),
-    )
+    return replace(field_in, laplacian_mass=mass, noise_floor=float(floor))
 
 
 def _interior_nodes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -405,14 +388,7 @@ def mass_csv_text(field_in: BrownField) -> str:
 def field_metadata(field_in: BrownField, **extra) -> dict:
     grid = field_in.grid
     meta = {
-        "grid": {
-            "x_min": grid.x_min,
-            "x_max": grid.x_max,
-            "y_min": grid.y_min,
-            "y_max": grid.y_max,
-            "nx": grid.nx,
-            "ny": grid.ny,
-        },
+        "grid": {k: v for k, v in asdict(grid).items() if k != "epsilon"},
         "epsilon": grid.epsilon,
         "path": field_in.path,
         "flagged_nodes": [list(t) for t in field_in.flagged],

@@ -36,7 +36,6 @@ from .matio import load_matrix
 from .matmodel import (
     build_m2_free_m2,
     derive_rng,
-    empirical_radial_cdf,
     ks_distance,
     realize,
     spectrum,
@@ -49,7 +48,7 @@ from .rdiagonal import (
     pullback_radii,
 )
 
-CONFIG_KEYS = ("threads", "out_dir", "epsilon", "grid", "path")
+CONFIG_KEYS = ("threads", "out_dir", "epsilon", "grid")
 
 
 class OutputWriter:
@@ -103,6 +102,12 @@ def _child_seed(master: int, label: str) -> int:
     return int(derive_rng(master, label).integers(0, 2**63))
 
 
+def _half_dim(args) -> int:
+    if args.dim < 2 or args.dim % 2 != 0:
+        raise DomainError(f"--dim must be an even integer >= 2, got {args.dim}")
+    return args.dim // 2
+
+
 def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
     parts = text.split(",")
     if len(parts) != 6:
@@ -110,14 +115,7 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
             "--grid expects XMIN,XMAX,YMIN,YMAX,NX,NY (six comma-separated values)"
         )
     try:
-        return (
-            float(parts[0]),
-            float(parts[1]),
-            float(parts[2]),
-            float(parts[3]),
-            int(parts[4]),
-            int(parts[5]),
-        )
+        return (*(float(p) for p in parts[:4]), int(parts[4]), int(parts[5]))
     except ValueError as exc:
         raise DomainError(f"bad --grid value: {exc}") from exc
 
@@ -153,8 +151,7 @@ def cmd_simulate(args) -> int:
     started = time.time()
     seed = _require_seed(args, "simulate")
     tag = OperatorTag(args.tag)
-    if args.dim < 2 or args.dim % 2 != 0:
-        raise DomainError(f"--dim must be an even integer >= 2, got {args.dim}")
+    half_dim = _half_dim(args)
     writer = OutputWriter(args.out_dir)
 
     catalog = catalog_brown(tag)
@@ -163,13 +160,17 @@ def cmd_simulate(args) -> int:
     for idx in range(args.seeds):
         child = _child_seed(seed, f"simulate-{idx}")
         seed_list.append(child)
-        model = build_m2_free_m2(args.dim // 2, child)
+        model = build_m2_free_m2(half_dim, child)
         sample = spectrum(realize(tag, model), source=tag.value, seed=child)
         lines = [
             f"{float(z.real)!r},{float(z.imag)!r}" for z in sample.eigenvalues
         ]
         writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + "\n".join(lines) + "\n")
-        all_radii.append(pullback_radii(tag, sample.eigenvalues))
+        radii = pullback_radii(tag, sample.eigenvalues)
+        if catalog.center_atom_mass > 0.0:
+            # kernel eigenvalues come out near 1e-14, not at the atom's radius 0
+            radii = np.where(radii < sample.zero_threshold, 0.0, radii)
+        all_radii.append(radii)
 
     pooled = np.sort(np.concatenate(all_radii))
     cum = np.arange(1, pooled.size + 1) / pooled.size
@@ -206,31 +207,21 @@ def _field_matrix(args) -> tuple[np.ndarray, str]:
     if args.tag is None:
         raise DomainError("field needs either --matrix FILE or --tag TAG")
     seed = _require_seed(args, "field with --tag")
-    if args.dim < 2 or args.dim % 2 != 0:
-        raise DomainError(f"--dim must be an even integer >= 2, got {args.dim}")
     tag = OperatorTag(args.tag)
-    model = build_m2_free_m2(args.dim // 2, _child_seed(seed, "field"))
+    model = build_m2_free_m2(_half_dim(args), _child_seed(seed, "field"))
     return realize(tag, model), tag.value
 
 
 def cmd_field(args) -> int:
     started = time.time()
     matrix, label = _field_matrix(args)
-    if args.epsilon is None:
-        epsilon = default_epsilon(matrix)
-    else:
-        epsilon = args.epsilon
+    epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
     if args.grid is not None:
-        x0, x1, y0, y1, nx, ny = _parse_grid(args.grid)
-        grid = GridSpec(
-            x_min=x0, x_max=x1, y_min=y0, y_max=y1, nx=nx, ny=ny, epsilon=epsilon
-        )
+        grid = GridSpec(*_parse_grid(args.grid), epsilon=epsilon)
     else:
         eigs = np.linalg.eigvals(matrix)
         grid = GridSpec.covering(eigs, n=args.grid_n, padding=0.25, epsilon=epsilon)
-    field = brown_laplacian(
-        logdet_field(matrix, grid, path=args.path, threads=args.threads)
-    )
+    field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))
     writer = OutputWriter(args.out_dir)
     writer.write_text("field.csv", field_csv_text(field))
     writer.write_text("mass.csv", mass_csv_text(field))
@@ -268,15 +259,9 @@ def cmd_algebra(args) -> int:
     writer.write_json("algebra_report.json", payload)
     _write_run_record(writer, args, started)
     verdict = "transitive" if payload["transitive"] else "reducible"
-    print(
-        f"algebra: dim {span.dim} in M_{span.ambient_dim}, {verdict}"
-        + (
-            f", {args.kfold}-fold: {payload['kfold']['result']}"
-            if args.kfold is not None
-            else ""
-        )
-        + f" -> {writer.out_dir}"
-    )
+    if args.kfold is not None:
+        verdict += f", {args.kfold}-fold: {payload['kfold']['result']}"
+    print(f"algebra: dim {span.dim} in M_{span.ambient_dim}, {verdict} -> {writer.out_dir}")
     return 0
 
 
@@ -300,11 +285,20 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _Explicit(argparse.Action):
+    """Store the value and record that the flag was given on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.explicit = namespace.explicit | {self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.set_defaults(explicit=frozenset())
     common.add_argument("--seed", type=int, default=None, help="master seed (required for stochastic commands)")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    common.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), help="output directory")
+    common.add_argument("--threads", type=int, default=1, action=_Explicit, help="worker thread cap")
+    common.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), action=_Explicit, help="output directory")
     common.add_argument("--config", type=Path, default=None, help="JSON config file; flags override its values")
 
     parser = argparse.ArgumentParser(
@@ -335,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--matrix", default=None, help="matrix file (.json or .csv)")
     p_field.add_argument("--tag", default=None, choices=tags, help="catalog operator instead of a file")
     p_field.add_argument("--dim", type=int, default=128, help="dimension for --tag (even)")
-    p_field.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
+    p_field.add_argument("--grid", default=None, action=_Explicit, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
     p_field.add_argument("--grid-n", dest="grid_n", type=int, default=SIZE.grid_nx, help="nodes per axis for the automatic grid")
-    p_field.add_argument("--epsilon", type=float, default=None, help="regularization (default 1e-6*||T||^2)")
-    p_field.add_argument("--path", default="auto", choices=["auto", "schur", "svd"])
+    p_field.add_argument("--epsilon", type=float, default=None, action=_Explicit, help="regularization (default 1e-6*||T||^2)")
     p_field.set_defaults(func=cmd_field)
 
     p_alg = sub.add_parser(
@@ -367,19 +360,14 @@ def _apply_config(args) -> None:
         raise MeasureFormatError(f"{args.config}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MeasureFormatError("config file must hold a JSON object")
-    defaults = build_parser_defaults()
     for key, value in payload.items():
         if key not in CONFIG_KEYS:
             raise MeasureFormatError(f"unknown config key {key!r}")
         if key == "out_dir":
             value = Path(value)
-        # a flag explicitly set on the command line wins over the config file
-        if getattr(args, key, None) == defaults.get(key):
+        # a flag given on the command line wins over the config file
+        if key not in args.explicit:
             setattr(args, key, value)
-
-
-def build_parser_defaults() -> dict:
-    return {"threads": 1, "out_dir": Path("."), "epsilon": None, "grid": None, "path": "auto"}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,25 +15,19 @@ class Tolerances:
     # measure construction and serialization
     mass_atol: float = 1e-12
     # functional inversion of the moment transform
-    inversion_atol: float = 1e-12
     bracket_delta: float = 1e-9
     # agreement between closed-form and numeric transform paths
     closed_numeric_atol: float = 1e-10
-    roundtrip_atol: float = 1e-10
     # radial CDF normalization
     cdf_end_atol: float = 1e-12
     # rank / membership decisions in linear-algebra routines
     rank_rtol: float = 1e-9
     gap_flag_ratio: float = 10.0
     # residual ceilings for structural identities
-    exact_identity_atol: float = 1e-10
     invariance_atol: float = 1e-9
     projection_atol: float = 1e-10
     normality_atol: float = 1e-10
     commutator_atol: float = 1e-8
-    nilpotency_atol: float = 1e-8
-    # spectral atom detection, relative to the operator norm
-    zero_eig_rtol: float = 1e-8
     # eigenvalue clustering when extracting eigenspaces of commutant elements
     cluster_rtol: float = 1e-7
 

@@ -20,18 +20,17 @@ import hashlib
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import (
     DimensionMismatchError,
     DomainError,
     EigensolveError,
     WordSpecError,
 )
-from .rdiagonal import OperatorTag
+from .rdiagonal import CATALOG, OperatorTag
 
 __all__ = [
     "MatrixModel",
@@ -203,21 +202,7 @@ def build_free_group(dim: int, seed: int) -> FreeGroupModel:
 
 def realize(tag: OperatorTag | str, model: MatrixModel) -> np.ndarray:
     """The matrix realization of a catalogued operator in this model."""
-    tag = OperatorTag(tag)
-    w1 = model.W[1]
-    e12 = model.E[1]
-    f12 = model.F[1]
-    if tag is OperatorTag.W1F12:
-        return w1 @ f12
-    if tag is OperatorTag.E12_plus_F12:
-        return e12 + f12
-    if tag is OperatorTag.E12_plus_F12_squared:
-        s = e12 + f12
-        return s @ s
-    if tag is OperatorTag.W1_plus_F12:
-        return w1 + f12
-    s = w1 + f12
-    return s @ s
+    return CATALOG[OperatorTag(tag)].realize(model)
 
 
 def f_blocks(
@@ -318,6 +303,11 @@ class SpectrumSample:
                 f"expected {self.dimension} eigenvalues, got shape {vals.shape}"
             )
 
+    @property
+    def zero_threshold(self) -> float:
+        """Distance below which an eigenvalue counts as sitting on a point."""
+        return 1e-8 * max(self.norm, 1e-300)
+
 
 def spectrum(
     matrix: np.ndarray, source: str = "", seed: int | None = None
@@ -363,7 +353,7 @@ def empirical_radial_cdf(
     if sample.eigenvalues.size == 0:
         raise DomainError("empty spectrum sample")
     if zero_threshold is None:
-        zero_threshold = 1e-8 * max(sample.norm, 1e-300)
+        zero_threshold = sample.zero_threshold
     radii = np.abs(sample.eigenvalues - complex(center))
     radii = np.where(radii < zero_threshold, 0.0, radii)
     radii = np.sort(radii)

@@ -31,6 +31,7 @@ __all__ = [
     "psi_transform",
     "chi_inverse",
     "chi_inverse_detailed",
+    "chi_vector",
     "s_transform",
 ]
 

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -31,6 +32,8 @@ from .errors import DiracInputError, DomainError, MeasureFormatError
 from .measures import ScalarMeasure, chi_vector, moment
 
 __all__ = [
+    "CATALOG",
+    "Law",
     "OperatorTag",
     "RadialPlanarMeasure",
     "brown_rdiagonal",
@@ -53,6 +56,9 @@ class OperatorTag(str, enum.Enum):
     W1_plus_F12 = "W1_plus_F12"
 
 
+_TAG_VALUES = frozenset(t.value for t in OperatorTag)
+
+
 @dataclass(frozen=True)
 class RadialPlanarMeasure:
     """Rotation-invariant planar probability measure stored as a radial CDF.
@@ -60,10 +66,7 @@ class RadialPlanarMeasure:
     cumulative[i] is the mass of the closed ball of radius radii[i] about
     center (atoms included).  Evaluation interpolates with a monotone
     piecewise cubic unless closed_form names a catalog law, in which case the
-    exact expression is used.  For the W1_plus_F12 tag the measure is not
-    radial about any point and the stored coordinate is |z^2 - 1|; the
-    pullback under squaring, together with the z -> -z symmetry, determines
-    the planar law.
+    law's exact expression, in the law's own coordinate, is used.
     """
 
     center: complex
@@ -99,6 +102,13 @@ class RadialPlanarMeasure:
             )
         if not self.support_inner <= self.support_outer:
             raise MeasureFormatError("support_inner must not exceed support_outer")
+        if self.closed_form is not None and self.closed_form not in _TAG_VALUES:
+            raise MeasureFormatError(f"unknown closed-form tag {self.closed_form!r}")
+
+    @property
+    def law(self) -> Law | None:
+        """The catalog entry named by closed_form, if any."""
+        return None if self.closed_form is None else CATALOG[OperatorTag(self.closed_form)]
 
     @property
     def center_atom_mass(self) -> float:
@@ -116,8 +126,8 @@ class RadialPlanarMeasure:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if self.closed_form is not None:
-            out = _closed_cdf(self.closed_form, r)
+        if self.law is not None:
+            out = self.law.cdf(r)
         else:
             out = np.empty_like(r)
             below = r < self.radii[0]
@@ -133,9 +143,6 @@ class RadialPlanarMeasure:
                     out[mid] = np.clip(interp(r[mid]), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def ball_mass(self, r) -> np.ndarray | float:
-        return self.cdf(r)
-
     def density(self, r) -> np.ndarray | float:
         """Radial part of the planar density, F'(r) / (2 pi r)."""
         r = np.asarray(r, dtype=float)
@@ -143,8 +150,8 @@ class RadialPlanarMeasure:
         r = np.atleast_1d(r)
         if np.any(r <= 0):
             raise DomainError("planar density is defined for r > 0")
-        if self.closed_form is not None:
-            deriv = _closed_cdf_derivative(self.closed_form, r)
+        if self.law is not None:
+            deriv = self.law.derivative(r)
         else:
             interp = self._interpolant
             if interp is None:
@@ -204,133 +211,109 @@ class RadialPlanarMeasure:
         return [(float(r), float(self.cdf(r))) for r in rs]
 
 
-# -- closed forms ----------------------------------------------------------
+# -- the catalog -------------------------------------------------------------
 
 
-def _closed_cdf(tag: str, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if tag == OperatorTag.W1F12.value:
-        out = np.where(r < SQRT_HALF, 1.0 / (2.0 * (1.0 - np.minimum(r, SQRT_HALF) ** 2)), 1.0)
-        return np.where(r < 0.0, 0.0, out)
-    if tag in (OperatorTag.E12_plus_F12.value, OperatorTag.W1_plus_F12_squared.value):
-        rc = np.clip(r, 0.0, SQRT_HALF)
-        return np.where(r >= SQRT_HALF, 1.0, rc**2 / (1.0 - rc**2))
-    if tag == OperatorTag.E12_plus_F12_squared.value:
-        rc = np.clip(r, 0.0, 0.5)
-        return np.where(r >= 0.5, 1.0, rc / (1.0 - rc))
-    if tag == OperatorTag.W1_plus_F12.value:
-        # coordinate rho = |z^2 - 1|; pullback of the squared operator's law
-        rc = np.clip(r, 0.0, SQRT_HALF)
-        return np.where(r >= SQRT_HALF, 1.0, rc**2 / (1.0 - rc**2))
-    raise DomainError(f"unknown closed-form tag {tag!r}")
+@dataclass(frozen=True)
+class Law:
+    """A catalogued Brown measure and the operator it belongs to.
+
+    coordinate maps eigenvalues to the stored radius; ball is the closed-ball
+    mass on [0, outer] in that coordinate and slope its derivative; realize
+    builds the operator from a matrix model's W, E and F factors.
+    """
+
+    center: complex
+    atom: float
+    outer: float
+    coordinate: Callable[[np.ndarray], np.ndarray]
+    ball: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
+    realize: Callable[[Any], np.ndarray]
+
+    def cdf(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        inside = self.ball(np.clip(r, 0.0, self.outer))
+        return np.where(r < 0.0, 0.0, np.where(r >= self.outer, 1.0, inside))
+
+    def derivative(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        inside = self.slope(np.clip(r, 0.0, self.outer))
+        return np.where((r > 0.0) & (r < self.outer), inside, 0.0)
 
 
-def _closed_cdf_derivative(tag: str, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if tag == OperatorTag.W1F12.value:
-        inside = (r > 0.0) & (r < SQRT_HALF)
-        return np.where(inside, r / (1.0 - r**2) ** 2, 0.0)
-    if tag in (
-        OperatorTag.E12_plus_F12.value,
-        OperatorTag.W1_plus_F12_squared.value,
-        OperatorTag.W1_plus_F12.value,
-    ):
-        inside = (r > 0.0) & (r < SQRT_HALF)
-        return np.where(inside, 2.0 * r / (1.0 - r**2) ** 2, 0.0)
-    if tag == OperatorTag.E12_plus_F12_squared.value:
-        inside = (r > 0.0) & (r < 0.5)
-        return np.where(inside, 1.0 / (1.0 - r) ** 2, 0.0)
-    raise DomainError(f"unknown closed-form tag {tag!r}")
+def _about(center: complex) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda z: np.abs(z - center)
 
 
-def _uniform_samples(tag: OperatorTag, outer: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    rs = np.linspace(0.0, outer, n)
-    return rs, _closed_cdf(tag.value, rs)
+def _square(s: np.ndarray) -> np.ndarray:
+    return s @ s
+
+
+# r^2 / (1 - r^2) is the law of E12 + F12, of the squared shifted sum about
+# 1, and of the unsquared shifted sum in the coordinate |z^2 - 1|
+def _nilpotent_ball(r):
+    return r**2 / (1.0 - r**2)
+
+
+def _nilpotent_slope(r):
+    return 2.0 * r / (1.0 - r**2) ** 2
+
+
+# center, center atom, outer radius, coordinate, ball mass, its slope, realization
+CATALOG: dict[OperatorTag, Law] = {
+    OperatorTag.W1F12: Law(
+        0j, 0.5, SQRT_HALF, _about(0j),
+        lambda r: 1.0 / (2.0 * (1.0 - r**2)), lambda r: r / (1.0 - r**2) ** 2,
+        lambda m: m.W[1] @ m.F[1],
+    ),
+    OperatorTag.E12_plus_F12: Law(
+        0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball, _nilpotent_slope,
+        lambda m: m.E[1] + m.F[1],
+    ),
+    OperatorTag.E12_plus_F12_squared: Law(
+        0j, 0.0, 0.5, _about(0j),
+        lambda r: r / (1.0 - r), lambda r: 1.0 / (1.0 - r) ** 2,
+        lambda m: _square(m.E[1] + m.F[1]),
+    ),
+    OperatorTag.W1_plus_F12_squared: Law(
+        1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball, _nilpotent_slope,
+        lambda m: _square(m.W[1] + m.F[1]),
+    ),
+    # not radial about any center: stored in the coordinate |z^2 - 1|, the
+    # pullback of the squared law, with center 0 the z -> -z symmetry point
+    OperatorTag.W1_plus_F12: Law(
+        0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball, _nilpotent_slope,
+        lambda m: m.W[1] + m.F[1],
+    ),
+}
 
 
 def catalog_brown(tag: OperatorTag | str) -> RadialPlanarMeasure:
     """Closed-form Brown measure for a catalogued operator."""
     tag = OperatorTag(tag)
-    n = SIZE.cdf_samples
-    if tag is OperatorTag.W1F12:
-        rs, fs = _uniform_samples(tag, SQRT_HALF, n)
-        return RadialPlanarMeasure(
-            center=0j,
-            atoms=((0j, 0.5),),
-            radii=rs,
-            cumulative=fs,
-            support_inner=0.0,
-            support_outer=SQRT_HALF,
-            closed_form=tag.value,
-        )
-    if tag is OperatorTag.E12_plus_F12:
-        rs, fs = _uniform_samples(tag, SQRT_HALF, n)
-        return RadialPlanarMeasure(
-            center=0j,
-            atoms=(),
-            radii=rs,
-            cumulative=fs,
-            support_inner=0.0,
-            support_outer=SQRT_HALF,
-            closed_form=tag.value,
-        )
-    if tag is OperatorTag.E12_plus_F12_squared:
-        rs, fs = _uniform_samples(tag, 0.5, n)
-        return RadialPlanarMeasure(
-            center=0j,
-            atoms=(),
-            radii=rs,
-            cumulative=fs,
-            support_inner=0.0,
-            support_outer=0.5,
-            closed_form=tag.value,
-        )
-    if tag is OperatorTag.W1_plus_F12_squared:
-        rs, fs = _uniform_samples(tag, SQRT_HALF, n)
-        return RadialPlanarMeasure(
-            center=1.0 + 0j,
-            atoms=(),
-            radii=rs,
-            cumulative=fs,
-            support_inner=0.0,
-            support_outer=SQRT_HALF,
-            closed_form=tag.value,
-        )
-    # Not radial about any center: stored in the coordinate rho = |z^2 - 1|
-    # with center 0 recording the z -> -z symmetry point.
-    rs, fs = _uniform_samples(tag, SQRT_HALF, n)
+    law = CATALOG[tag]
+    rs = np.linspace(0.0, law.outer, SIZE.cdf_samples)
     return RadialPlanarMeasure(
-        center=0j,
-        atoms=(),
+        center=law.center,
+        atoms=((law.center, law.atom),) if law.atom > 0.0 else (),
         radii=rs,
-        cumulative=fs,
+        cumulative=law.cdf(rs),
         support_inner=0.0,
-        support_outer=SQRT_HALF,
+        support_outer=law.outer,
         closed_form=tag.value,
     )
 
 
 def support_membership(tag: OperatorTag | str, z: complex) -> bool:
     """Whether z lies in the closed support of the catalogued Brown measure."""
-    tag = OperatorTag(tag)
-    z = complex(z)
-    if tag in (OperatorTag.W1F12, OperatorTag.E12_plus_F12):
-        return abs(z) <= SQRT_HALF
-    if tag is OperatorTag.E12_plus_F12_squared:
-        return abs(z) <= 0.5
-    if tag is OperatorTag.W1_plus_F12_squared:
-        return abs(z - 1.0) <= SQRT_HALF
-    return abs(z * z - 1.0) <= SQRT_HALF
+    law = CATALOG[OperatorTag(tag)]
+    return bool(law.coordinate(complex(z)) <= law.outer)
 
 
 def pullback_radii(tag: OperatorTag | str, values: np.ndarray) -> np.ndarray:
     """Map sampled eigenvalues to the radial coordinate of the catalog law."""
-    tag = OperatorTag(tag)
-    values = np.asarray(values, dtype=complex)
-    if tag is OperatorTag.W1_plus_F12:
-        return np.abs(values * values - 1.0)
-    center = catalog_brown(tag).center
-    return np.abs(values - center)
+    return CATALOG[OperatorTag(tag)].coordinate(np.asarray(values, dtype=complex))
 
 
 def conditional_cdf(measure: RadialPlanarMeasure):
@@ -348,19 +331,16 @@ def conditional_cdf(measure: RadialPlanarMeasure):
 # -- the radial recipe -----------------------------------------------------
 
 
-def _degenerate_circle(c: float, n: int) -> RadialPlanarMeasure:
+def _degenerate_circle(c: float) -> RadialPlanarMeasure:
     # uniform measure on the circle of radius ||H||_2 = c; at c = 0 this is
     # the point mass at the origin
-    rs = np.array([c, c])
-    fs = np.array([1.0, 1.0])
     return RadialPlanarMeasure(
         center=0j,
         atoms=((0j, 1.0),) if c == 0.0 else (),
-        radii=rs,
-        cumulative=fs,
+        radii=np.array([c, c]),
+        cumulative=np.array([1.0, 1.0]),
         support_inner=c,
         support_outer=c,
-        closed_form=None,
     )
 
 
@@ -387,7 +367,7 @@ def brown_rdiagonal(
                 "the radial recipe needs a non-degenerate distribution; "
                 "pass allow_dirac=True for the uniform-circle limit"
             )
-        return _degenerate_circle(mu_h.atoms[0][0], samples)
+        return _degenerate_circle(mu_h.atoms[0][0])
 
     atom = mu_h.mass_at(0.0)
     mu_sq = mu_h.pushforward_square()
@@ -445,5 +425,4 @@ def brown_rdiagonal(
         cumulative=fs,
         support_inner=inner,
         support_outer=outer,
-        closed_form=None,
     )

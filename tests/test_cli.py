@@ -1,13 +1,16 @@
 """Command-line surface: exit codes, output files, run records, config."""
 
 import json
+import os
+import subprocess
+import sys
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freeprob import cli
+from freeprob import __version__, cli
 from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
@@ -59,6 +62,19 @@ def test_version_exits_0(capsys):
     assert "freeprob" in capsys.readouterr().out
 
 
+def test_module_entry_point_prints_version():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeprob", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"freeprob {__version__}"
+
+
 def test_malformed_measure_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -104,15 +120,6 @@ def test_mixed_generator_sizes_exits_9(tmp_path):
     save_matrix(a, np.eye(2, dtype=complex))
     save_matrix(b, np.eye(3, dtype=complex))
     assert _run(["algebra", a, b, "--out-dir", tmp_path / "out"]) == 9
-
-
-def test_schur_path_with_epsilon_exits_4(tmp_path):
-    path = tmp_path / "m.json"
-    save_matrix(path, np.diag([1.0 + 0j, 2.0]))
-    code = _run(["field", "--matrix", path, "--path", "schur",
-                 "--epsilon", "0.1", "--grid-n", "16",
-                 "--out-dir", tmp_path / "out"])
-    assert code == 4
 
 
 def test_unreachable_error_codes_still_mapped():
@@ -199,6 +206,17 @@ def test_simulate_different_seeds_differ(tmp_path):
         record = json.loads((out / "run_record.json").read_text())
         digests.append(record["outputs"]["empirical_cdf.csv"])
     assert digests[0] != digests[1]
+
+
+def test_simulate_w1f12_counts_kernel_as_atom(tmp_path):
+    # the kernel half of the spectrum comes out near 1e-14; unless it is
+    # counted at radius 0 it meets the law's jump of 1/2 there
+    out = tmp_path / "out"
+    code = _run(["simulate", "--tag", "W1F12", "--dim", "256", "--seed", "3",
+                 "--out-dir", out])
+    assert code == 0
+    summary = json.loads((out / "simulation_summary.json").read_text())
+    assert summary["ks_distance"] < 0.1
 
 
 # -- field -----------------------------------------------------------------
@@ -317,6 +335,30 @@ def test_explicit_flag_beats_config(two_point_file, tmp_path):
     assert code == 0
     assert (flag_target / "run_record.json").exists()
     assert not config_target.exists()
+
+
+def test_explicit_flag_equal_to_default_beats_config(
+    two_point_file, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": "from_config", "threads": 4}))
+    code = _run(["rdiag", two_point_file, "--out-dir", ".", "--threads", "1",
+                 "--config", config])
+    assert code == 0
+    assert not (tmp_path / "from_config").exists()
+    record = json.loads((tmp_path / "run_record.json").read_text())
+    assert record["config"]["out_dir"] == "."
+    assert record["config"]["threads"] == 1
+
+
+def test_config_fills_flags_not_given(two_point_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 3}))
+    out = tmp_path / "out"
+    assert _run(["rdiag", two_point_file, "--config", config, "--out-dir", out]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["config"]["threads"] == 3
 
 
 def test_unknown_config_key_exits_3(two_point_file, tmp_path):

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from freeprob.errors import DiracInputError, DomainError, MeasureFormatError
+from freeprob.errors import (
+    DiracInputError,
+    DomainError,
+    MeasureFormatError,
+    exit_code_for,
+)
 from freeprob.measures import ScalarMeasure, moment
 from freeprob.rdiagonal import (
     OperatorTag,
@@ -224,6 +229,13 @@ class TestSerialization:
         assert payload["center"] == [1.0, 0.0]
         assert payload["support"] == [0.0, pytest.approx(SQRT_HALF)]
         assert payload["closed_form"] == "W1_plus_F12_squared"
+
+    def test_unknown_closed_form_rejected_at_load(self):
+        payload = json.loads(catalog_brown(OperatorTag.W1F12).to_json())
+        payload["closed_form"] = "bogus"
+        with pytest.raises(MeasureFormatError) as excinfo:
+            RadialPlanarMeasure.from_json(json.dumps(payload))
+        assert exit_code_for(excinfo.value) == 3
 
     def test_malformed_json_raises(self):
         with pytest.raises(MeasureFormatError):
