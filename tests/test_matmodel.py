@@ -135,6 +135,49 @@ class TestModelConstruction:
         assert abs(mean) < 0.1
 
 
+FACTOR_NAMES = (
+    [f"W{i}" for i in range(4)]
+    + [f"V{i}" for i in range(4)]
+    + [f"E{u}" for u in ("11", "12", "21", "22")]
+    + [f"F{u}" for u in ("11", "12", "21", "22")]
+)
+
+
+class TestFactors:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_factors_match_the_eager_construction(self, seed):
+        # rebuild every factor from the rotation and the 2x2 generators
+        model = build_m2_free_m2(3, seed)
+        q = model.rotation
+        eye = np.eye(3, dtype=complex)
+        w = [np.kron(g, eye) for g in m2_generators()]
+        v = [q @ x @ q.conj().T for x in w]
+
+        def units(prefix, g0, g1, g2, g3):
+            return {
+                f"{prefix}11": (g0 + g1) / 2.0,
+                f"{prefix}12": (g3 - g2) / 2.0,
+                f"{prefix}21": (g3 + g2) / 2.0,
+                f"{prefix}22": (g0 - g1) / 2.0,
+            }
+
+        expected = {f"W{i}": x for i, x in enumerate(w)}
+        expected.update({f"V{i}": x for i, x in enumerate(v)})
+        expected.update(units("E", *w))
+        expected.update(units("F", *v))
+        assert sorted(expected) == sorted(FACTOR_NAMES)
+        for name in FACTOR_NAMES:
+            assert np.array_equal(model.factor(name), expected[name]), name
+
+    def test_repeated_request_returns_the_same_array(self, model):
+        assert model.factor("V1") is model.factor("V1")
+
+    @pytest.mark.parametrize("name", ["W4", "V", "E13", "F1", "W01", "X0"])
+    def test_unknown_factor_rejected(self, model, name):
+        with pytest.raises(WordSpecError):
+            model.factor(name)
+
+
 class TestRealize:
     def test_rank_of_rotated_nilpotent(self):
         # the second factor of the product has rank exactly half the dimension
