@@ -152,6 +152,8 @@ def cmd_simulate(args) -> int:
     seed = _require_seed(args, "simulate")
     tag = OperatorTag(args.tag)
     half_dim = _half_dim(args)
+    if args.seeds < 1:
+        raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
     writer = OutputWriter(args.out_dir)
 
     catalog = catalog_brown(tag)

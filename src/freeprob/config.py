@@ -16,8 +16,6 @@ class Tolerances:
     mass_atol: float = 1e-12
     # functional inversion of the moment transform
     bracket_delta: float = 1e-9
-    # agreement between closed-form and numeric transform paths
-    closed_numeric_atol: float = 1e-10
     # radial CDF normalization
     cdf_end_atol: float = 1e-12
     # rank / membership decisions in linear-algebra routines

@@ -20,7 +20,7 @@ import hashlib
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,60 +91,54 @@ def m2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return w0, w1, w2, w3
 
 
-def _units_from(generators: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    g0, g1, g2, g3 = generators
-    return (
-        (g0 + g1) / 2.0,  # 11
-        (g3 - g2) / 2.0,  # 12
-        (g3 + g2) / 2.0,  # 21
-        (g0 - g1) / 2.0,  # 22
-    )
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-_UNIT_NAMES = ("11", "12", "21", "22")
+# each matrix unit is (X_a op X_b) / 2 in its own copy's generators X
+_UNITS = {
+    "11": ("0", np.add, "1"), "12": ("3", np.subtract, "2"),
+    "21": ("3", np.add, "2"), "22": ("0", np.subtract, "1"),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixModel:
     """One seeded realization of the doubled 2x2 algebra at half_dim n.
 
-    W_i = w_i (x) I_n act as the first copy; V_j = Q W_j Q* with Q Haar as
-    the second.  E and F are the matrix-unit systems assembled from W and V.
-    All arrays are read-only views owned by the model.
+    Only the Haar rotation Q is stored.  W_i = w_i (x) I_n act as the first
+    copy, V_i = Q W_i Q* as the second, and E and F are their matrix units;
+    factor() builds each on first use and caches it read-only.
     """
 
     half_dim: int
     seed: int
-    W: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    V: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    E: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    F: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     rotation: np.ndarray
+    _factors: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return 2 * self.half_dim
 
     def factor(self, name: str) -> np.ndarray:
-        table = self._factor_table()
-        if name not in table:
+        if name in self._factors:
+            return self._factors[name]
+        letter, index = name[:1], name[1:]
+        if name in ("W0", "W1", "W2", "W3"):
+            mat = np.kron(m2_generators()[int(index)], np.eye(self.half_dim, dtype=complex))
+        elif name in ("V0", "V1", "V2", "V3"):
+            mat = self.rotation @ self.factor("W" + index) @ self.rotation.conj().T
+        elif letter in ("E", "F") and index in _UNITS:
+            a, combine, b = _UNITS[index]
+            big = "W" if letter == "E" else "V"
+            mat = combine(self.factor(big + a), self.factor(big + b)) / 2.0
+        else:
             raise WordSpecError(f"unknown factor {name!r} for a matrix model")
-        return table[name]
+        return self._factors.setdefault(name, _freeze(mat))
 
     def is_unitary_factor(self, name: str) -> bool:
         return name[0] in ("W", "V")
-
-    def _factor_table(self) -> dict[str, np.ndarray]:
-        table = {f"W{i}": self.W[i] for i in range(4)}
-        table.update({f"V{i}": self.V[i] for i in range(4)})
-        table.update({f"E{u}": self.E[i] for i, u in enumerate(_UNIT_NAMES)})
-        table.update({f"F{u}": self.F[i] for i, u in enumerate(_UNIT_NAMES)})
-        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,22 +165,8 @@ def build_m2_free_m2(n: int, seed: int) -> MatrixModel:
     """Haar-rotate one copy of the doubled 2x2 algebra against another."""
     if n < 1:
         raise DomainError(f"half dimension must be >= 1, got {n}")
-    eye = np.eye(n, dtype=complex)
-    gens = m2_generators()
-    w_big = tuple(_freeze(np.kron(g, eye)) for g in gens)
     q = haar_unitary(2 * n, derive_rng(seed, "m2-rotation"))
-    v_big = tuple(_freeze(q @ w @ q.conj().T) for w in w_big)
-    e_units = tuple(_freeze(u) for u in _units_from(w_big))
-    f_units = tuple(_freeze(u) for u in _units_from(v_big))
-    return MatrixModel(
-        half_dim=n,
-        seed=seed,
-        W=w_big,
-        V=v_big,
-        E=e_units,
-        F=f_units,
-        rotation=_freeze(q),
-    )
+    return MatrixModel(half_dim=n, seed=seed, rotation=_freeze(q))
 
 
 def build_free_group(dim: int, seed: int) -> FreeGroupModel:
@@ -238,8 +218,9 @@ def exact_identity_residuals(model: MatrixModel) -> dict[str, float]:
     n = model.half_dim
     eye = np.eye(2 * n, dtype=complex)
     eye_n = np.eye(n, dtype=complex)
-    w1, v1 = model.W[1], model.V[1]
-    e12, f12 = model.E[1], model.F[1]
+    w1, v1, e11, e12, e21, e22, f12 = map(
+        model.factor, ("W1", "V1", "E11", "E12", "E21", "E22", "F12")
+    )
 
     a, b_adj, b, c = f_blocks(model, w1)
 
@@ -253,8 +234,8 @@ def exact_identity_residuals(model: MatrixModel) -> dict[str, float]:
         "v1_square_identity": _maxabs(v1 @ v1 - eye),
         "e12_square_zero": _maxabs(e12 @ e12),
         "f12_square_zero": _maxabs(f12 @ f12),
-        "unit_product_e": _maxabs(model.E[1] @ model.E[2] - model.E[0]),
-        "unit_sum_identity": _maxabs(model.E[0] + model.E[3] - eye),
+        "unit_product_e": _maxabs(e12 @ e21 - e11),
+        "unit_sum_identity": _maxabs(e11 + e22 - eye),
         "nilpotent_sum_square": _maxabs(
             nil_sum @ nil_sum - (e12 @ f12 + f12 @ e12)
         ),

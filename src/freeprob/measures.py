@@ -9,8 +9,7 @@ is strictly increasing on the principal branch (-inf, 1/max_support); chi
 denotes its functional inverse there and the S-transform is
 S(w) = chi(w) (1 + w) / w, extended continuously by S(0) = 1/mean.  For a
 measure supported on {0, a} these have closed forms; the numeric path uses
-bracketed bisection with a Newton polish and must agree with the closed
-forms to within Tolerances.closed_numeric_atol.
+bracketed bisection with a Newton polish.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ class Law:
 
     coordinate maps eigenvalues to the stored radius; ball is the closed-ball
     mass on [0, outer] in that coordinate and slope its derivative; realize
-    builds the operator from a matrix model's W, E and F factors.
+    builds the operator from a matrix model's named factors (model.factor).
     """
 
     center: complex
@@ -265,26 +265,26 @@ CATALOG: dict[OperatorTag, Law] = {
     OperatorTag.W1F12: Law(
         0j, 0.5, SQRT_HALF, _about(0j),
         lambda r: 1.0 / (2.0 * (1.0 - r**2)), lambda r: r / (1.0 - r**2) ** 2,
-        lambda m: m.W[1] @ m.F[1],
+        lambda m: m.factor("W1") @ m.factor("F12"),
     ),
     OperatorTag.E12_plus_F12: Law(
         0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball, _nilpotent_slope,
-        lambda m: m.E[1] + m.F[1],
+        lambda m: m.factor("E12") + m.factor("F12"),
     ),
     OperatorTag.E12_plus_F12_squared: Law(
         0j, 0.0, 0.5, _about(0j),
         lambda r: r / (1.0 - r), lambda r: 1.0 / (1.0 - r) ** 2,
-        lambda m: _square(m.E[1] + m.F[1]),
+        lambda m: _square(m.factor("E12") + m.factor("F12")),
     ),
     OperatorTag.W1_plus_F12_squared: Law(
         1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball, _nilpotent_slope,
-        lambda m: _square(m.W[1] + m.F[1]),
+        lambda m: _square(m.factor("W1") + m.factor("F12")),
     ),
     # not radial about any center: stored in the coordinate |z^2 - 1|, the
     # pullback of the squared law, with center 0 the z -> -z symmetry point
     OperatorTag.W1_plus_F12: Law(
         0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball, _nilpotent_slope,
-        lambda m: m.W[1] + m.F[1],
+        lambda m: m.factor("W1") + m.factor("F12"),
     ),
 }
 

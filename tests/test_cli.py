@@ -98,6 +98,14 @@ def test_simulate_odd_dim_exits_4(tmp_path):
     assert code == 4
 
 
+def test_simulate_zero_seeds_exits_4(tmp_path):
+    out = tmp_path / "sim"
+    code = _run(["simulate", "--tag", "W1F12", "--dim", "32", "--seed", "1",
+                 "--seeds", "0", "--out-dir", out])
+    assert code == 4
+    assert not out.exists()
+
+
 def test_dirac_measure_exits_6(tmp_path):
     path = tmp_path / "dirac.json"
     path.write_text(ScalarMeasure(((1.0, 1.0),)).to_json())

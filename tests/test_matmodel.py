@@ -38,6 +38,12 @@ from freeprob.matmodel import (
 from freeprob.rdiagonal import OperatorTag, catalog_brown, pullback_radii
 
 SEED = 20260822
+FACTOR_NAMES = (
+    [f"W{i}" for i in range(4)]
+    + [f"V{i}" for i in range(4)]
+    + [f"E{u}" for u in ("11", "12", "21", "22")]
+    + [f"F{u}" for u in ("11", "12", "21", "22")]
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,25 +103,25 @@ class TestModelConstruction:
         assert np.max(np.abs(w2 @ w2 + w0)) == 0.0  # rotation squares to -1
 
     def test_unit_traces(self, model):
-        assert ntrace(model.W[1]) == 0.0
-        assert ntrace(model.E[1]) == 0.0
-        assert abs(ntrace(model.V[1])) < 1e-10
-        assert abs(ntrace(model.F[1])) < 1e-10
+        assert ntrace(model.factor("W1")) == 0.0
+        assert ntrace(model.factor("E12")) == 0.0
+        assert abs(ntrace(model.factor("V1"))) < 1e-10
+        assert abs(ntrace(model.factor("F12"))) < 1e-10
 
     def test_determinism_is_bitwise(self):
         a = build_m2_free_m2(32, seed=5)
         b = build_m2_free_m2(32, seed=5)
-        assert all(np.array_equal(x, y) for x, y in zip(a.V, b.V))
-        assert all(np.array_equal(x, y) for x, y in zip(a.F, b.F))
+        for name in [n for n in FACTOR_NAMES if n[0] in ("V", "F")]:
+            assert np.array_equal(a.factor(name), b.factor(name)), name
 
     def test_seeds_differ(self):
         a = build_m2_free_m2(32, seed=5)
         b = build_m2_free_m2(32, seed=6)
-        assert not np.array_equal(a.V[1], b.V[1])
+        assert not np.array_equal(a.factor("V1"), b.factor("V1"))
 
     def test_arrays_are_read_only(self, model):
         with pytest.raises(ValueError):
-            model.W[1][0, 0] = 5.0
+            model.factor("W1")[0, 0] = 5.0
 
     def test_freeness_of_alternating_words(self):
         # mixed centered words vanish as the dimension grows
@@ -133,14 +139,6 @@ class TestModelConstruction:
             lambda s: word_trace(build_m2_free_m2(128, s), word), range(10)
         )
         assert abs(mean) < 0.1
-
-
-FACTOR_NAMES = (
-    [f"W{i}" for i in range(4)]
-    + [f"V{i}" for i in range(4)]
-    + [f"E{u}" for u in ("11", "12", "21", "22")]
-    + [f"F{u}" for u in ("11", "12", "21", "22")]
-)
 
 
 class TestFactors:
@@ -190,12 +188,12 @@ class TestRealize:
 
     def test_nilpotent_sum_square_identity(self, model):
         s = realize(OperatorTag.E12_plus_F12, model)
-        e12, f12 = model.E[1], model.F[1]
+        e12, f12 = model.factor("E12"), model.factor("F12")
         assert np.max(np.abs(s @ s - (e12 @ f12 + f12 @ e12))) < 1e-12
 
     def test_shifted_square_expansion(self, model):
         t = realize(OperatorTag.W1_plus_F12, model)
-        w1, f12 = model.W[1], model.F[1]
+        w1, f12 = model.factor("W1"), model.factor("F12")
         eye = np.eye(model.dim)
         assert np.max(np.abs(t @ t - eye - w1 @ f12 - f12 @ w1)) < 1e-12
 
@@ -210,7 +208,7 @@ class TestRealize:
 
 class TestBlocks:
     def test_blocks_reassemble(self, model):
-        w1 = model.W[1]
+        w1 = model.factor("W1")
         a, b_adj, b, c = f_blocks(model, w1)
         n = model.half_dim
         q = model.rotation
@@ -218,12 +216,12 @@ class TestBlocks:
         assert np.max(np.abs(rebuilt - w1)) < 1e-12
 
     def test_offdiagonal_blocks_are_adjoint(self, model):
-        a, b_adj, b, c = f_blocks(model, model.W[1])
+        a, b_adj, b, c = f_blocks(model, model.factor("W1"))
         assert np.max(np.abs(b_adj - b.conj().T)) < 1e-12
 
     def test_second_haar_copy_is_diagonal_in_own_frame(self, model):
         n = model.half_dim
-        a, b_adj, b, c = f_blocks(model, model.V[1])
+        a, b_adj, b, c = f_blocks(model, model.factor("V1"))
         assert np.max(np.abs(a - np.eye(n))) < 1e-12
         assert np.max(np.abs(c + np.eye(n))) < 1e-12
         assert np.max(np.abs(b)) < 1e-12
@@ -375,9 +373,10 @@ class TestWords:
         assert abs(mean) < 0.1
 
     def test_haar_symmetrization_commutes(self, model):
-        u = model.W[1] @ model.V[1]
+        u = model.factor("W1") @ model.factor("V1")
         sym = u + u.conj().T
-        comm = sym @ model.W[1] - model.W[1] @ sym
+        w1 = model.factor("W1")
+        comm = sym @ w1 - w1 @ sym
         assert np.max(np.abs(comm)) < 1e-12
 
     def test_unitary_poly(self, freegroup):
