@@ -1,7 +1,8 @@
-"""Pinned bytes of the radial recipe's files and of the catalog laws.
+"""Pinned bytes of the radial recipe's files, of the numeric chi and of the
+catalog laws.
 
 The rdiag outputs come from the S-transform inversion and a monotone cubic
-interpolant, and the catalog laws are closed-form rational expressions, so a
+interpolant, chi_vector is a bisection run to float spacing, and the catalog laws are closed-form rational expressions, so a
 refactor that keeps the arithmetic keeps these digests.  Outputs that pass
 through a dense eigensolve (simulate, field) depend on the LAPACK build and
 are compared between commits by hand instead of being pinned here.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from freeprob import cli
-from freeprob.measures import ScalarMeasure
+from freeprob.measures import ScalarMeasure, chi_vector
 from freeprob.rdiagonal import OperatorTag, catalog_brown
 
 RDIAG_DIGESTS = {
@@ -77,6 +78,30 @@ MEASURES = {
 }
 
 
+# sha256 of chi_vector on 65 negative arguments spanning (lower limit, 0),
+# both ends approached to within 1e-8 of the range
+CHI_DIGESTS = {
+    "atomic": "444a23ba125b5b17c33dab55cbcd4b008cea5d8ef2b2b5cc7d47f46d17368380",
+    "atomic_squared": "48fcc44fd45d7b6abcc4241ed9b1c988aa0d897d5e42e08b693903c5d7afefab",
+    "density": "06227bb56e23a56d47e0bdab39398dca799fce116a8dfa25fab152e1d1f222df",
+    "density_squared": "15fa7a9f3b9091b3134ce9fbf95febbc9cfcf9e8ab428f49997d6285f104ea39",
+}
+
+CHI_MEASURES = {
+    "atomic": ScalarMeasure(((0.0, 0.25), (1.0, 0.25), (2.0, 0.5))),
+    "density": ScalarMeasure(
+        ((0.25, 0.5),), tuple(zip(np.linspace(0.5, 1.5, 11).tolist(), [0.5] * 11))
+    ),
+}
+CHI_FRACTIONS = np.concatenate(
+    (
+        np.geomspace(1e-8, 1e-2, 8),
+        np.linspace(0.02, 0.98, 49),
+        1.0 - np.geomspace(1e-2, 1e-8, 8),
+    )
+)
+
+
 def _digest(data: bytes) -> str:
     return sha256(data).hexdigest()
 
@@ -89,6 +114,16 @@ def test_rdiag_output_digests(stem, tmp_path):
     assert cli.main(["rdiag", str(measure_file), "--out-dir", str(out)]) == 0
     record = json.loads((out / "run_record.json").read_text())
     assert record["outputs"] == RDIAG_DIGESTS[stem]
+
+
+@pytest.mark.parametrize("name", sorted(CHI_DIGESTS))
+def test_chi_vector_digests(name):
+    base, _, squared = name.partition("_")
+    measure = CHI_MEASURES[base]
+    if squared:
+        measure = measure.pushforward_square()
+    ys = (measure.mass_at(0.0) - 1.0) * CHI_FRACTIONS
+    assert _digest(chi_vector(measure, ys).tobytes()) == CHI_DIGESTS[name]
 
 
 @pytest.mark.parametrize("tag", [t.value for t in OperatorTag])
