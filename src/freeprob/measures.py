@@ -8,8 +8,8 @@ density, total mass one.  The moment transform
 is strictly increasing on the principal branch (-inf, 1/max_support); chi
 denotes its functional inverse there and the S-transform is
 S(w) = chi(w) (1 + w) / w, extended continuously by S(0) = 1/mean.  For a
-measure supported on {0, a} these have closed forms; the numeric path uses
-bracketed bisection with a Newton polish.
+measure supported on {0, a} these have closed forms; the numeric path is
+one vectorized bisection, chi_vector, run to float spacing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,11 +88,18 @@ class ScalarMeasure:
 
     # -- basic structure -------------------------------------------------
 
+    @cached_property
+    def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density samples as read-only arrays (xs, fs)."""
+        xs = np.array([x for x, _ in self.density], dtype=float)
+        fs = np.array([f for _, f in self.density], dtype=float)
+        xs.flags.writeable = fs.flags.writeable = False
+        return xs, fs
+
     def _density_integral(self) -> float:
         if not self.density:
             return 0.0
-        xs = np.array([x for x, _ in self.density])
-        fs = np.array([f for _, f in self.density])
+        xs, fs = self.density_grid
         return float(np.trapezoid(fs, xs))
 
     def mass_at(self, loc: float) -> float:
@@ -122,8 +130,7 @@ class ScalarMeasure:
             return math.inf
         total = sum(m / t**2 for t, m in self.atoms)
         if self.density:
-            xs = np.array([x for x, _ in self.density])
-            fs = np.array([f for _, f in self.density])
+            xs, fs = self.density_grid
             if xs[0] == 0.0 and fs[0] > 0.0:
                 return math.inf
             with np.errstate(divide="ignore"):
@@ -138,8 +145,7 @@ class ScalarMeasure:
         atoms = tuple((t * t, m) for t, m in self.atoms)
         dens: tuple[tuple[float, float], ...] = ()
         if self.density:
-            xs = np.array([x for x, _ in self.density])
-            fs = np.array([f for _, f in self.density])
+            xs, fs = self.density_grid
             cont = float(np.trapezoid(fs, xs))
             if cont > 0.0:
                 # y = x^2, g(y) = f(sqrt(y)) / (2 sqrt(y)); refine the grid so
@@ -199,8 +205,7 @@ def moment(measure: ScalarMeasure, k: int) -> float:
         return 1.0
     total = sum(m * t**k for t, m in measure.atoms)
     if measure.density:
-        xs = np.array([x for x, _ in measure.density])
-        fs = np.array([f for _, f in measure.density])
+        xs, fs = measure.density_grid
         total += float(np.trapezoid(fs * xs**k, xs))
     return total
 
@@ -217,25 +222,11 @@ def _psi_raw(measure: ScalarMeasure, z: np.ndarray) -> np.ndarray:
             continue
         out = out + m * t * z / (1.0 - t * z)
     if measure.density:
-        xs = np.array([x for x, _ in measure.density])
-        fs = np.array([f for _, f in measure.density])
+        xs, fs = measure.density_grid
         integrand = xs[None, :] * z.reshape(-1, 1) / (1.0 - xs[None, :] * z.reshape(-1, 1))
         vals = np.trapezoid(fs[None, :] * integrand, xs, axis=1)
         out = out + vals.reshape(z.shape)
     return out
-
-
-def _psi_prime(measure: ScalarMeasure, z: float) -> float:
-    total = 0.0
-    for t, m in measure.atoms:
-        if t == 0.0:
-            continue
-        total += m * t / (1.0 - t * z) ** 2
-    if measure.density:
-        xs = np.array([x for x, _ in measure.density])
-        fs = np.array([f for _, f in measure.density])
-        total += float(np.trapezoid(fs * xs / (1.0 - xs * z) ** 2, xs))
-    return total
 
 
 def psi_transform(measure: ScalarMeasure, z: float) -> float:
@@ -295,65 +286,11 @@ def _chi_closed(measure: ScalarMeasure, y: float) -> float:
     return best[0]
 
 
-def _chi_bracket(measure: ScalarMeasure, y: float) -> tuple[float, float]:
-    hi_support = measure.max_support
-    if y > 0.0:
-        if hi_support == 0.0:
-            raise DomainError("psi of a measure concentrated at 0 never leaves 0")
-        lo, hi = 0.0, (1.0 - TOL.bracket_delta) / hi_support
-        if float(_psi_raw(measure, np.array([hi]))[0]) < y:
-            raise DomainError(f"y = {y} exceeds psi on the principal branch")
-        return lo, hi
-    # negative y: expand to the left until psi(lo) <= y
-    if y <= _psi_lower_limit(measure):
-        raise DomainError(
-            f"y = {y} is at or below the lower limit {_psi_lower_limit(measure)} of psi"
-        )
-    lo, hi = -1.0, 0.0
-    for _ in range(240):
-        if float(_psi_raw(measure, np.array([lo]))[0]) <= y:
-            return lo, hi
-        lo *= 2.0
-    raise DomainError(f"failed to bracket y = {y}; it sits too close to the lower limit")
-
-
-def _chi_numeric(measure: ScalarMeasure, y: float) -> float:
-    # Safeguarded Newton: every step either is a Newton update inside the
-    # current bracket or a bisection of it, and the iterate with the smallest
-    # residual wins.  psi(lo) <= y <= psi(hi) holds throughout.
-    if y == 0.0:
-        return 0.0
-    lo, hi = _chi_bracket(measure, y)
-    z = 0.5 * (lo + hi)
-    best_f, best_z = math.inf, z
-    for _ in range(300):
-        f = float(_psi_raw(measure, np.array([z]))[0]) - y
-        if abs(f) < best_f:
-            best_f, best_z = abs(f), z
-        if f == 0.0:
-            return z
-        if f < 0.0:
-            lo = z
-        else:
-            hi = z
-        fp = _psi_prime(measure, z)
-        z_next = z - f / fp if fp > 0.0 else 0.5 * (lo + hi)
-        if not lo < z_next < hi:
-            z_next = 0.5 * (lo + hi)
-        if z_next in (lo, hi) or abs(z_next - z) <= 1e-16 * (1.0 + abs(z_next)):
-            f_next = abs(float(_psi_raw(measure, np.array([z_next]))[0]) - y)
-            if f_next < best_f:
-                best_z = z_next
-            break
-        z = z_next
-    return best_z
-
-
 def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float:
     """Inverse of psi on the principal branch.
 
     method 'auto' uses the closed form for purely atomic measures with at
-    most two atoms and falls back to bisection plus Newton; 'closed' and
+    most two atoms and falls back to chi_vector's bisection; 'closed' and
     'numeric' force one path (used by the cross-validation tests).
     """
     return chi_inverse_detailed(measure, y, method).value
@@ -375,20 +312,36 @@ def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto")
         )
     if method == "closed" or (method == "auto" and closed_ok):
         return TransformSample(y, _chi_closed(measure, y), "principal:closed-form")
-    return TransformSample(y, _chi_numeric(measure, y), "principal:bisection-newton")
+    z = float(chi_vector(measure, np.array([y]))[0])
+    return TransformSample(y, z, "principal:bisection")
 
 
 def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
-    """Vectorized numeric chi for strictly negative arguments on the branch.
+    """Numeric chi on the principal branch, one bisection for all arguments.
 
-    Pure bisection run to float spacing; used by the radial recipe where
-    thousands of inversions are needed at once.
+    Each y must lie in (psi(-inf), 0) or (0, psi((1 - delta) / max_support)]
+    with delta = Tolerances.bracket_delta.  A negative y is bracketed by
+    [lo, 0], lo doubling from -1 until psi(lo) <= y; a positive y by
+    [0, (1 - delta) / max_support].  Every bracket is bisected to float
+    spacing.  The radial recipe inverts thousands of points in one call;
+    chi_inverse's numeric route is a one-element call.
     """
     ys = np.asarray(ys, dtype=float)
-    if np.any(ys >= 0.0) or np.any(ys <= _psi_lower_limit(measure)):
-        raise DomainError("chi_vector expects arguments strictly inside (lower limit, 0)")
-    lo = -np.ones_like(ys)
+    lower = _psi_lower_limit(measure)
+    for y in ys[~((lower < ys) & (ys != 0.0))]:
+        if y == 0.0:
+            raise DomainError("chi_vector needs nonzero arguments; chi(0) = 0")
+        raise DomainError(f"y = {y} is at or below the lower limit {lower} of psi")
+    lo = np.where(ys < 0.0, -1.0, 0.0)
     hi = np.zeros_like(ys)
+    if np.any(ys > 0.0):
+        support = measure.max_support
+        if support == 0.0:
+            raise DomainError("psi of a measure concentrated at 0 never leaves 0")
+        top = (1.0 - TOL.bracket_delta) / support
+        if float(_psi_raw(measure, np.array([top]))[0]) < ys.max():
+            raise DomainError(f"y = {ys.max()} exceeds psi on the principal branch")
+        hi[ys > 0.0] = top
     for _ in range(240):
         mask = _psi_raw(measure, lo) > ys
         if not mask.any():
