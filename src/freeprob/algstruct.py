@@ -429,7 +429,6 @@ def kfold_transitive(
         _blocks_scalar(v @ v.conj().T, k, n) for _, v in subspaces
     )
 
-    basis_rows = np.array([b.ravel() for b in span.basis])
     tuples = [np.eye(n, k, dtype=complex)]
     draws = 0
     while draws < SIZE.orbit_tuples:

@@ -50,6 +50,9 @@ class GridSpec:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(math.isfinite(v) for v in (*bounds, self.epsilon)):
+            raise DomainError("grid bounds and epsilon must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("grid bounds must satisfy min < max on both axes")
         if self.nx < 3 or self.ny < 3:

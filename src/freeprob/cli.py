@@ -48,7 +48,14 @@ from .rdiagonal import (
     pullback_radii,
 )
 
-CONFIG_KEYS = ("threads", "out_dir", "epsilon", "grid")
+# config key -> (accepted JSON value types, what the error message asks for);
+# JSON true and false are refused everywhere although bool subclasses int
+CONFIG_KEYS = {
+    "threads": ((int,), "an integer"),
+    "out_dir": ((str,), "a string"),
+    "epsilon": ((int, float, type(None)), "a number or null"),
+    "grid": ((str, type(None)), "a string or null"),
+}
 
 
 class OutputWriter:
@@ -365,6 +372,9 @@ def _apply_config(args) -> None:
     for key, value in payload.items():
         if key not in CONFIG_KEYS:
             raise MeasureFormatError(f"unknown config key {key!r}")
+        types, wanted = CONFIG_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise MeasureFormatError(f"config key {key!r} must be {wanted}, got {value!r}")
         if key == "out_dir":
             value = Path(value)
         # a flag given on the command line wins over the config file
@@ -379,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_argv = ["freeprob", *argv]
     try:
         _apply_config(args)
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except FreeprobError as exc:
         print(f"error: {exc}", file=sys.stderr)

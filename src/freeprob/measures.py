@@ -71,6 +71,8 @@ class ScalarMeasure:
         object.__setattr__(self, "atoms", tuple(sorted(cleaned.items())))
 
         dens = tuple((float(x), float(f)) for x, f in self.density)
+        if not all(math.isfinite(x) and math.isfinite(f) for x, f in dens):
+            raise MeasureFormatError("density samples must be finite")
         xs = [x for x, _ in dens]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise MeasureFormatError("density grid must be strictly increasing")
@@ -83,7 +85,7 @@ class ScalarMeasure:
         object.__setattr__(self, "density", dens)
 
         total = sum(m for _, m in self.atoms) + self._density_integral()
-        if abs(total - 1.0) > TOL.mass_atol:
+        if not abs(total - 1.0) <= TOL.mass_atol:
             raise MeasureFormatError(f"total mass is {total!r}, expected 1 within {TOL.mass_atol}")
 
     # -- basic structure -------------------------------------------------

@@ -50,6 +50,13 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, epsilon=-1e-9)
 
+    def test_rejects_non_finite_values(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, epsilon=bad)
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(x_min=0.0, x_max=math.inf, y_min=0.0, y_max=1.0)
+
     def test_square_and_covering(self):
         g = GridSpec.square(2.0, 11, center=1 + 1j)
         assert g.x_min == -1.0 and g.x_max == 3.0

@@ -123,6 +123,15 @@ def test_double_collision_exits_8(tmp_path):
     assert code == 8
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_exits_4(tmp_path, epsilon):
+    path = tmp_path / "t.json"
+    save_matrix(path, np.diag([0.0, 0.5j]))
+    code = _run(["field", "--matrix", path, "--grid-n", "8",
+                 "--epsilon", epsilon, "--out-dir", tmp_path / "out"])
+    assert code == 4
+
+
 def test_mixed_generator_sizes_exits_9(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_matrix(a, np.eye(2, dtype=complex))
@@ -375,6 +384,42 @@ def test_unknown_config_key_exits_3(two_point_file, tmp_path):
     code = _run(["rdiag", two_point_file, "--config", config,
                  "--out-dir", tmp_path / "out"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"threads": "4"},
+        {"threads": 2.0},
+        {"threads": True},
+        {"epsilon": "big"},
+        {"epsilon": False},
+        {"grid": 5},
+        {"out_dir": None},
+    ],
+)
+def test_config_value_of_wrong_type_exits_3(two_point_file, tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code = _run(["rdiag", two_point_file, "--config", config,
+                 "--out-dir", tmp_path / "out"])
+    assert code == 3
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exits_4(two_point_file, tmp_path, threads):
+    out = tmp_path / "out"
+    assert _run(["rdiag", two_point_file, "--threads", threads, "--out-dir", out]) == 4
+    assert not out.exists()
+
+
+def test_config_threads_below_one_exits_4(two_point_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 0}))
+    out = tmp_path / "out"
+    assert _run(["rdiag", two_point_file, "--config", config, "--out-dir", out]) == 4
+    assert not out.exists()
 
 
 def test_config_must_be_object(two_point_file, tmp_path):

@@ -58,6 +58,14 @@ class TestConstruction:
         with pytest.raises(MeasureFormatError):
             ScalarMeasure(((1.0, 1.0),), ((0.0, -0.1), (1.0, 0.1)))
 
+    def test_non_finite_density_rejected(self):
+        # a NaN sample once slipped through because NaN compares false
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MeasureFormatError, match="finite"):
+                ScalarMeasure(((0.0, 0.5),), ((0.0, bad), (1.0, 1.0)))
+        with pytest.raises(MeasureFormatError, match="finite"):
+            ScalarMeasure(((0.0, 0.5),), ((0.0, 0.5), (math.inf, 0.5)))
+
     def test_unsorted_density_grid_rejected(self):
         with pytest.raises(MeasureFormatError):
             ScalarMeasure((), ((1.0, 1.0), (0.5, 1.0)))
