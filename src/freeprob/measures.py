@@ -308,7 +308,7 @@ def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto")
         raise DomainError("closed-form chi needs at most two atoms and no density")
     if y == 0.0:
         return TransformSample(y, 0.0, "principal:origin")
-    if y <= _psi_lower_limit(measure):
+    if not y > _psi_lower_limit(measure):
         raise DomainError(
             f"y = {y} is at or below the lower limit {_psi_lower_limit(measure)} of psi"
         )

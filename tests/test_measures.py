@@ -147,6 +147,9 @@ class TestChi:
     def test_out_of_range_raises(self):
         with pytest.raises(DomainError):
             chi_inverse(BERNOULLI, -0.75)
+        for method in ("closed", "numeric"):
+            with pytest.raises(DomainError):
+                chi_inverse(BERNOULLI, math.nan, method=method)
         # no atom at the top of the support, so psi stays bounded above
         xs = tuple(np.linspace(0.5, 1.5, 101))
         flat = ScalarMeasure(((0.25, 0.5),), tuple(zip(xs, [0.5] * 101)))
