@@ -8,6 +8,7 @@ cross-checked against a dimension count.
 import numpy as np
 import pytest
 
+from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
     AlgebraSpan,
     block_projection_check,
@@ -46,6 +47,11 @@ def upper2():
 @pytest.fixture(scope="module")
 def jordan3():
     return close_algebra([N3])
+
+
+@pytest.fixture(scope="module")
+def trivial3():
+    return close_algebra([], ambient_dim=3)
 
 
 def random_generators(rng, n, kind):
@@ -133,6 +139,35 @@ class TestCommutant:
         for x in commutant(upper2):
             for b in upper2.basis:
                 assert np.abs(x @ b - b @ x).max() <= 1e-9
+
+
+def basis_wide_commutant_dim(span):
+    """Nullity of the stacked X -> XB - BX over every basis element B."""
+    n = span.ambient_dim
+    eye = np.eye(n, dtype=complex)
+    system = np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in span.basis])
+    s = np.linalg.svd(system, compute_uv=False)
+    return n * n - int(np.sum(s > 1e-9 * max(s[0], 1.0)))
+
+
+def assert_commutant_pinned(span):
+    comm = commutant(span)
+    assert len(comm) == basis_wide_commutant_dim(span)
+    for x in comm:
+        for b in span.basis:
+            assert np.abs(x @ b - b @ x).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["m2", "diag3", "upper2", "jordan3", "trivial3"])
+def test_commutant_matches_basis_wide_nullspace_on_fixtures(name, request):
+    assert_commutant_pinned(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("family", range(5))
+def test_commutant_matches_basis_wide_nullspace_on_families(family, n):
+    rng = derive_rng(31, f"commutant-pin-{family}-{n}")
+    assert_commutant_pinned(close_algebra(_random_algebra_generators(n, family, rng)))
 
 
 class TestRadical:
@@ -268,6 +303,9 @@ class TestKfoldTransitive:
 
     def test_jordan_not_onefold(self, jordan3):
         assert not kfold_transitive(jordan3, 1, np.random.default_rng(5))
+
+    def test_trivial_algebra_not_twofold(self, trivial3):
+        assert not kfold_transitive(trivial3, 2, np.random.default_rng(6))
 
 
 class TestBlockProjectionCheck:
