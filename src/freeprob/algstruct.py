@@ -16,6 +16,7 @@ disagreement the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,9 @@ __all__ = [
     "block_projection_check",
     "normal_commutation_check",
 ]
+
+# close_algebra refuses inputs whose commutant system would pass this size
+_MAX_SYSTEM_BYTES = 256 * 2**20
 
 
 # -- span plumbing -----------------------------------------------------------
@@ -85,7 +89,7 @@ class AlgebraSpan:
         n = self.ambient_dim
         if not self.basis:
             raise DomainError("algebra span needs at least one basis element")
-        rows = np.array([b.ravel() for b in self.basis])
+        rows = self.rows
         gram = rows.conj() @ rows.T
         if np.abs(gram - np.eye(len(self.basis))).max() > 1e-8:
             raise DomainError("basis is not trace-orthonormal")
@@ -98,26 +102,32 @@ class AlgebraSpan:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The basis elements, row-major flattened, as read-only rows."""
+        rows = np.array([b.ravel() for b in self.basis])
+        rows.flags.writeable = False
+        return rows
+
     def project_coefficients(self, matrix: np.ndarray) -> np.ndarray:
         """Coefficients of the trace-orthogonal projection onto the span."""
-        rows = np.array([b.ravel() for b in self.basis])
-        return rows.conj() @ np.asarray(matrix, dtype=complex).ravel()
+        return self.rows.conj() @ np.asarray(matrix, dtype=complex).ravel()
 
     def contains(self, matrix: np.ndarray, rtol: float | None = None) -> bool:
         rtol = TOL.rank_rtol if rtol is None else rtol
         m = np.asarray(matrix, dtype=complex)
         coef = self.project_coefficients(m)
-        rows = np.array([b.ravel() for b in self.basis])
-        resid = np.linalg.norm(m.ravel() - rows.T @ coef)
+        resid = np.linalg.norm(m.ravel() - self.rows.T @ coef)
         return resid <= rtol * max(1.0, np.linalg.norm(m))
 
 
 def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     """Smallest unital algebra containing the generators.
 
-    Iterates pairwise products with rank-revealing re-orthonormalization
-    until the dimension stabilizes; the final pass measures how far the
-    last product set sticks out of the span, which is the closure residual.
+    A unital span closed under left products g @ b, g in (I,) + generators,
+    holds every word in them, so it is the algebra.  The span grows by those
+    products with rank-revealing re-orthonormalization until its dimension
+    stabilizes; how far the final products stick out is the closure residual.
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     for g in gens:
@@ -138,14 +148,20 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
         n = ambient_dim
     if n < 1:
         raise DomainError("ambient dimension must be positive")
+    # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
+    need = 16 * (len(gens) + 2) * n**4
+    if need > _MAX_SYSTEM_BYTES:
+        raise DomainError(
+            f"{len(gens)} generators in M_{n} need ~{need >> 20} MB for the "
+            f"commutant system, above the {_MAX_SYSTEM_BYTES >> 20} MB cap"
+        )
 
-    seed = [np.eye(n, dtype=complex)] + list(gens)
-    rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in seed]), TOL.rank_rtol)
-    # products of basis elements either grow the span or certify closure
+    left = (np.eye(n, dtype=complex),) + gens
+    rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]), TOL.rank_rtol)
+    # left products by the generators either grow the span or certify closure
     for _ in range(n * n + 1):
         mats = _as_matrices(rows, n)
-        products = [a @ b for a in mats for b in mats]
-        prows = np.array([p.ravel() for p in products])
+        prows = np.array([(g @ b).ravel() for g in left for b in mats])
         new_rows, pflag = _orthonormal_rows(np.vstack([rows, prows]), TOL.rank_rtol)
         flagged = flagged or pflag
         if new_rows.shape[0] == rows.shape[0]:
@@ -171,12 +187,13 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
 def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     """Trace-orthonormal basis of {X : XB = BX for every B in the span}.
 
-    Row-major vectorization turns X -> XB - BX into the linear map
-    kron(I, B^T) - kron(B, I); the commutant is the stacked nullspace.
+    A unital algebra has its generators' commutant.  Row-major vectorization
+    turns X -> Xg - gX into kron(I, g^T) - kron(g, I); the commutant is the
+    nullspace stacked over g in (I,) + generators.
     """
     n = span.ambient_dim
     eye = np.eye(n, dtype=complex)
-    blocks = [np.kron(eye, b.T) - np.kron(b, eye) for b in span.basis]
+    blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in (eye,) + span.generators]
     system = np.vstack(blocks)
     # rows >= cols always holds here, so the reduced SVD still returns the
     # complete right-singular set
@@ -192,9 +209,9 @@ def radical(span: AlgebraSpan) -> list[np.ndarray]:
     Over the complex field this trace-form kernel is the Jacobson radical
     of the matrix algebra, so every returned element is nilpotent.
     """
-    rows = np.array([b.ravel() for b in span.basis])
-    # non-conjugated pairing trace(b_i b_j): bilinear, not sesquilinear
-    gram = np.array([[np.trace(a @ b) for b in span.basis] for a in span.basis])
+    rows = span.rows
+    # bilinear trace(b_i b_j) = vec(b_i) . vec(b_j^T), not sesquilinear
+    gram = rows @ np.array([b.T.ravel() for b in span.basis]).T
     _, s, vh = np.linalg.svd(gram)
     cutoff = TOL.rank_rtol * (s[0] if s.size and s[0] > 0 else 1.0)
     null = vh[np.sum(s > cutoff) :].conj()
@@ -298,14 +315,12 @@ def _eigenspace_candidates(x: np.ndarray):
             yield null
 
 
-def _subspace_candidates(span: AlgebraSpan, rng: np.random.Generator):
+def _subspace_candidates(rad, comm, ambient_dim: int, rng: np.random.Generator):
     """Candidate proper invariant subspaces, strongest evidence first."""
-    rad = radical(span)
     if rad:
         image = _column_space(np.hstack(rad))
-        if 0 < image.shape[1] < span.ambient_dim:
+        if 0 < image.shape[1] < ambient_dim:
             yield "radical_image", image
-    comm = commutant(span)
     candidates = [x for x in comm if not _is_scalar(x)]
     if candidates:
         for _ in range(SIZE.commutant_draws):
@@ -329,7 +344,8 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     """
     rng = np.random.default_rng(0)
     found_any = False
-    for kind, vectors in _subspace_candidates(span, rng):
+    n = span.ambient_dim
+    for kind, vectors in _subspace_candidates(radical(span), commutant(span), n, rng):
         found_any = True
         resid = _invariance_residual(span.generators, vectors)
         if resid <= TOL.invariance_atol:
@@ -338,7 +354,6 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
         raise InternalInconsistencyError(
             "discovered invariant subspaces failed generator re-verification"
         )
-    n = span.ambient_dim
     if span.dim != n * n:
         raise InternalInconsistencyError(
             f"no invariant subspace found but dim {span.dim} != {n * n}"
@@ -365,21 +380,6 @@ def is_transitive(span: AlgebraSpan) -> bool:
 # -- k-fold transitivity -------------------------------------------------------
 
 
-def _ampliation_span(span: AlgebraSpan, k: int) -> AlgebraSpan:
-    """The algebra {I_k tensor B} inside M_{kN}, re-normalized."""
-    eye = np.eye(k, dtype=complex)
-    scale = 1.0 / np.sqrt(k)
-    basis = tuple(np.kron(eye, b) * scale for b in span.basis)
-    gens = tuple(np.kron(eye, g) for g in span.generators) or basis
-    return AlgebraSpan(
-        ambient_dim=k * span.ambient_dim,
-        basis=basis,
-        generators=gens,
-        closure_residual=span.closure_residual,
-        gap_flagged=span.gap_flagged,
-    )
-
-
 def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     """Whether every N x N block of the projection is a scalar multiple of I."""
     for i in range(k):
@@ -391,11 +391,11 @@ def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     return True
 
 
-def _discover_verified_subspaces(span: AlgebraSpan, rng: np.random.Generator):
+def _discover_verified_subspaces(rad, comm, generators, ambient_dim: int, rng):
     """All distinct verified proper invariant subspaces the sampler can see."""
     found = []
-    for kind, vectors in _subspace_candidates(span, rng):
-        if _invariance_residual(span.generators, vectors) <= TOL.invariance_atol:
+    for kind, vectors in _subspace_candidates(rad, comm, ambient_dim, rng):
+        if _invariance_residual(generators, vectors) <= TOL.invariance_atol:
             found.append((kind, vectors))
     return found
 
@@ -405,7 +405,8 @@ def kfold_transitive(
 ) -> bool:
     """Decide k-fold transitivity by two independent routes.
 
-    Route one inspects the lattice of the ampliation algebra {I_k tensor B}:
+    Route one inspects the lattice of the ampliation {I_k tensor B}, whose
+    commutant M_k(A') and radical I_k tensor rad(A) come from the span's own:
     the span is k-fold transitive exactly when every discovered invariant
     subspace has a projection whose N x N blocks are all scalar.  Route two
     samples k-tuples of independent vectors (the standard-basis tuple plus
@@ -418,9 +419,16 @@ def kfold_transitive(
         raise DomainError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    amp = _ampliation_span(span, k)
-    subspaces = _discover_verified_subspaces(amp, rng)
-    if not subspaces and amp.dim != (k * n) ** 2:
+    eye_k = np.eye(k, dtype=complex)
+    units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+    subspaces = _discover_verified_subspaces(
+        [np.kron(eye_k, r) for r in radical(span)],
+        [np.kron(e, c) for e in units for c in commutant(span)],
+        tuple(np.kron(eye_k, g) for g in span.generators),
+        k * n,
+        rng,
+    )
+    if not subspaces and span.dim != (k * n) ** 2:
         # nothing found although the ampliation cannot be all of M_{kN}
         raise InternalInconsistencyError(
             "ampliation subspace discovery came back empty on a proper algebra"

@@ -5,11 +5,14 @@ invariant subspace must be all of M_N, so subspace discovery can always be
 cross-checked against a dimension count.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
+    _MAX_SYSTEM_BYTES,
     AlgebraSpan,
     block_projection_check,
     close_algebra,
@@ -306,6 +309,63 @@ class TestKfoldTransitive:
 
     def test_trivial_algebra_not_twofold(self, trivial3):
         assert not kfold_transitive(trivial3, 2, np.random.default_rng(6))
+
+
+def prototype_generators(family, n):
+    """A seeded Ginibre pair, its upper triangles, or a rotated 3-block pair."""
+    rng = np.random.default_rng([0, n])
+    gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    if family == "triangular":
+        return [np.triu(g) for g in gens]
+    if family == "blocks":
+        q = haar_unitary(n, rng)
+        for g in gens:
+            g[:3, 3:] = 0.0
+            g[3:, :3] = 0.0
+        return [q @ g @ q.conj().T for g in gens]
+    return gens
+
+
+def traced(call):
+    """The call's result and its tracemalloc peak in MB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeAlgebras:
+    @pytest.mark.parametrize(
+        "family, dim, verdict",
+        [("ginibre", 256, True), ("triangular", 136, False), ("blocks", 9 + 13**2, False)],
+    )
+    def test_twofold_at_sixteen(self, family, dim, verdict):
+        span = close_algebra(prototype_generators(family, 16))
+        assert span.dim == dim
+        assert is_transitive(span) == verdict
+        result, peak = traced(lambda: kfold_transitive(span, 2, np.random.default_rng(0)))
+        assert result == verdict
+        assert peak < 200.0
+
+    @pytest.mark.parametrize("family", ["ginibre", "triangular", "blocks"])
+    def test_twofold_peak_at_ten(self, family):
+        span = close_algebra(prototype_generators(family, 10))
+        _, peak = traced(lambda: kfold_transitive(span, 2, np.random.default_rng(0)))
+        assert peak < 64.0
+
+    def test_size_cap_refuses_before_allocating(self):
+        n = 64
+        assert 16 * 4 * n**4 > _MAX_SYSTEM_BYTES
+        gens = [np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)]
+
+        def refuse():
+            with pytest.raises(DomainError, match="cap"):
+                close_algebra(gens)
+
+        _, peak = traced(refuse)
+        assert peak < 1.0
 
 
 class TestBlockProjectionCheck:

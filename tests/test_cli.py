@@ -325,6 +325,12 @@ def test_algebra_transitive_with_kfold(tmp_path, capsys):
     assert report["kfold"] == {"k": 2, "result": True}
 
 
+def test_algebra_above_size_cap_exits_4(tmp_path, capsys):
+    paths = _write_gens(tmp_path, np.zeros((64, 64)), np.zeros((64, 64)))
+    assert _run(["algebra", *paths, "--out-dir", tmp_path / "o"]) == 4
+    assert "cap" in capsys.readouterr().err
+
+
 def test_algebra_kfold_without_seed_exits_4(tmp_path):
     paths = _write_gens(tmp_path, np.eye(2))
     code = _run(["algebra", *paths, "--kfold", "2", "--out-dir", tmp_path / "o"])
