@@ -37,8 +37,15 @@ __all__ = [
     "normal_commutation_check",
 ]
 
-# close_algebra refuses inputs whose commutant system would pass this size
+# inputs whose largest array would pass this size are refused up front
 _MAX_SYSTEM_BYTES = 256 * 2**20
+
+
+def _require_fits(need: int, what: str) -> None:
+    if need > _MAX_SYSTEM_BYTES:
+        raise DomainError(
+            f"{what} needs ~{need >> 20} MB, above the {_MAX_SYSTEM_BYTES >> 20} MB cap"
+        )
 
 
 # -- span plumbing -----------------------------------------------------------
@@ -149,12 +156,7 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     if n < 1:
         raise DomainError("ambient dimension must be positive")
     # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
-    need = 16 * (len(gens) + 2) * n**4
-    if need > _MAX_SYSTEM_BYTES:
-        raise DomainError(
-            f"{len(gens)} generators in M_{n} need ~{need >> 20} MB for the "
-            f"commutant system, above the {_MAX_SYSTEM_BYTES >> 20} MB cap"
-        )
+    _require_fits(16 * (len(gens) + 2) * n**4, f"the commutant of {len(gens)} generators in M_{n}")
 
     left = (np.eye(n, dtype=complex),) + gens
     rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]), TOL.rank_rtol)
@@ -393,11 +395,11 @@ def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
 
 def _discover_verified_subspaces(rad, comm, generators, ambient_dim: int, rng):
     """All distinct verified proper invariant subspaces the sampler can see."""
-    found = []
-    for kind, vectors in _subspace_candidates(rad, comm, ambient_dim, rng):
-        if _invariance_residual(generators, vectors) <= TOL.invariance_atol:
-            found.append((kind, vectors))
-    return found
+    return [
+        vectors
+        for _, vectors in _subspace_candidates(rad, comm, ambient_dim, rng)
+        if _invariance_residual(generators, vectors) <= TOL.invariance_atol
+    ]
 
 
 def kfold_transitive(
@@ -419,11 +421,14 @@ def kfold_transitive(
         raise DomainError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(0) if rng is None else rng
 
+    comm = commutant(span)
+    # k^2 dim(A') candidate matrices in M_kN
+    _require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
     eye_k = np.eye(k, dtype=complex)
     units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
     subspaces = _discover_verified_subspaces(
         [np.kron(eye_k, r) for r in radical(span)],
-        [np.kron(e, c) for e in units for c in commutant(span)],
+        [np.kron(e, c) for e in units for c in comm],
         tuple(np.kron(eye_k, g) for g in span.generators),
         k * n,
         rng,
@@ -433,9 +438,7 @@ def kfold_transitive(
         raise InternalInconsistencyError(
             "ampliation subspace discovery came back empty on a proper algebra"
         )
-    route_lattice = all(
-        _blocks_scalar(v @ v.conj().T, k, n) for _, v in subspaces
-    )
+    route_lattice = all(_blocks_scalar(v @ v.conj().T, k, n) for v in subspaces)
 
     tuples = [np.eye(n, k, dtype=complex)]
     draws = 0

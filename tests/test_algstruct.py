@@ -367,6 +367,13 @@ class TestLargeAlgebras:
         _, peak = traced(refuse)
         assert peak < 1.0
 
+    def test_kfold_size_cap_refuses_large_k(self):
+        # M_9 of the trivial algebra's 81-dimensional commutant, in M_81
+        span = close_algebra([], ambient_dim=9)
+        assert 16 * 9**4 * 81 * 9**2 > _MAX_SYSTEM_BYTES
+        with pytest.raises(DomainError, match="cap"):
+            kfold_transitive(span, 9)
+
 
 class TestBlockProjectionCheck:
     def test_trivial_direct_sum(self):
