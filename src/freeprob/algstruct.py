@@ -81,8 +81,9 @@ class AlgebraSpan:
     """Unital algebra presented by a trace-orthonormal basis.
 
     basis elements b satisfy trace(b_i^* b_j) = delta_ij; the identity lies
-    in their span and the span is closed under products (largest relative
-    projection residual recorded as closure_residual).  gap_flagged marks a
+    in their span and the span is closed under left products by the
+    generators (largest relative residual recorded as closure_residual),
+    hence under all products.  gap_flagged marks a
     borderline singular-value cut during orthonormalization.
     """
 
@@ -156,7 +157,7 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     if n < 1:
         raise DomainError("ambient dimension must be positive")
     # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
-    _require_fits(16 * (len(gens) + 2) * n**4, f"the commutant of {len(gens)} generators in M_{n}")
+    _require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
     left = (np.eye(n, dtype=complex),) + gens
     rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]), TOL.rank_rtol)
