@@ -81,10 +81,10 @@ class AlgebraSpan:
     """Unital algebra presented by a trace-orthonormal basis.
 
     basis elements b satisfy trace(b_i^* b_j) = delta_ij; the identity lies
-    in their span and the span is closed under left products by the
-    generators (largest relative residual recorded as closure_residual),
-    hence under all products.  gap_flagged marks a
-    borderline singular-value cut during orthonormalization.
+    in their span, which the generators generate, and commutant and
+    invariance checks read only the generators.  closure_residual is the
+    largest relative residual of close_algebra's final left products;
+    gap_flagged marks a borderline singular-value cut.
     """
 
     ambient_dim: int
