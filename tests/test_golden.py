@@ -1,11 +1,13 @@
-"""Pinned bytes of the radial recipe's files, of the numeric chi and of the
-catalog laws.
+"""Pinned bytes of the radial recipe's files, of the numeric chi, of the
+catalog laws and of the field's CSV formatting.
 
 The rdiag outputs come from the S-transform inversion and a monotone cubic
 interpolant, chi_vector is a bisection run to float spacing, and the catalog laws are closed-form rational expressions, so a
-refactor that keeps the arithmetic keeps these digests.  Outputs that pass
-through a dense eigensolve (simulate, field) depend on the LAPACK build and
-are compared between commits by hand instead of being pinned here.
+refactor that keeps the arithmetic keeps these digests.  The field CSV pins
+format a hand-built BrownField, so they test the text and not the kernel.
+Outputs that pass through a dense eigensolve or factorization (simulate,
+field values) depend on the LAPACK build and are compared between commits by
+hand instead of being pinned here.
 """
 
 import json
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from freeprob import cli
+from freeprob.brownfield import BrownField, GridSpec, field_csv_text, mass_csv_text
 from freeprob.measures import ScalarMeasure, chi_vector
 from freeprob.rdiagonal import OperatorTag, catalog_brown
 
@@ -147,3 +150,34 @@ def test_catalog_edges():
         assert law.cdf(-0.25) == 0.0
         assert law.cdf(1.0) == 1.0
         assert law.cdf(0.0) == law.center_atom_mass
+
+
+# sha256 of field_csv_text with and without masses, and of mass_csv_text
+CSV_DIGESTS = {
+    "field": "27f159813f082a4aa8792192fb66c671f514658bf0f94508498ba0a721db8f0d",
+    "field_bare": "8fc15c80faceea4800dbb2837dadb6ad640ed219ce0c31a5272b825d1c3e8a5d",
+    "mass": "192f501597893eab073689f7879336dac45b32b3dbfeab15b3f68aeb56e543d7",
+}
+
+
+def _hand_built_field() -> BrownField:
+    # quotients and signed zeros, a -inf corner and a subnormal: every value
+    # is exactly rounded, so the bytes do not depend on the platform's libm
+    grid = GridSpec(x_min=-0.75, x_max=1.25, y_min=-0.5, y_max=0.5, nx=5, ny=4)
+    values = np.arange(20.0).reshape(5, 4) / 7.0 - 1.3
+    values[0, 0] = -math.inf
+    values[4, 3] = -0.0
+    values[2, 1] = 5e-324
+    mass = np.arange(6.0).reshape(3, 2) / 11.0 - 0.2
+    return BrownField(grid=grid, values=values, path="svd", laplacian_mass=mass)
+
+
+def test_field_csv_digests():
+    fld = _hand_built_field()
+    bare = BrownField(grid=fld.grid, values=fld.values, path=fld.path)
+    got = {
+        "field": _digest(field_csv_text(fld).encode()),
+        "field_bare": _digest(field_csv_text(bare).encode()),
+        "mass": _digest(mass_csv_text(fld).encode()),
+    }
+    assert got == CSV_DIGESTS
