@@ -3,7 +3,9 @@
 The distribution of a non-normal matrix is recovered from the field
 L(lambda) = ln det_eps(T - lambda) evaluated on a rectangular grid, where
 det_eps is the regularized normalized determinant built from singular
-values.  Applying (1/2pi) times the discrete Laplacian and scaling by the
+values.  At epsilon > 0 the product of regularized squared singular values
+is det((T - lambda)*(T - lambda) + eps I), read off a Cholesky factor, so
+no singular value is computed.  Applying (1/2pi) times the discrete Laplacian and scaling by the
 cell area turns the field into per-cell masses whose total approximates the
 fraction of spectrum inside the grid.  Everything here is deterministic
 given the inputs; grid nodes are independent work items, so results do not
@@ -193,20 +195,33 @@ def _schur_column(
 
 
 def _svd_column(
-    matrix: np.ndarray, xs: np.ndarray, y: float, epsilon: float, chunk: int
+    matrix: np.ndarray, xs: np.ndarray, iy: int, y: float, epsilon: float, chunk: int
 ) -> np.ndarray:
-    """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via batched eigensolves."""
+    """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via batched Cholesky.
+
+    With B = T - iyI and lambda = x + iy, the shifted Gram matrix is
+    (T - lambda)*(T - lambda) + eps I = B*B - x(B + B*) + (x^2 + eps)I, so
+    the row's batch is one product of the coefficients [1, -x] against B*B
+    and B + B*.  The sum of logs is ln det = 2 sum ln L_ii of its factor.
+    """
     n = matrix.shape[0]
-    eye = np.eye(n, dtype=complex)
+    b = matrix - 1j * y * np.eye(n)
+    bh = b.conj().T
+    pair = np.stack(((bh @ b).ravel(), (b + bh).ravel()))
     out = np.empty(xs.size)
     for start in range(0, xs.size, chunk):
-        lam = xs[start : start + chunk] + 1j * y
-        shifted = matrix[None, :, :] - lam[:, None, None] * eye[None, :, :]
-        gram = np.matmul(shifted.conj().transpose(0, 2, 1), shifted)
-        eigs = np.linalg.eigvalsh(gram)
-        out[start : start + chunk] = np.log(
-            np.clip(eigs, 0.0, None) + epsilon
-        ).sum(axis=1) / (2 * n)
+        x = xs[start : start + chunk]
+        gram = (np.stack((np.ones_like(x), -x), axis=1) @ pair).reshape(x.size, n, n)
+        gram.reshape(x.size, n * n)[:, :: n + 1] += (x**2 + epsilon)[:, None]
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(
+                f"epsilon {epsilon:.3e} is below the rounding of the Gram matrix "
+                f"on grid row {iy} (y = {float(y)!r}); use --epsilon 0 or a larger epsilon"
+            ) from exc
+        diag = np.diagonal(factor, axis1=1, axis2=2).real
+        out[start : start + chunk] = np.log(diag).sum(axis=1) / n
     return out
 
 
@@ -219,9 +234,13 @@ def logdet_field(
 
     The kernel follows epsilon.  At epsilon = 0 the "schur" kernel
     triangularizes once and reads eigenvalue distances (exact, and
-    O(total nodes x N) afterwards); at epsilon > 0 the "svd" kernel forms
-    the Gram matrix per node.  Grid rows are farmed out to threads and
-    written back by index, so the result is identical for any thread count.
+    O(total nodes x N) afterwards).  At epsilon > 0 the "svd" kernel, named
+    for the singular-value formula, builds each grid row's shifted Gram
+    matrices from two N x N matrices and factors them by a batched Cholesky,
+    at most 2**22 Gram entries per batch; an epsilon below the Gram matrix's
+    rounding leaves a factor undefined and raises DomainError.  Grid rows are
+    farmed out to threads and written back by index, so the result is
+    identical for any thread count.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -249,7 +268,7 @@ def logdet_field(
         chunk = max(1, (1 << 22) // max(1, n * n))
 
         def run_row(iy: int):
-            return _svd_column(matrix, xs, ys[iy], grid.epsilon, chunk), [], []
+            return _svd_column(matrix, xs, iy, ys[iy], grid.epsilon, chunk), [], []
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

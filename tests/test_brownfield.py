@@ -6,6 +6,7 @@ matrix's own eigensolve. Catalog operators add limit-law oracles on top.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def random_matrix(n, seed, scale=None):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return z / (scale if scale is not None else math.sqrt(2 * n))
+
+
+def svd_oracle(t, grid):
+    """(1/2N) sum ln(sigma_i^2 + eps) at every node, one SVD per node."""
+    n = t.shape[0]
+    eye = np.eye(n)
+    out = np.empty((grid.nx, grid.ny))
+    for (ix, iy), lam in np.ndenumerate(grid.nodes()):
+        sigma = np.linalg.svd(t - lam * eye, compute_uv=False)
+        out[ix, iy] = np.log(sigma**2 + grid.epsilon).sum() / (2 * n)
+    return out
 
 
 class TestGridSpec:
@@ -186,6 +198,62 @@ class TestLogdetField:
         c = logdet_field(t, g0, threads=1).values
         d = logdet_field(t, g0, threads=3).values
         assert np.array_equal(c, d)
+
+    def test_matches_svd_oracle_ginibre(self):
+        t = random_matrix(50, 13)
+        eigs = np.linalg.eigvals(t)
+        eps = default_epsilon(t)
+        grids = [GridSpec.covering(eigs, n=24, padding=0.25, epsilon=eps)]
+        # the centre node of each small grid lies within 1e-6 of an eigenvalue,
+        # where the Gram matrix's smallest eigenvalue is close to eps
+        grids += [
+            GridSpec.square(0.01, 3, center=lam + (3e-7 + 4e-7j), epsilon=eps)
+            for lam in eigs[:6]
+        ]
+        for g in grids:
+            got = logdet_field(t, g).values
+            assert np.abs(got - svd_oracle(t, g)).max() <= 1e-11
+
+    def test_matches_svd_oracle_diagonal(self):
+        t = np.diag([0.0, 0.5, -0.25 + 0.5j, 0.75j, 1.0 - 1.0j, 0.5])
+        # nodes land exactly on the eigenvalues 0 and 0.5 (twice)
+        g = GridSpec(
+            x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=9, ny=9,
+            epsilon=default_epsilon(t),
+        )
+        got = logdet_field(t, g).values
+        assert np.abs(got - svd_oracle(t, g)).max() <= 1e-11
+
+    def test_epsilon_below_gram_rounding_raises(self):
+        rng = np.random.default_rng(SEED)
+        u, v = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        # rank one: at the node 0 the Gram matrix is singular, and 1e-300 on
+        # its diagonal is lost to rounding
+        g = GridSpec(
+            x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5, epsilon=1e-300
+        )
+        with pytest.raises(DomainError, match=r"epsilon 1\.000e-300 .* grid row 2 "):
+            logdet_field(np.outer(u, v.conj()), g)
+
+    def test_peak_memory_bounded_by_batch(self):
+        # at N = 128 a batch holds 2**22 // 128**2 = 256 nodes, i.e. 2**22
+        # complex Gram entries of 16 bytes = 64 MiB; np.linalg.cholesky keeps
+        # the batch and its factor alive together, so the peak is two
+        # batches, 128 MiB, plus the row's O(N^2) matrices and the O(nodes)
+        # output (4 MiB allowed).  A 256-node grid row fills one batch.
+        batch = (1 << 22) * 16
+        t = random_matrix(128, 3)
+        g = GridSpec(
+            x_min=-1.2, x_max=1.2, y_min=-1.2, y_max=1.2, nx=256, ny=3,
+            epsilon=default_epsilon(t),
+        )
+        tracemalloc.start()
+        try:
+            logdet_field(t, g, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * batch <= peak <= 2 * batch + (4 << 20)
 
 
 class TestBrownLaplacian:

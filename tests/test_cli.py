@@ -273,6 +273,17 @@ def test_field_from_tag(tmp_path):
     assert meta["source"] == "W1F12"
 
 
+def test_field_epsilon_below_gram_rounding_exits_4(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    path = tmp_path / "rank_one.json"
+    save_matrix(path, np.outer(u, v.conj()))
+    code = _run(["field", "--matrix", path, "--grid=-1,1,-1,1,5,5",
+                 "--epsilon", "1e-300", "--out-dir", tmp_path / "out"])
+    assert code == 4
+    assert "--epsilon 0 or a larger epsilon" in capsys.readouterr().err
+
+
 def test_field_bad_grid_exits_4(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(path, np.eye(2, dtype=complex))
