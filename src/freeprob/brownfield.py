@@ -378,32 +378,28 @@ def mass_in_disc(field_in: BrownField, center: complex, radius: float) -> float:
 def field_csv_text(field_in: BrownField) -> str:
     """CSV rows x,y,value,mass; the mass column is blank on boundary nodes."""
     grid = field_in.grid
-    xs, ys = grid.xs(), grid.ys()
+    xs = [repr(x) for x in grid.xs().tolist()]
+    ys = [repr(y) for y in grid.ys().tolist()]
+    blank = [""] * grid.ny
+    masses = field_in.laplacian_mass
+    tails = [blank] * grid.nx
+    if masses is not None:
+        for ix, row in enumerate(masses.tolist(), start=1):
+            tails[ix] = ["", *map(repr, row), ""]
     lines = ["x,y,value,mass"]
-    mass = field_in.laplacian_mass
-    for ix in range(grid.nx):
-        for iy in range(grid.ny):
-            interior = mass is not None and 0 < ix < grid.nx - 1 and 0 < iy < grid.ny - 1
-            tail = repr(float(mass[ix - 1, iy - 1])) if interior else ""
-            lines.append(
-                f"{float(xs[ix])!r},{float(ys[iy])!r},"
-                f"{float(field_in.values[ix, iy])!r},{tail}"
-            )
+    for x, row, tail in zip(xs, field_in.values.tolist(), tails):
+        lines.extend(f"{x},{y},{v!r},{m}" for y, v, m in zip(ys, row, tail))
     return "\n".join(lines) + "\n"
 
 
 def mass_csv_text(field_in: BrownField) -> str:
     if field_in.laplacian_mass is None:
         raise DomainError("laplacian not computed; call brown_laplacian first")
-    grid = field_in.grid
-    xs, ys = _interior_nodes(grid)
+    xs, ys = _interior_nodes(field_in.grid)
+    ys = [repr(y) for y in ys.tolist()]
     lines = ["x,y,mass"]
-    for ix in range(xs.size):
-        for iy in range(ys.size):
-            lines.append(
-                f"{float(xs[ix])!r},{float(ys[iy])!r},"
-                f"{float(field_in.laplacian_mass[ix, iy])!r}"
-            )
+    for x, row in zip(xs.tolist(), field_in.laplacian_mass.tolist()):
+        lines.extend(f"{x!r},{y},{m!r}" for y, m in zip(ys, row))
     return "\n".join(lines) + "\n"
 
 
