@@ -432,7 +432,7 @@ def _criterion_6(threads: int) -> CriterionResult:
             f"refinement: |mass - 1| = {errors[128]:.6f} at 128^2, "
             f"{errors[256]:.6f} at 256^2 (required at most half)",
             f"runtime {runtime:.1f}s (bound 60s); epsilon > 0 selects the "
-            "Gram-eigenvalue path, the exact-kernel path applies at "
+            "batched Gram-Cholesky path, the exact-kernel path applies at "
             "epsilon = 0 only",
         ),
     )

@@ -5,11 +5,12 @@ L(lambda) = ln det_eps(T - lambda) evaluated on a rectangular grid, where
 det_eps is the regularized normalized determinant built from singular
 values.  At epsilon > 0 the product of regularized squared singular values
 is det((T - lambda)*(T - lambda) + eps I), read off a Cholesky factor, so
-no singular value is computed.  Applying (1/2pi) times the discrete Laplacian and scaling by the
-cell area turns the field into per-cell masses whose total approximates the
-fraction of spectrum inside the grid.  Everything here is deterministic
-given the inputs; grid nodes are independent work items, so results do not
-depend on the number of worker threads.
+no singular value is computed.  Applying (1/2pi) times the discrete
+Laplacian and scaling by the cell area turns the field into per-cell masses
+whose total approximates the fraction of spectrum inside the grid.
+Everything here is deterministic given the inputs; grid nodes are
+independent work items, so results do not depend on the number of worker
+threads.
 """
 
 from __future__ import annotations
@@ -195,7 +196,12 @@ def _schur_column(
 
 
 def _svd_column(
-    matrix: np.ndarray, xs: np.ndarray, iy: int, y: float, epsilon: float, chunk: int
+    matrix: np.ndarray,
+    xs: np.ndarray,
+    iy: int,
+    y: float,
+    epsilon: float,
+    chunk: int,
 ) -> np.ndarray:
     """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via batched Cholesky.
 
@@ -217,8 +223,9 @@ def _svd_column(
             factor = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise DomainError(
-                f"epsilon {epsilon:.3e} is below the rounding of the Gram matrix "
-                f"on grid row {iy} (y = {float(y)!r}); use --epsilon 0 or a larger epsilon"
+                f"epsilon {epsilon:.3e} is below the rounding of the Gram "
+                f"matrix on grid row {iy} (y = {float(y)!r}); use --epsilon 0 "
+                "or a larger epsilon"
             ) from exc
         diag = np.diagonal(factor, axis1=1, axis2=2).real
         out[start : start + chunk] = np.log(diag).sum(axis=1) / n
@@ -380,9 +387,8 @@ def field_csv_text(field_in: BrownField) -> str:
     grid = field_in.grid
     xs = [repr(x) for x in grid.xs().tolist()]
     ys = [repr(y) for y in grid.ys().tolist()]
-    blank = [""] * grid.ny
     masses = field_in.laplacian_mass
-    tails = [blank] * grid.nx
+    tails = [[""] * grid.ny] * grid.nx
     if masses is not None:
         for ix, row in enumerate(masses.tolist(), start=1):
             tails[ix] = ["", *map(repr, row), ""]
