@@ -56,15 +56,12 @@ from .brownfield import (
     mass_in_region,
 )
 from .algstruct import (
-    AlgebraSpan,
     SubspaceReport,
-    block_projection_check,
     close_algebra,
     commutant,
     find_invariant_subspace,
     is_transitive,
     kfold_transitive,
-    normal_commutation_check,
     radical,
 )
 from .matio import load_matrix, save_matrix

@@ -24,17 +24,13 @@ from .config import SIZE, TOL
 from .errors import DimensionMismatchError, DomainError, InternalInconsistencyError
 
 __all__ = [
-    "AlgebraSpan",
     "SubspaceReport",
-    "BlockProjectionReport",
     "close_algebra",
     "commutant",
     "radical",
     "find_invariant_subspace",
     "is_transitive",
     "kfold_transitive",
-    "block_projection_check",
-    "normal_commutation_check",
 ]
 
 # inputs whose largest array would pass this size are refused up front
@@ -51,20 +47,24 @@ def _require_fits(need: int, what: str) -> None:
 # -- span plumbing -----------------------------------------------------------
 
 
-def _orthonormal_rows(stack: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values, cut at rank_rtol * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > TOL.rank_rtol * s[0]))
+
+
+def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
     """Orthonormal row basis of the row space, with borderline-gap flag.
 
-    Rank is cut at rtol relative to the top singular value; if the ratio
-    between the smallest kept and largest dropped singular value is below
-    the configured gap ratio the cut is ambiguous and gets flagged.
+    If the ratio between the smallest kept and largest dropped singular
+    value is below the configured gap ratio the rank cut is ambiguous and
+    gets flagged.
     """
     if stack.size == 0:
         return stack.reshape(0, stack.shape[-1]), False
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vh[:0], False
-    keep = s > rtol * s[0]
-    rank = int(keep.sum())
+    rank = _rank(s)
     flagged = (
         0 < rank < s.size and s[rank - 1] / max(s[rank], np.finfo(float).tiny)
         < TOL.gap_flag_ratio
@@ -80,11 +80,14 @@ def _as_matrices(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 class AlgebraSpan:
     """Unital algebra presented by a trace-orthonormal basis.
 
-    basis elements b satisfy trace(b_i^* b_j) = delta_ij; the identity lies
-    in their span, which the generators generate, and commutant and
-    invariance checks read only the generators.  closure_residual is the
-    largest relative residual of close_algebra's final left products;
-    gap_flagged marks a borderline singular-value cut.
+    close_algebra is the only supported constructor: it makes the basis
+    span exactly the algebra the generators generate.  The constructor
+    itself checks only that the basis is trace-orthonormal (trace(b_i^* b_j)
+    = delta_ij) and holds the identity, and commutant and invariance checks
+    read only the generators, so a span built by hand answers for its
+    generators, not its basis.  closure_residual is the largest relative
+    residual of close_algebra's final left products; gap_flagged marks a
+    borderline singular-value cut.
     """
 
     ambient_dim: int
@@ -121,12 +124,11 @@ class AlgebraSpan:
         """Coefficients of the trace-orthogonal projection onto the span."""
         return self.rows.conj() @ np.asarray(matrix, dtype=complex).ravel()
 
-    def contains(self, matrix: np.ndarray, rtol: float | None = None) -> bool:
-        rtol = TOL.rank_rtol if rtol is None else rtol
+    def contains(self, matrix: np.ndarray) -> bool:
         m = np.asarray(matrix, dtype=complex)
         coef = self.project_coefficients(m)
         resid = np.linalg.norm(m.ravel() - self.rows.T @ coef)
-        return resid <= rtol * max(1.0, np.linalg.norm(m))
+        return resid <= TOL.rank_rtol * max(1.0, np.linalg.norm(m))
 
 
 def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
@@ -160,12 +162,12 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     _require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
     left = (np.eye(n, dtype=complex),) + gens
-    rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]), TOL.rank_rtol)
+    rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]))
     # left products by the generators either grow the span or certify closure
     for _ in range(n * n + 1):
         mats = _as_matrices(rows, n)
         prows = np.array([(g @ b).ravel() for g in left for b in mats])
-        new_rows, pflag = _orthonormal_rows(np.vstack([rows, prows]), TOL.rank_rtol)
+        new_rows, pflag = _orthonormal_rows(np.vstack([rows, prows]))
         flagged = flagged or pflag
         if new_rows.shape[0] == rows.shape[0]:
             resid_mat = prows - (prows @ rows.conj().T) @ rows
@@ -201,8 +203,7 @@ def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     # rows >= cols always holds here, so the reduced SVD still returns the
     # complete right-singular set
     _, s, vh = np.linalg.svd(system, full_matrices=False)
-    cutoff = TOL.rank_rtol * (s[0] if s.size and s[0] > 0 else 1.0)
-    null_rows = vh[np.sum(s > cutoff) :].conj()
+    null_rows = vh[_rank(s) :].conj()
     return [row.reshape(n, n) for row in null_rows]
 
 
@@ -216,9 +217,7 @@ def radical(span: AlgebraSpan) -> list[np.ndarray]:
     # bilinear trace(b_i b_j) = vec(b_i) . vec(b_j^T), not sesquilinear
     gram = rows @ np.array([b.T.ravel() for b in span.basis]).T
     _, s, vh = np.linalg.svd(gram)
-    cutoff = TOL.rank_rtol * (s[0] if s.size and s[0] > 0 else 1.0)
-    null = vh[np.sum(s > cutoff) :].conj()
-    coef, _ = _orthonormal_rows(null, TOL.rank_rtol)
+    coef, _ = _orthonormal_rows(vh[_rank(s) :].conj())
     n = span.ambient_dim
     return [(c @ rows).reshape(n, n) for c in coef]
 
@@ -271,9 +270,7 @@ def _invariance_residual(generators, vectors: np.ndarray) -> float:
 
 def _column_space(matrix: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    return u[:, s > TOL.rank_rtol * s[0]]
+    return u[:, : _rank(s)]
 
 
 def _is_scalar(matrix: np.ndarray) -> bool:
@@ -451,9 +448,7 @@ def kfold_transitive(
     orbit_full = True
     for xi in tuples:
         stack = np.array([(b @ xi).ravel() for b in span.basis])
-        s = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(s > TOL.rank_rtol * (s[0] if s[0] > 0 else 1.0)))
-        if rank < k * n:
+        if _rank(np.linalg.svd(stack, compute_uv=False)) < k * n:
             orbit_full = False
             break
 
@@ -463,132 +458,3 @@ def kfold_transitive(
             "lattice route judged the span k-fold transitive"
         )
     return route_lattice and orbit_full
-
-
-# -- block-projection and normality checks ------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BlockProjectionReport:
-    """What held for a projection against a block-diagonal operator.
-
-    in_lattice is False when the projection's range is not invariant (a
-    precondition failure, reported rather than raised); the two residuals
-    measure invariance of range(T11) and null(I - T11) under the upper
-    block; diagonal_blocks classifies each diagonal compression as "zero",
-    "identity", or "injective_defect" ("indeterminate" if none holds).
-    """
-
-    in_lattice: bool
-    range_residual: float
-    null_residual: float
-    diagonal_blocks: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.in_lattice and max(self.range_residual, self.null_residual) <= TOL.commutator_atol
-
-    def to_json(self) -> dict:
-        return {
-            "in_lattice": self.in_lattice,
-            "range_residual": self.range_residual,
-            "null_residual": self.null_residual,
-            "diagonal_blocks": list(self.diagonal_blocks),
-            "passed": self.passed,
-        }
-
-
-def _classify_diagonal_block(block: np.ndarray) -> str:
-    n = block.shape[0]
-    if np.abs(block).max() <= TOL.projection_atol:
-        return "zero"
-    if np.abs(block - np.eye(n)).max() <= TOL.projection_atol:
-        return "identity"
-    defect = block - block @ block
-    s = np.linalg.svd(defect, compute_uv=False)
-    if s.min() > TOL.rank_rtol:
-        return "injective_defect"
-    return "indeterminate"
-
-
-def block_projection_check(projection: np.ndarray, z: np.ndarray) -> BlockProjectionReport:
-    """Check the half-projection consequences of lattice membership.
-
-    For a self-adjoint projection P on a doubled space and block-diagonal
-    Z = X (+) Y, membership of range(P) in Lat Z forces range(T11) and
-    null(I - T11) to be X-invariant, where T11 is the upper-left block of
-    P.  A P that is not in Lat Z is reported via in_lattice=False, not as
-    a check failure.
-    """
-    p = np.asarray(projection, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    if p.shape != z.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimensionMismatchError(f"shapes {p.shape} and {z.shape} must match, square")
-    m = p.shape[0]
-    if m % 2 != 0:
-        raise DomainError("block checks need an even ambient dimension")
-    half = m // 2
-    if np.abs(p @ p - p).max() > TOL.projection_atol or np.abs(p - p.conj().T).max() > TOL.projection_atol:
-        raise DomainError("input is not a self-adjoint projection")
-    if (
-        np.abs(z[:half, half:]).max() > TOL.projection_atol
-        or np.abs(z[half:, :half]).max() > TOL.projection_atol
-    ):
-        raise DomainError("operator is not block-diagonal in the given partition")
-
-    diag_classes = (
-        _classify_diagonal_block(p[:half, :half]),
-        _classify_diagonal_block(p[half:, half:]),
-    )
-    scale = max(1.0, float(np.linalg.norm(z, 2)))
-    if np.linalg.norm((np.eye(m) - p) @ z @ p, 2) > TOL.invariance_atol * scale:
-        return BlockProjectionReport(
-            in_lattice=False,
-            range_residual=np.inf,
-            null_residual=np.inf,
-            diagonal_blocks=diag_classes,
-        )
-
-    x = z[:half, :half]
-    t11 = p[:half, :half]
-    range_basis = _column_space(t11)
-    u, s, _ = np.linalg.svd(np.eye(half) - t11)
-    null_basis = u[:, s <= TOL.rank_rtol * max(s[0], 1.0)] if s.size else u[:, :0]
-    range_resid = (
-        _invariance_residual((x,), range_basis) if range_basis.shape[1] else 0.0
-    )
-    null_resid = _invariance_residual((x,), null_basis) if null_basis.shape[1] else 0.0
-    return BlockProjectionReport(
-        in_lattice=True,
-        range_residual=range_resid,
-        null_residual=null_resid,
-        diagonal_blocks=diag_classes,
-    )
-
-
-def normal_commutation_check(t: np.ndarray, e: np.ndarray) -> float:
-    """Commutator norm ||ET - TE|| for a normal T and invariant projection E.
-
-    Preconditions enforce normality of T, that E is a self-adjoint
-    projection, and that range(E) is T-invariant; under those a normal T
-    must commute with E outright, so the returned norm is expected below
-    1e-8 and anything larger falsifies the inputs or the arithmetic.
-    """
-    t = np.asarray(t, dtype=complex)
-    e = np.asarray(e, dtype=complex)
-    if t.shape != e.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatchError(f"shapes {t.shape} and {e.shape} must match, square")
-    n = t.shape[0]
-    if np.linalg.norm(t @ t.conj().T - t.conj().T @ t, 2) > TOL.normality_atol * max(
-        1.0, float(np.linalg.norm(t, 2)) ** 2
-    ):
-        raise DomainError("operator is not normal within tolerance")
-    if (
-        np.abs(e @ e - e).max() > TOL.projection_atol
-        or np.abs(e - e.conj().T).max() > TOL.projection_atol
-    ):
-        raise DomainError("second argument is not a self-adjoint projection")
-    scale = max(1.0, float(np.linalg.norm(t, 2)))
-    if np.linalg.norm((np.eye(n) - e) @ t @ e, 2) > TOL.normality_atol * scale:
-        raise DomainError("range of the projection is not invariant under the operator")
-    return float(np.linalg.norm(e @ t - t @ e, 2))

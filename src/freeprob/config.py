@@ -1,8 +1,8 @@
-"""Centralized tolerance and sizing defaults.
+"""The package's numeric cutoffs and sizes, written once.
 
-Every numeric cutoff used across the package lives in one frozen record so
-the test suite can sweep or tighten them in one place instead of chasing
-magic numbers through the modules.
+TOL holds the shared tolerances and SIZE the default grid sizes and sampling
+budgets.  Both are frozen instances that each module imports by value, so
+nothing changes them at run time.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ class Tolerances:
     gap_flag_ratio: float = 10.0
     # residual ceilings for structural identities
     invariance_atol: float = 1e-9
-    projection_atol: float = 1e-10
-    normality_atol: float = 1e-10
-    commutator_atol: float = 1e-8
     # eigenvalue clustering when extracting eigenspaces of commutant elements
     cluster_rtol: float = 1e-7
 

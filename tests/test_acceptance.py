@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from freeprob import acceptance
+from freeprob import acceptance, algstruct
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,15 @@ def test_criterion_7_freeness_identities(results):
 
 def test_criterion_8_algebra_suite(results):
     _check(results, 8)
+
+
+def test_criterion_8_counts_failed_verification(monkeypatch):
+    # no candidate subspace re-verifies, so every instance's subspace search
+    # or 2-fold decision raises, and the criterion must count it and fail
+    monkeypatch.setattr(algstruct, "_invariance_residual", lambda gens, vectors: 1.0)
+    result = acceptance._criterion_8()
+    assert not result.passed
+    assert "100 failed verifications" in result.headline
 
 
 def test_criterion_9_cli_reproducibility(results):

@@ -14,13 +14,11 @@ from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
     _MAX_SYSTEM_BYTES,
     AlgebraSpan,
-    block_projection_check,
     close_algebra,
     commutant,
     find_invariant_subspace,
     is_transitive,
     kfold_transitive,
-    normal_commutation_check,
     radical,
 )
 from freeprob.errors import DimensionMismatchError, DomainError
@@ -373,111 +371,6 @@ class TestLargeAlgebras:
         assert 16 * 9**4 * 81 * 9**2 > _MAX_SYSTEM_BYTES
         with pytest.raises(DomainError, match="cap"):
             kfold_transitive(span, 9)
-
-
-class TestBlockProjectionCheck:
-    def test_trivial_direct_sum(self):
-        z = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        rep = block_projection_check(p, z)
-        assert rep.in_lattice and rep.passed
-        assert rep.diagonal_blocks == ("identity", "zero")
-
-    def test_krylov_graph_subspace(self):
-        # orbit closure of one vector under X (+) X is invariant by
-        # construction and proper because every eigenvalue is doubled
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        z = np.block([[x, np.zeros((3, 3))], [np.zeros((3, 3)), x]])
-        xi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        krylov = [xi]
-        for _ in range(5):
-            krylov.append(z @ krylov[-1])
-        u, s, _ = np.linalg.svd(np.array(krylov).T)
-        v = u[:, s > 1e-9 * s[0]]
-        assert 0 < v.shape[1] < 6
-        rep = block_projection_check(v @ v.conj().T, z)
-        assert rep.in_lattice
-        assert rep.passed
-        assert max(rep.range_residual, rep.null_residual) <= 1e-8
-
-    def test_not_in_lattice_is_reported_not_raised(self):
-        rng = np.random.default_rng(8)
-        v, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        p = v @ v.conj().T
-        z = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        rep = block_projection_check(p, z)
-        assert not rep.in_lattice
-        assert not rep.passed
-
-    def test_non_projection_rejected(self):
-        z = np.diag([1.0, 2.0]).astype(complex)
-        with pytest.raises(DomainError):
-            block_projection_check(np.array([[0.5, 0.4], [0.1, 0.5]]), z)
-
-    def test_non_block_diagonal_rejected(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        z = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-        with pytest.raises(DomainError):
-            block_projection_check(p, z)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            block_projection_check(np.eye(3, dtype=complex), np.eye(3, dtype=complex))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            block_projection_check(np.eye(4, dtype=complex), np.eye(6, dtype=complex))
-
-    def test_report_json(self):
-        z = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        payload = block_projection_check(p, z).to_json()
-        assert payload["passed"] is True
-        assert payload["diagonal_blocks"] == ["identity", "zero"]
-
-
-class TestNormalCommutationCheck:
-    def test_diagonal_exact(self):
-        t = np.diag([1.0, 2.0]).astype(complex)
-        e = np.diag([1.0, 0.0]).astype(complex)
-        assert normal_commutation_check(t, e) == 0.0
-
-    def test_haar_spectral_projection(self):
-        u = haar_unitary(8, derive_rng(3, "ncc"))
-        _, vecs = np.linalg.eig(u)
-        q, _ = np.linalg.qr(vecs[:, :3])
-        e = q @ q.conj().T
-        assert normal_commutation_check(u, e) <= 1e-10
-
-    def test_random_normal_with_eigenvector_projection(self):
-        rng = np.random.default_rng(21)
-        u = haar_unitary(16, derive_rng(21, "ncc-frame"))
-        t = u @ np.diag(rng.standard_normal(16) + 1j * rng.standard_normal(16)) @ u.conj().T
-        e = u[:, :5] @ u[:, :5].conj().T
-        assert normal_commutation_check(t, e) <= 1e-8
-
-    def test_non_normal_rejected(self):
-        with pytest.raises(DomainError):
-            normal_commutation_check(E12, np.diag([1.0, 0.0]).astype(complex))
-
-    def test_non_invariant_projection_rejected(self):
-        t = np.diag([1.0, 2.0]).astype(complex)
-        v = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        e = v @ v.conj().T
-        with pytest.raises(DomainError):
-            normal_commutation_check(t, e)
-
-    def test_non_projection_rejected(self):
-        t = np.diag([1.0, 2.0]).astype(complex)
-        with pytest.raises(DomainError):
-            normal_commutation_check(t, 0.5 * np.eye(2, dtype=complex))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            normal_commutation_check(
-                np.eye(2, dtype=complex), np.eye(3, dtype=complex)
-            )
 
 
 class TestSpanValidation:
