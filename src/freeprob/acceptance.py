@@ -587,7 +587,8 @@ def _criterion_8() -> CriterionResult:
         runtime_s=runtime,
         details=(
             f"{transitive_count} transitive instances, "
-            f"{instances - transitive_count} with invariant subspaces",
+            f"{instances - transitive_count - failed_verifications} "
+            "with invariant subspaces",
             "every subspace report re-verified against the raw generators",
             "2-fold transitivity decided by both routes (projection lattice "
             "and orbit rank) on every instance with no disagreement",

@@ -65,6 +65,7 @@ def test_criterion_8_counts_failed_verification(monkeypatch):
     result = acceptance._criterion_8()
     assert not result.passed
     assert "100 failed verifications" in result.headline
+    assert result.details[0] == "0 transitive instances, 0 with invariant subspaces"
 
 
 def test_criterion_9_cli_reproducibility(results):
