@@ -569,6 +569,14 @@ def _criterion_8() -> CriterionResult:
             chain_violations += 1
         transitive_count += int(transitive)
     runtime = time.time() - started
+    verification = (
+        ("every subspace report re-verified against the raw generators",
+         "2-fold transitivity decided by both routes (projection lattice "
+         "and orbit rank) on every instance with no disagreement")
+        if failed_verifications == 0
+        else (f"{failed_verifications} instances failed subspace re-verification "
+              "or disagreed between the 2-fold routes",)
+    )
     passed = (
         burnside_disagreements == 0
         and failed_verifications == 0
@@ -589,9 +597,7 @@ def _criterion_8() -> CriterionResult:
             f"{transitive_count} transitive instances, "
             f"{instances - transitive_count - failed_verifications} "
             "with invariant subspaces",
-            "every subspace report re-verified against the raw generators",
-            "2-fold transitivity decided by both routes (projection lattice "
-            "and orbit rank) on every instance with no disagreement",
+            *verification,
             "chain checked: transitive implies 2-fold transitive implies "
             "full matrix algebra",
             f"runtime {runtime:.1f}s (bound 60s)",

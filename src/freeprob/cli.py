@@ -171,10 +171,9 @@ def cmd_simulate(args) -> int:
         seed_list.append(child)
         model = build_m2_free_m2(half_dim, child)
         sample = spectrum(realize(tag, model), source=tag.value, seed=child)
-        lines = [
-            f"{float(z.real)!r},{float(z.imag)!r}" for z in sample.eigenvalues
-        ]
-        writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + "\n".join(lines) + "\n")
+        pairs = zip(sample.eigenvalues.real.tolist(), sample.eigenvalues.imag.tolist())
+        lines = "\n".join(f"{re!r},{im!r}" for re, im in pairs)
+        writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + lines + "\n")
         radii = pullback_radii(tag, sample.eigenvalues)
         if catalog.center_atom_mass > 0.0:
             # kernel eigenvalues come out near 1e-14, not at the atom's radius 0
@@ -183,10 +182,8 @@ def cmd_simulate(args) -> int:
 
     pooled = np.sort(np.concatenate(all_radii))
     cum = np.arange(1, pooled.size + 1) / pooled.size
-    cdf_text = "r,cdf\n" + "\n".join(
-        f"{float(r)!r},{float(c)!r}" for r, c in zip(pooled, cum)
-    )
-    writer.write_text("empirical_cdf.csv", cdf_text + "\n")
+    rows = "\n".join(f"{r!r},{c!r}" for r, c in zip(pooled.tolist(), cum.tolist()))
+    writer.write_text("empirical_cdf.csv", "r,cdf\n" + rows + "\n")
 
     ks = ks_distance(pooled, catalog.cdf)
     margin_violations = int(np.sum(pooled > catalog.support_outer + 0.05))

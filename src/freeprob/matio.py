@@ -20,14 +20,20 @@ __all__ = ["matrix_to_json", "matrix_from_json", "matrix_to_csv", "matrix_from_c
            "save_matrix", "load_matrix"]
 
 
-def matrix_to_json(matrix: np.ndarray) -> dict:
+def _re_im(matrix: np.ndarray) -> np.ndarray:
+    """(rows, cols, 2) float array of a 2-d matrix's real and imaginary parts."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise MeasureFormatError(f"expected a 2-d array, got ndim={matrix.ndim}")
+    return np.stack((matrix.real, matrix.imag), axis=-1)
+
+
+def matrix_to_json(matrix: np.ndarray) -> dict:
+    parts = _re_im(matrix)
     return {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in matrix.ravel()],
+        "rows": parts.shape[0],
+        "cols": parts.shape[1],
+        "data": parts.reshape(-1, 2).tolist(),
     }
 
 
@@ -44,31 +50,20 @@ def matrix_from_json(payload: dict) -> np.ndarray:
             f"expected {rows * cols} entries, got {len(data)}"
         )
     try:
-        flat = np.array(
-            [complex(float(re), float(im)) for re, im in data], dtype=complex
-        )
+        flat = [float(v) for re, im in data for v in (re, im)]
     except (TypeError, ValueError) as exc:
         raise MeasureFormatError(f"malformed matrix entry: {exc}") from exc
-    return flat.reshape(rows, cols)
+    return np.array(flat).view(complex).reshape(rows, cols)
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2:
-        raise MeasureFormatError(f"expected a 2-d array, got ndim={matrix.ndim}")
-    lines = []
-    for row in matrix:
-        parts = []
-        for z in row:
-            parts.append(repr(float(z.real)))
-            parts.append(repr(float(z.imag)))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    parts = _re_im(matrix)
+    rows = parts.reshape(parts.shape[0], -1).tolist()
+    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
     rows = []
-    width = None
     for lineno, line in enumerate(text.strip().splitlines(), start=1):
         fields = [f for f in line.strip().split(",") if f != ""]
         if not fields:
@@ -79,20 +74,17 @@ def matrix_from_csv(text: str) -> np.ndarray:
                 "entries must be re,im pairs"
             )
         try:
-            vals = [float(f) for f in fields]
+            row = [float(f) for f in fields]
         except ValueError as exc:
             raise MeasureFormatError(f"line {lineno}: {exc}") from exc
-        row = [complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if rows and len(row) != len(rows[0]):
             raise MeasureFormatError(
-                f"line {lineno}: ragged row width {len(row)} != {width}"
+                f"line {lineno}: ragged row width {len(row) // 2} != {len(rows[0]) // 2}"
             )
         rows.append(row)
     if not rows:
         raise MeasureFormatError("empty matrix file")
-    return np.array(rows, dtype=complex)
+    return np.array(rows).view(complex)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:

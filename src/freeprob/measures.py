@@ -1,7 +1,8 @@
 """Probability measures on [0, inf) and their multiplicative transforms.
 
 A measure is a finite list of atoms plus an optional piecewise-linear
-density, total mass one.  The moment transform
+density, total mass one; every integral against the density (mass,
+moments, psi) is exact on its linear pieces.  The moment transform
 
     psi(z) = int t z / (1 - t z) dmu(t)
 
@@ -9,7 +10,8 @@ is strictly increasing on the principal branch (-inf, 1/max_support); chi
 denotes its functional inverse there and the S-transform is
 S(w) = chi(w) (1 + w) / w, extended continuously by S(0) = 1/mean.  For a
 measure supported on {0, a} these have closed forms; the numeric path is
-one vectorized bisection, chi_vector, run to float spacing.
+one vectorized bisection, chi_vector, run to float spacing; with
+squared=True it inverts psi of the law of t^2, as the radial recipe needs.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class ScalarMeasure:
 
     atoms: (location, mass) pairs, sorted strictly increasing on construction;
     equal locations are merged.  density: (x, f(x)) samples interpreted as a
-    piecewise-linear density, integrated by the trapezoid rule.  Total mass
-    must equal one within Tolerances.mass_atol.
+    piecewise-linear density, integrated exactly on each linear piece.  Total
+    mass must equal one within Tolerances.mass_atol.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -84,25 +86,21 @@ class ScalarMeasure:
             raise MeasureFormatError("a density needs at least two samples")
         object.__setattr__(self, "density", dens)
 
-        total = sum(m for _, m in self.atoms) + self._density_integral()
+        total = sum(m for _, m in self.atoms) + _density_moment(self, 0)
         if not abs(total - 1.0) <= TOL.mass_atol:
             raise MeasureFormatError(f"total mass is {total!r}, expected 1 within {TOL.mass_atol}")
 
     # -- basic structure -------------------------------------------------
 
     @cached_property
-    def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Density samples as read-only arrays (xs, fs)."""
-        xs = np.array([x for x, _ in self.density], dtype=float)
-        fs = np.array([f for _, f in self.density], dtype=float)
-        xs.flags.writeable = fs.flags.writeable = False
-        return xs, fs
-
-    def _density_integral(self) -> float:
-        if not self.density:
-            return 0.0
-        xs, fs = self.density_grid
-        return float(np.trapezoid(fs, xs))
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """Read-only (x0, x1, alpha, beta): f(t) = alpha + beta t on each [x0, x1]."""
+        xs, fs = np.array(self.density, dtype=float).reshape(-1, 2).T
+        beta = np.diff(fs) / np.diff(xs)
+        table = (xs[:-1], xs[1:], fs[:-1] - beta * xs[:-1], beta)
+        for arr in table:
+            arr.flags.writeable = False
+        return table
 
     def mass_at(self, loc: float) -> float:
         """Atom mass sitting exactly at loc (0.0 when there is none)."""
@@ -131,42 +129,13 @@ class ScalarMeasure:
         if self.mass_at(0.0) > 0.0:
             return math.inf
         total = sum(m / t**2 for t, m in self.atoms)
-        if self.density:
-            xs, fs = self.density_grid
-            if xs[0] == 0.0 and fs[0] > 0.0:
-                return math.inf
-            with np.errstate(divide="ignore"):
-                vals = np.where(xs > 0.0, fs / np.maximum(xs, 1e-300) ** 2, np.inf)
-            if np.any(~np.isfinite(vals) & (fs > 0.0)):
-                return math.inf
-            total += float(np.trapezoid(np.where(np.isfinite(vals), vals, 0.0), xs))
-        return total
-
-    def pushforward_square(self) -> "ScalarMeasure":
-        """Distribution of t^2 when t is distributed by this measure."""
-        atoms = tuple((t * t, m) for t, m in self.atoms)
-        dens: tuple[tuple[float, float], ...] = ()
-        if self.density:
-            xs, fs = self.density_grid
-            cont = float(np.trapezoid(fs, xs))
-            if cont > 0.0:
-                # y = x^2, g(y) = f(sqrt(y)) / (2 sqrt(y)); refine the grid so
-                # the trapezoid mass survives the change of variables, then
-                # rescale the transformed samples to keep it exact
-                xr = np.unique(
-                    np.concatenate(
-                        [np.linspace(xs[i], xs[i + 1], 9) for i in range(len(xs) - 1)]
-                    )
-                )
-                fr = np.interp(xr, xs, fs)
-                pos = xr > 0.0
-                ys = xr[pos] ** 2
-                gs = fr[pos] / (2.0 * xr[pos])
-                mass = float(np.trapezoid(gs, ys))
-                if mass > 0.0 and len(ys) >= 2:
-                    gs *= cont / mass
-                    dens = tuple(zip(ys.tolist(), gs.tolist()))
-        return ScalarMeasure(atoms, dens)
+        x0, x1, alpha, beta = self.segments
+        # diverges on a nonzero piece from 0, even one that vanishes linearly
+        if np.any((x0 == 0.0) & ((alpha != 0.0) | (beta != 0.0))):
+            return math.inf
+        x0, x1, alpha, beta = (a[x0 > 0.0] for a in (x0, x1, alpha, beta))
+        pieces = alpha * (x1 - x0) / (x0 * x1) + beta * np.log(x1 / x0)
+        return total + float(pieces.sum())
 
     # -- serialization ---------------------------------------------------
 
@@ -199,35 +168,67 @@ class ScalarMeasure:
 # -- moments --------------------------------------------------------------
 
 
+def _density_moment(measure: ScalarMeasure, k: int, scale: float = 1.0) -> float:
+    """Exact int (t / scale)^k f(t) dt over the density's linear pieces."""
+    x0, x1, alpha, beta = measure.segments
+    u0, u1 = x0 / scale, x1 / scale
+    p, q = k + 1, k + 2
+    return float(scale * np.sum(alpha * (u1**p - u0**p) / p + beta * scale * (u1**q - u0**q) / q))
+
+
 def moment(measure: ScalarMeasure, k: int) -> float:
     """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1."""
     if k < 0:
         raise DomainError("moment order must be a nonnegative integer")
     if k == 0:
         return 1.0
-    total = sum(m * t**k for t, m in measure.atoms)
-    if measure.density:
-        xs, fs = measure.density_grid
-        total += float(np.trapezoid(fs * xs**k, xs))
-    return total
+    return sum(m * t**k for t, m in measure.atoms) + _density_moment(measure, k)
 
 
 # -- psi ------------------------------------------------------------------
 
+# below |u| = SERIES_CUT, u = z x_max^p, the closed forms cancel and psi is
+# summed as its series in u to u^16; the dropped tail is below 0.05^17 ~ 1e-22
+SERIES_CUT = 0.05
 
-def _psi_raw(measure: ScalarMeasure, z: np.ndarray) -> np.ndarray:
-    """Vector psi with no domain policing; callers keep z on the branch."""
+
+def _psi_raw(measure: ScalarMeasure, z: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Vector psi with no domain policing; callers keep z on the branch.
+
+    squared=True gives psi of the law of t^2, for z <= 0.  The density's part
+    is exact on each piece f = alpha + beta t, and summed by parts it takes
+    one transcendental per node: sum_s alpha_s (F(x_s+1) - F(x_s)) equals
+    sum_i F(x_i) (alpha_i-1 - alpha_i), with alpha = 0 off the support.
+    """
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     for t, m in measure.atoms:
+        if squared:
+            t = t * t
         if t == 0.0:
             continue
         out = out + m * t * z / (1.0 - t * z)
-    if measure.density:
-        xs, fs = measure.density_grid
-        integrand = xs[None, :] * z.reshape(-1, 1) / (1.0 - xs[None, :] * z.reshape(-1, 1))
-        vals = np.trapezoid(fs[None, :] * integrand, xs, axis=1)
-        out = out + vals.reshape(z.shape)
+    if not measure.density:
+        return out
+    p = 2 if squared else 1
+    x0, x1, alpha, beta = measure.segments
+    u = z * x1[-1] ** p
+    series = np.abs(u) < SERIES_CUT
+    moments = [_density_moment(measure, p * j, x1[-1]) for j in range(16, 0, -1)]
+    out[series] += np.polyval(moments + [0.0], u[series])
+    zc = z[~series]
+    col = zc[:, None]
+    nodes = np.append(x0, x1[-1])
+    ja, jb = -np.diff((alpha, beta), prepend=0.0, append=0.0)
+    if squared:
+        # z = -a^2: -mass + alpha / a datan(a t) + beta / (2 a^2) dlog1p(a^2 t^2)
+        atans = np.arctan(np.sqrt(-col) * nodes) @ ja
+        part = atans / np.sqrt(-zc) - (np.log1p(-col * nodes**2) @ jb) / (2.0 * zc)
+    else:
+        # 1 - t z > 0: -mass - beta dx / z - (alpha + beta / z) / z dlog1p(-t z)
+        logs = np.log1p(-col * nodes)
+        part = -(np.sum(beta * (x1 - x0)) + logs @ ja + (logs @ jb) / zc) / zc
+    out[~series] += part - _density_moment(measure, 0)
     return out
 
 
@@ -318,14 +319,15 @@ def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto")
     return TransformSample(y, z, "principal:bisection")
 
 
-def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
+def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) -> np.ndarray:
     """Numeric chi on the principal branch, one bisection for all arguments.
 
     Each y must lie in (psi(-inf), 0) or (0, psi((1 - delta) / max_support)]
     with delta = Tolerances.bracket_delta.  A negative y is bracketed by
     [lo, 0], lo doubling from -1 until psi(lo) <= y; a positive y by
     [0, (1 - delta) / max_support].  Every bracket is bisected to float
-    spacing.  The radial recipe inverts thousands of points in one call;
+    spacing.  The radial recipe inverts thousands of points in one call,
+    with squared=True for the law of t^2, which takes negative y only;
     chi_inverse's numeric route is a one-element call.
     """
     ys = np.asarray(ys, dtype=float)
@@ -337,6 +339,8 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
     lo = np.where(ys < 0.0, -1.0, 0.0)
     hi = np.zeros_like(ys)
     if np.any(ys > 0.0):
+        if squared:
+            raise DomainError("chi of the squared law is taken at negative arguments only")
         support = measure.max_support
         if support == 0.0:
             raise DomainError("psi of a measure concentrated at 0 never leaves 0")
@@ -345,7 +349,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
             raise DomainError(f"y = {ys.max()} exceeds psi on the principal branch")
         hi[ys > 0.0] = top
     for _ in range(240):
-        mask = _psi_raw(measure, lo) > ys
+        mask = _psi_raw(measure, lo, squared) > ys
         if not mask.any():
             break
         lo[mask] *= 2.0
@@ -356,7 +360,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
         done = (mid == lo) | (mid == hi)
         if done.all():
             break
-        below = _psi_raw(measure, mid) < ys
+        below = _psi_raw(measure, mid, squared) < ys
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

@@ -370,11 +370,9 @@ def brown_rdiagonal(
         return _degenerate_circle(mu_h.atoms[0][0])
 
     atom = mu_h.mass_at(0.0)
-    mu_sq = mu_h.pushforward_square()
-    second = moment(mu_h, 2)
-    outer = math.sqrt(second)
-    inv_sq = mu_h.inverse_square_moment()
-    inner = 0.0 if (atom > 0.0 or not math.isfinite(inv_sq)) else 1.0 / math.sqrt(inv_sq)
+    outer = math.sqrt(moment(mu_h, 2))
+    # int t^-2 dmu is inf, so the inner radius 0, when mass touches zero
+    inner = 1.0 / math.sqrt(mu_h.inverse_square_moment())
 
     # quantile map on a grid strongly graded toward t = atom, where the
     # radius approaches the inner edge and the CDF starts out flat; the
@@ -383,7 +381,7 @@ def brown_rdiagonal(
     t = atom + (1.0 - atom) * np.maximum(u**4, 1e-10)
     t[-1] = 1.0
     w = t[:-1] - 1.0
-    z = chi_vector(mu_sq, w)
+    z = chi_vector(mu_h, w, squared=True)
     s_vals = z * (1.0 + w) / w
     if np.any(s_vals <= 0.0):
         raise DomainError("S-transform came out nonpositive; measure outside scope")

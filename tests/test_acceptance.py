@@ -66,6 +66,9 @@ def test_criterion_8_counts_failed_verification(monkeypatch):
     assert not result.passed
     assert "100 failed verifications" in result.headline
     assert result.details[0] == "0 transitive instances, 0 with invariant subspaces"
+    assert result.details[1].startswith("100 instances failed")
+    # no detail line may claim the verification or the 2-fold agreement
+    assert not any("re-verified" in d or "no disagreement" in d for d in result.details)
 
 
 def test_criterion_9_cli_reproducibility(results):

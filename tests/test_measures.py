@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from freeprob.errors import DomainError, MeasureFormatError, PoleError
 from freeprob.measures import (
     ScalarMeasure,
+    _psi_raw,
     chi_inverse,
     chi_inverse_detailed,
     chi_vector,
@@ -27,6 +29,34 @@ TWO_ATOM = ScalarMeasure(((1.0, 0.5), (4.0, 0.5)))
 # Independent oracle: brentq on 0.5 z/(1-z) + 2 z/(1-4z) = 0.25 over (0, 1/4),
 # frozen from a run with xtol=1e-16.
 TWO_ATOM_CHI_AT_QUARTER = 0.07396013553019261
+
+
+def _normalized(xs, fs):
+    xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
+    return ScalarMeasure((), tuple(zip(xs.tolist(), (fs / np.trapezoid(fs, xs)).tolist())))
+
+
+# a density away from 0, one touching 0 with f(0) > 0, one vanishing at 0
+DENSITIES = {
+    "away": _normalized(np.linspace(0.5, 2.0, 13), 1.0 + 0.5 * np.sin(np.arange(13.0))),
+    "touching": _normalized(np.linspace(0.0, 1.0, 11), [3, 2, 2.5, 1, 0, 0.5, 1, 1, 2, 0.25, 0]),
+    "vanishing": ScalarMeasure((), ((0.0, 0.0), (1.0, 2.0))),
+}
+
+
+def _quad_psi(measure, z, power):
+    # psi of the law of t^power, by quad split at the density's nodes
+    xs, fs = np.array(measure.density).T
+    integrand = lambda t: np.interp(t, xs, fs) * t**power * z / (1.0 - t**power * z)
+    return sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0] for a, b in zip(xs, xs[1:]))
+
+
+def _oracle_arguments(measure, power):
+    # both sides of the series cut |z| x_max^power = 0.05, down to 1e-10
+    scale = measure.max_support**power
+    near = 0.05 * np.array([0.999, 1.001])
+    mags = np.concatenate((np.geomspace(1e-10, 1e3, 27), near))
+    return np.concatenate((-mags, mags[mags < 0.99], [0.99])) / scale
 
 
 def corpus():
@@ -118,6 +148,36 @@ class TestPsi:
             psi_transform(DIRAC_ONE, 1.5)
 
 
+class TestDensityOracle:
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_psi_against_quad(self, name):
+        m = DENSITIES[name]
+        for z in _oracle_arguments(m, 1):
+            assert psi_transform(m, z) == pytest.approx(_quad_psi(m, z, 1), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_squared_psi_against_quad(self, name):
+        m = DENSITIES[name]
+        zs = _oracle_arguments(m, 2)
+        zs = zs[zs < 0.0]
+        got = _psi_raw(m, zs, squared=True)
+        want = [_quad_psi(m, z, 2) for z in zs]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_moments_against_gauss_legendre(self, name):
+        # four Gauss-Legendre nodes per piece integrate degree <= 7 exactly
+        m = DENSITIES[name]
+        xs, fs = np.array(m.density).T
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        for k in range(1, 5):
+            want = 0.0
+            for a, b in zip(xs, xs[1:]):
+                t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+                want += 0.5 * (b - a) * np.sum(weights * np.interp(t, xs, fs) * t**k)
+            assert moment(m, k) == pytest.approx(want, abs=1e-14)
+
+
 class TestChi:
     def test_bernoulli_closed_form(self):
         # chi(y) = 2y / (1 + 2y)
@@ -161,6 +221,13 @@ class TestChi:
         numeric = chi_inverse_detailed(BERNOULLI, 0.5, method="numeric")
         assert numeric.branch_info == "principal:bisection"
         assert chi_inverse_detailed(BERNOULLI, 0.0).branch_info == "principal:origin"
+
+    def test_squared_chi_matches_squared_atoms(self):
+        ys = np.linspace(-0.99, -0.01, 25)
+        squared = ScalarMeasure(((1.0, 0.5), (16.0, 0.5)))
+        assert np.array_equal(chi_vector(TWO_ATOM, ys, squared=True), chi_vector(squared, ys))
+        with pytest.raises(DomainError):
+            chi_vector(TWO_ATOM, np.array([0.25]), squared=True)
 
     def test_vectorized_chi_matches_scalar(self):
         ys = np.linspace(-0.49, -0.01, 25)

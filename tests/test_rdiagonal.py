@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from freeprob.errors import (
     DiracInputError,
@@ -12,7 +14,7 @@ from freeprob.errors import (
     MeasureFormatError,
     exit_code_for,
 )
-from freeprob.measures import ScalarMeasure, moment
+from freeprob.measures import ScalarMeasure
 from freeprob.rdiagonal import (
     OperatorTag,
     RadialPlanarMeasure,
@@ -99,6 +101,47 @@ class TestTwoAtomAnnulus:
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
 
+# f = 1 on [1/2, 3/2]: E[H^2] = 13/12 and E[H^-2] = 4/3; f = 2t on [0, 1]
+# vanishes at 0, yet int t^-2 f diverges there, and E[H^2] = 1/2
+UNIFORM = ScalarMeasure((), tuple(zip(np.linspace(0.5, 1.5, 11).tolist(), [1.0] * 11)))
+RAMP = ScalarMeasure((), ((0.0, 0.0), (1.0, 2.0)))
+
+
+def _quad_quantile_radius(measure, t):
+    """S_{mu^2}(t - 1)^(-1/2) with psi of mu^2 by quad and chi by brentq."""
+    xs, fs = np.array(measure.density).T
+    w = t - 1.0
+
+    def psi_sq(z):
+        integrand = lambda s: np.interp(s, xs, fs) * s * s * z / (1.0 - s * s * z)
+        return sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0] for a, b in zip(xs, xs[1:]))
+
+    lo = -1.0
+    while psi_sq(lo) > w:
+        lo *= 2.0
+    z = brentq(lambda z: psi_sq(z) - w, lo, lo / 2.0 if lo < -1.0 else 0.0, xtol=1e-300, rtol=1e-15)
+    return (z * (1.0 + w) / w) ** -0.5
+
+
+class TestDensityAnnulus:
+    def test_uniform_density_radii(self):
+        m = brown_rdiagonal(UNIFORM)
+        assert m.support_outer == pytest.approx(math.sqrt(13.0 / 12.0), abs=1e-12)
+        assert m.support_inner == pytest.approx(math.sqrt(0.75), abs=1e-12)
+
+    def test_density_vanishing_at_zero_reaches_the_origin(self):
+        m = brown_rdiagonal(RAMP)
+        assert m.support_inner == 0.0
+        assert m.support_outer == pytest.approx(SQRT_HALF, abs=1e-12)
+        assert m.cumulative[0] == 0.0 and m.cumulative[-1] == 1.0
+
+    @pytest.mark.parametrize("measure", [UNIFORM, RAMP], ids=["uniform", "ramp"])
+    def test_cdf_against_quad_quantiles(self, measure):
+        m = brown_rdiagonal(measure)
+        for t in np.linspace(0.1, 0.9, 8):
+            assert m.cdf(_quad_quantile_radius(measure, t)) == pytest.approx(t, abs=1e-8)
+
+
 class TestDiracHandling:
     def test_dirac_rejected_by_default(self):
         with pytest.raises(DiracInputError):
@@ -160,19 +203,13 @@ class TestCatalog:
             )
             assert cat.cdf(cat.support_outer) == pytest.approx(1.0, abs=1e-12)
 
-    def test_pushforward_square_sample_identity(self):
+    def test_squared_law_matches_squared_radii(self):
         # squaring the nilpotent sum's radii lands on the squared law's CDF
         base = catalog_brown(OperatorTag.E12_plus_F12)
         squared = catalog_brown(OperatorTag.E12_plus_F12_squared)
         rs = base.radii
         gap = np.max(np.abs(np.asarray(squared.cdf(rs**2)) - np.asarray(base.cdf(rs))))
         assert gap <= 1e-10
-
-    def test_scalar_pushforward_feeds_recipe(self):
-        # the recipe's internal square pushforward agrees with moments
-        musq = TWO_ATOM.pushforward_square()
-        assert moment(musq, 1) == pytest.approx(moment(TWO_ATOM, 2), abs=1e-12)
-        assert musq.atoms == ((0.25, 0.5), (2.25, 0.5))
 
     def test_planar_density_recovers_total_mass(self):
         cat = catalog_brown(OperatorTag.E12_plus_F12)
