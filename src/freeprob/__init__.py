@@ -39,6 +39,7 @@ from .matmodel import (
     SpectrumSample,
     build_free_group,
     build_m2_free_m2,
+    catalog_spectrum,
     empirical_radial_cdf,
     exact_identity_residuals,
     ks_distance,

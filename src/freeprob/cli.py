@@ -35,10 +35,10 @@ from .errors import DomainError, FreeprobError, MeasureFormatError, exit_code_fo
 from .matio import load_matrix
 from .matmodel import (
     build_m2_free_m2,
+    catalog_spectrum,
     derive_rng,
     ks_distance,
     realize,
-    spectrum,
 )
 from .measures import ScalarMeasure
 from .rdiagonal import (
@@ -170,15 +170,11 @@ def cmd_simulate(args) -> int:
         child = _child_seed(seed, f"simulate-{idx}")
         seed_list.append(child)
         model = build_m2_free_m2(half_dim, child)
-        sample = spectrum(realize(tag, model), source=tag.value, seed=child)
+        sample = catalog_spectrum(tag, model)
         pairs = zip(sample.eigenvalues.real.tolist(), sample.eigenvalues.imag.tolist())
         lines = "\n".join(f"{re!r},{im!r}" for re, im in pairs)
         writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + lines + "\n")
-        radii = pullback_radii(tag, sample.eigenvalues)
-        if catalog.center_atom_mass > 0.0:
-            # kernel eigenvalues come out near 1e-14, not at the atom's radius 0
-            radii = np.where(radii < sample.zero_threshold, 0.0, radii)
-        all_radii.append(radii)
+        all_radii.append(pullback_radii(tag, sample.eigenvalues))
 
     pooled = np.sort(np.concatenate(all_radii))
     cum = np.arange(1, pooled.size + 1) / pooled.size

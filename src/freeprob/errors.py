@@ -30,7 +30,7 @@ class DiracInputError(FreeprobError):
 
 
 class EigensolveError(FreeprobError):
-    """The dense nonsymmetric eigensolver failed to converge."""
+    """The nonsymmetric eigensolver failed to converge."""
 
 
 class SentinelError(FreeprobError):

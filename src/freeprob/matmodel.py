@@ -21,6 +21,7 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "f_blocks",
     "exact_identity_residuals",
     "spectrum",
+    "catalog_spectrum",
     "empirical_radial_cdf",
     "ks_distance",
     "ntrace",
@@ -96,30 +98,39 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# each matrix unit is (X_a op X_b) / 2 in its own copy's generators X
-_UNITS = {
-    "11": ("0", np.add, "1"), "12": ("3", np.subtract, "2"),
-    "21": ("3", np.add, "2"), "22": ("0", np.subtract, "1"),
-}
+_UNIT_INDICES = ("11", "12", "21", "22")
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixModel:
     """One seeded realization of the doubled 2x2 algebra at half_dim n.
 
-    Only the Haar rotation Q is stored.  W_i = w_i (x) I_n act as the first
-    copy, V_i = Q W_i Q* as the second, and E and F are their matrix units;
-    factor() builds each on first use and caches it read-only.
+    Only the Haar rotation Q = [Q_1 Q_2] (n-column blocks) is stored.
+    W_i = w_i (x) I_n act as the first copy and E_ij = e_ij (x) I_n are its
+    matrix units; the second copy's units are F_ij = Q_i Q_j* and its
+    generators V_k = Q W_k Q* = sum_ij (w_k)_ij F_ij.  factor() builds each
+    on first use and caches it read-only.
     """
 
     half_dim: int
     seed: int
     rotation: np.ndarray
     _factors: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _eigenvalues: dict[Callable, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return 2 * self.half_dim
+
+    def columns(self, j: int) -> np.ndarray:
+        """Q_j, the j-th block of n columns of the rotation (j = 1, 2)."""
+        n = self.half_dim
+        return self.rotation[:, (j - 1) * n : j * n]
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Q_ij, the n x n block of Q_j in block row i."""
+        n = self.half_dim
+        return self.columns(j)[(i - 1) * n : i * n]
 
     def factor(self, name: str) -> np.ndarray:
         if name in self._factors:
@@ -128,17 +139,31 @@ class MatrixModel:
         if name in ("W0", "W1", "W2", "W3"):
             mat = np.kron(m2_generators()[int(index)], np.eye(self.half_dim, dtype=complex))
         elif name in ("V0", "V1", "V2", "V3"):
-            mat = self.rotation @ self.factor("W" + index) @ self.rotation.conj().T
-        elif letter in ("E", "F") and index in _UNITS:
-            a, combine, b = _UNITS[index]
-            big = "W" if letter == "E" else "V"
-            mat = combine(self.factor(big + a), self.factor(big + b)) / 2.0
+            w = m2_generators()[int(index)]
+            mat = sum(w[i, j] * self.factor(f"F{i + 1}{j + 1}") for i, j in zip(*np.nonzero(w)))
+        elif letter == "E" and index in _UNIT_INDICES:
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[int(index[0]) - 1, int(index[1]) - 1] = 1.0
+            mat = np.kron(unit, np.eye(self.half_dim, dtype=complex))
+        elif letter == "F" and index in _UNIT_INDICES:
+            mat = self.columns(int(index[0])) @ self.columns(int(index[1])).conj().T
         else:
             raise WordSpecError(f"unknown factor {name!r} for a matrix model")
         return self._factors.setdefault(name, _freeze(mat))
 
     def is_unitary_factor(self, name: str) -> bool:
         return name[0] in ("W", "V")
+
+    def eigenvalues_of(self, core: Callable[["MatrixModel"], np.ndarray]) -> np.ndarray:
+        """Eigenvalues of the n x n matrix core(self), solved once per model.
+
+        The catalog reads every operator's spectrum from two such cores of
+        the rotation's blocks, so the tags of one model share their solves.
+        """
+        if core not in self._eigenvalues:
+            vals = _eigvals(core(self), f"{core.__name__} of seed {self.seed}")
+            self._eigenvalues.setdefault(core, _freeze(vals))
+        return self._eigenvalues[core]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +315,23 @@ class SpectrumSample:
         return 1e-8 * max(self.norm, 1e-300)
 
 
+def _normalized_frobenius(matrix: np.ndarray) -> float:
+    return float(np.linalg.norm(matrix, "fro")) / math.sqrt(matrix.shape[0])
+
+
+def _eigvals(matrix: np.ndarray, source: str) -> np.ndarray:
+    """Dense non-symmetric eigenvalues, with diagnostics if LAPACK fails."""
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        row_sum = float(np.max(np.abs(matrix).sum(axis=1)))
+        raise EigensolveError(
+            f"eigensolve failed for {source or 'matrix'} (dim={matrix.shape[0]}, "
+            f"normalized Frobenius norm={_normalized_frobenius(matrix):.3e}, "
+            f"max row sum={row_sum:.3e}): {exc}"
+        ) from exc
+
+
 def spectrum(
     matrix: np.ndarray, source: str = "", seed: int | None = None
 ) -> SpectrumSample:
@@ -297,18 +339,26 @@ def spectrum(
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-    dim = matrix.shape[0]
-    norm = float(np.linalg.norm(matrix, "fro")) / math.sqrt(dim)
-    try:
-        vals = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        row_sum = float(np.max(np.abs(matrix).sum(axis=1)))
-        raise EigensolveError(
-            f"eigensolve failed for {source or 'matrix'} (dim={dim}, "
-            f"normalized Frobenius norm={norm:.3e}, max row sum={row_sum:.3e}): {exc}"
-        ) from exc
     return SpectrumSample(
-        eigenvalues=vals, source=source, seed=seed, dimension=dim, norm=norm
+        eigenvalues=_eigvals(matrix, source),
+        source=source,
+        seed=seed,
+        dimension=matrix.shape[0],
+        norm=_normalized_frobenius(matrix),
+    )
+
+
+def catalog_spectrum(tag: OperatorTag | str, model: MatrixModel) -> SpectrumSample:
+    """All eigenvalues of realize(tag, model), read from n x n block eigensolves.
+
+    The catalog entry maps the model's cores (model.eigenvalues_of) to the
+    2n eigenvalues and gives the realized matrix's normalized Frobenius
+    norm from Q's blocks; the 2n x 2n matrix is never formed.
+    """
+    tag = OperatorTag(tag)
+    vals, norm = CATALOG[tag].spectrum(model)
+    return SpectrumSample(
+        eigenvalues=vals, source=tag.value, seed=model.seed, dimension=model.dim, norm=norm
     )
 
 

@@ -319,6 +319,11 @@ def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto")
     return TransformSample(y, z, "principal:bisection")
 
 
+# halvings that take any bracket within the doubles (widths 2^1024 down to
+# the subnormal spacing 2^-1074) to float spacing, with room to spare
+BISECTION_STEPS = 2200
+
+
 def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) -> np.ndarray:
     """Numeric chi on the principal branch, one bisection for all arguments.
 
@@ -355,7 +360,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
         lo[mask] *= 2.0
     else:
         raise DomainError("failed to bracket some arguments in chi_vector")
-    for _ in range(200):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
         if done.all():
@@ -363,6 +368,10 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
         below = _psi_raw(measure, mid, squared) < ys
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+    else:
+        raise DomainError(
+            f"chi_vector bisection did not reach float spacing in {BISECTION_STEPS} steps"
+        )
     return 0.5 * (lo + hi)
 
 

@@ -20,6 +20,7 @@ from freeprob.errors import (
 )
 from freeprob.matio import save_matrix
 from freeprob.measures import ScalarMeasure
+from freeprob.rdiagonal import OperatorTag
 
 
 @pytest.fixture()
@@ -225,9 +226,31 @@ def test_simulate_different_seeds_differ(tmp_path):
     assert digests[0] != digests[1]
 
 
+@pytest.mark.parametrize("tag", [t.value for t in OperatorTag])
+def test_simulate_every_tag(tmp_path, tag):
+    out = tmp_path / "out"
+    code = _run(["simulate", "--tag", tag, "--dim", "64", "--seeds", "1",
+                 "--seed", "5", "--out-dir", out])
+    assert code == 0
+    lines = (out / "eigenvalues_seed0.csv").read_text().splitlines()
+    assert lines[0] == "re,im"
+    assert len(lines) == 65
+
+
+def test_simulate_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code = _run(["simulate", "--tag", "W1_plus_F12", "--dim", "32", "--seed", "1",
+                 "--out-dir", tmp_path / "out"])
+    assert code == 7
+    assert "eigensolve failed" in capsys.readouterr().err
+
+
 def test_simulate_w1f12_counts_kernel_as_atom(tmp_path):
-    # the kernel half of the spectrum comes out near 1e-14; unless it is
-    # counted at radius 0 it meets the law's jump of 1/2 there
+    # the kernel half of the spectrum is exact zeros, at the law's jump of
+    # 1/2 at radius 0
     out = tmp_path / "out"
     code = _run(["simulate", "--tag", "W1F12", "--dim", "256", "--seed", "3",
                  "--out-dir", out])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from freeprob import measures
 from freeprob.errors import DomainError, MeasureFormatError, PoleError
 from freeprob.measures import (
     ScalarMeasure,
@@ -228,6 +229,11 @@ class TestChi:
         assert np.array_equal(chi_vector(TWO_ATOM, ys, squared=True), chi_vector(squared, ys))
         with pytest.raises(DomainError):
             chi_vector(TWO_ATOM, np.array([0.25]), squared=True)
+
+    def test_unconverged_bisection_raises(self, monkeypatch):
+        monkeypatch.setattr(measures, "BISECTION_STEPS", 10)
+        with pytest.raises(DomainError, match="float spacing"):
+            chi_vector(BERNOULLI, np.array([-0.25]))
 
     def test_vectorized_chi_matches_scalar(self):
         ys = np.linspace(-0.49, -0.01, 25)

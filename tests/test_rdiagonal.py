@@ -100,6 +100,17 @@ class TestTwoAtomAnnulus:
         assert np.array_equal(flipped.radii, base.radii)
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
+    @pytest.mark.parametrize("scale", [1e30, 1e100])
+    def test_cdf_is_scale_free(self, scale):
+        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; a
+        # large s makes chi tiny, and the bisection must still reach float
+        # spacing (with 200 steps, s = 1e30 gave 0.508 at r = 1, not 0.733)
+        base = brown_rdiagonal(TWO_ATOM)
+        scaled = brown_rdiagonal(ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5))))
+        probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 101)
+        gap = np.max(np.abs(np.asarray(scaled.cdf(probe * scale)) - np.asarray(base.cdf(probe))))
+        assert gap <= 1e-12
+
 
 # f = 1 on [1/2, 3/2]: E[H^2] = 13/12 and E[H^-2] = 4/3; f = 2t on [0, 1]
 # vanishes at 0, yet int t^-2 f diverges there, and E[H^2] = 1/2
