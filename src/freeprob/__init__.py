@@ -51,9 +51,7 @@ from .brownfield import (
     GridSpec,
     brown_laplacian,
     default_epsilon,
-    fk_determinant,
     logdet_field,
-    mass_in_disc,
     mass_in_region,
 )
 from .algstruct import (

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zpotrf
 
 from .config import SIZE
 from .errors import DomainError, EigensolveError, SentinelError
@@ -28,11 +29,9 @@ from .errors import DomainError, EigensolveError, SentinelError
 __all__ = [
     "GridSpec",
     "BrownField",
-    "fk_determinant",
     "default_epsilon",
     "logdet_field",
     "brown_laplacian",
-    "mass_in_disc",
     "mass_in_region",
     "field_csv_text",
     "mass_csv_text",
@@ -146,26 +145,6 @@ class BrownField:
         return float(self.laplacian_mass.sum())
 
 
-def fk_determinant(matrix: np.ndarray, epsilon: float = 0.0) -> float:
-    """Regularized normalized determinant exp((1/2N) sum ln(sigma_i^2 + eps)).
-
-    With epsilon = 0 this is the geometric mean of the singular values; a
-    singular matrix then gives exactly 0 (a valid value, not an error).
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"expected a square matrix, got {matrix.shape}")
-    if epsilon < 0.0:
-        raise DomainError("epsilon must be >= 0")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    n = matrix.shape[0]
-    if epsilon == 0.0:
-        if sigma.min() == 0.0:
-            return 0.0
-        return float(np.exp(np.sum(np.log(sigma)) / n))
-    return float(np.exp(np.sum(np.log(sigma**2 + epsilon)) / (2 * n)))
-
-
 def default_epsilon(matrix: np.ndarray) -> float:
     """The standard regularization scale, 1e-6 times the squared 2-norm."""
     return SIZE.epsilon_scale * float(np.linalg.norm(matrix, 2)) ** 2
@@ -201,34 +180,40 @@ def _svd_column(
     iy: int,
     y: float,
     epsilon: float,
-    chunk: int,
+    buf: np.ndarray,
 ) -> np.ndarray:
-    """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via batched Cholesky.
+    """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via Cholesky in buf.
 
     With B = T - iyI and lambda = x + iy, the shifted Gram matrix is
     (T - lambda)*(T - lambda) + eps I = B*B - x(B + B*) + (x^2 + eps)I, so
-    the row's batch is one product of the coefficients [1, -x] against B*B
-    and B + B*.  The sum of logs is ln det = 2 sum ln L_ii of its factor.
+    each batch of buf's length is one product of the coefficients [1, -x]
+    against B*B and B + B*, written into buf.  Each Gram matrix is factored
+    in place: read in Fortran order the C-ordered Hermitian G is its
+    conjugate, whose Cholesky factor has G's real diagonal.  The sum of
+    logs is ln det = 2 sum ln L_ii.
     """
     n = matrix.shape[0]
     b = matrix - 1j * y * np.eye(n)
     bh = b.conj().T
     pair = np.stack(((bh @ b).ravel(), (b + bh).ravel()))
     out = np.empty(xs.size)
-    for start in range(0, xs.size, chunk):
-        x = xs[start : start + chunk]
-        gram = (np.stack((np.ones_like(x), -x), axis=1) @ pair).reshape(x.size, n, n)
-        gram.reshape(x.size, n * n)[:, :: n + 1] += (x**2 + epsilon)[:, None]
-        try:
-            factor = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(
-                f"epsilon {epsilon:.3e} is below the rounding of the Gram "
-                f"matrix on grid row {iy} (y = {float(y)!r}); use --epsilon 0 "
-                "or a larger epsilon"
-            ) from exc
-        diag = np.diagonal(factor, axis1=1, axis2=2).real
-        out[start : start + chunk] = np.log(diag).sum(axis=1) / n
+    for start in range(0, xs.size, buf.shape[0]):
+        x = xs[start : start + buf.shape[0]]
+        gram = buf[: x.size]
+        flat = gram.reshape(x.size, n * n)
+        np.matmul(np.stack((np.ones_like(x), -x), axis=1), pair, out=flat)
+        flat[:, :: n + 1] += (x**2 + epsilon)[:, None]
+        for node in gram:
+            # OpenBLAS factors this lower form faster than the upper one
+            _, info = zpotrf(node.T, lower=1, overwrite_a=1, clean=0)
+            if info > 0:
+                raise DomainError(
+                    f"epsilon {epsilon:.3e} is below the rounding of the Gram "
+                    f"matrix on grid row {iy} (y = {float(y)!r}); use --epsilon 0 "
+                    "or a larger epsilon"
+                )
+        diag = np.diagonal(gram, axis1=1, axis2=2).real
+        out[start : start + x.size] = np.log(diag).sum(axis=1) / n
     return out
 
 
@@ -243,11 +228,12 @@ def logdet_field(
     triangularizes once and reads eigenvalue distances (exact, and
     O(total nodes x N) afterwards).  At epsilon > 0 the "svd" kernel, named
     for the singular-value formula, builds each grid row's shifted Gram
-    matrices from two N x N matrices and factors them by a batched Cholesky,
-    at most 2**22 Gram entries per batch; an epsilon below the Gram matrix's
-    rounding leaves a factor undefined and raises DomainError.  Grid rows are
-    farmed out to threads and written back by index, so the result is
-    identical for any thread count.
+    matrices from two N x N matrices into a batch buffer of at most 2**22
+    Gram entries and factors them there by Cholesky; an epsilon below the
+    Gram matrix's rounding leaves a factor undefined and raises DomainError.
+    Grid rows are split into one contiguous share per thread, each thread
+    reusing one buffer for its share, and written back by index, so the
+    result is identical for any thread count.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -267,21 +253,25 @@ def logdet_field(
         diag = np.diagonal(tri).copy()
         jitter = 0.5 * grid.dx + 0.5j * grid.dy
 
-        def run_row(iy: int):
-            return _schur_column(diag, xs, ys[iy], jitter)
+        def run_rows(share: np.ndarray):
+            return [_schur_column(diag, xs, ys[iy], jitter) for iy in share]
 
     else:
         n = matrix.shape[0]
-        chunk = max(1, (1 << 22) // max(1, n * n))
+        chunk = min(grid.nx, max(1, (1 << 22) // max(1, n * n)))
 
-        def run_row(iy: int):
-            return _svd_column(matrix, xs, iy, ys[iy], grid.epsilon, chunk), [], []
+        def run_rows(share: np.ndarray):
+            buf = np.empty((chunk, n, n), dtype=complex)
+            return [
+                (_svd_column(matrix, xs, iy, ys[iy], grid.epsilon, buf), [], [])
+                for iy in share
+            ]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_row, range(grid.ny)))
-    else:
-        rows = [run_row(iy) for iy in range(grid.ny)]
+    # contiguous shares keep the first failing row first in the results,
+    # so an error names the same row for any thread count
+    shares = np.array_split(np.arange(grid.ny), min(threads, grid.ny))
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        rows = [row for done in pool.map(run_rows, shares) for row in done]
     for iy, (col, flags, dead) in enumerate(rows):
         values[:, iy] = col
         flagged.extend((ix, iy) for ix in flags)
@@ -369,14 +359,6 @@ def mass_in_region(field_in: BrownField, predicate) -> float:
         field_in.laplacian_mass.shape,
     )
     return float(field_in.laplacian_mass[mask].sum())
-
-
-def mass_in_disc(field_in: BrownField, center: complex, radius: float) -> float:
-    c = complex(center)
-    return mass_in_region(
-        field_in,
-        lambda x, y: (x - c.real) ** 2 + (y - c.imag) ** 2 <= radius**2,
-    )
 
 
 # -- exports -----------------------------------------------------------------

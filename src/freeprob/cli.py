@@ -3,9 +3,10 @@ algebra reports, and the acceptance verifier, all with reproducible run
 records.
 
 Every command writes its outputs plus a run_record.json holding the command
-line, master seed, config snapshot, wall time, and a sha256 digest per
-output file.  Stochastic commands refuse to run without an explicit --seed;
-there is no silent entropy.
+line, master seed, config snapshot, wall time, the BLAS thread variables,
+the number of CPUs the process may use, and a sha256 digest per output
+file.  Stochastic commands refuse to run without an explicit --seed; there
+is no silent entropy.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -57,6 +59,8 @@ CONFIG_KEYS = {
     "grid": ((str, type(None)), "a string or null"),
 }
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class OutputWriter:
     """Writes command outputs under out_dir and tracks their digests."""
@@ -90,6 +94,10 @@ def _write_run_record(writer: OutputWriter, args, started: float) -> None:
         "seed": args.seed,
         "config": _config_snapshot(args),
         "wall_time_s": time.time() - started,
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "affinity_cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
         "outputs": dict(sorted(writer.digests.items())),
     }
     (writer.out_dir / "run_record.json").write_text(

@@ -329,7 +329,8 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
 
     Each y must lie in (psi(-inf), 0) or (0, psi((1 - delta) / max_support)]
     with delta = Tolerances.bracket_delta.  A negative y is bracketed by
-    [lo, 0], lo doubling from -1 until psi(lo) <= y; a positive y by
+    [lo, 0], lo doubling from about -1/max_support (-1/max_support^2 when
+    squared) until psi(lo) <= y; a positive y by
     [0, (1 - delta) / max_support].  Every bracket is bisected to float
     spacing.  The radial recipe inverts thousands of points in one call,
     with squared=True for the law of t^2, which takes negative y only;
@@ -341,12 +342,15 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
         if y == 0.0:
             raise DomainError("chi_vector needs nonzero arguments; chi(0) = 0")
         raise DomainError(f"y = {y} is at or below the lower limit {lower} of psi")
-    lo = np.where(ys < 0.0, -1.0, 0.0)
+    support = measure.max_support
+    # psi reads z as z t (z t^2 if squared): lo starts at -2^k, 2^k <= 1/scale
+    # < 2^(k+1), a power of two so the bisection visits the points it does from -1
+    scale = support**2 if squared else support
+    lo = np.where(ys < 0.0, -(2.0 ** min(-math.frexp(scale)[1], 1000)), 0.0)
     hi = np.zeros_like(ys)
     if np.any(ys > 0.0):
         if squared:
             raise DomainError("chi of the squared law is taken at negative arguments only")
-        support = measure.max_support
         if support == 0.0:
             raise DomainError("psi of a measure concentrated at 0 never leaves 0")
         top = (1.0 - TOL.bracket_delta) / support

@@ -59,6 +59,15 @@ class OperatorTag(str, enum.Enum):
 _TAG_VALUES = frozenset(t.value for t in OperatorTag)
 
 
+def _pchip(r: np.ndarray, f: np.ndarray):
+    """Monotone cubic F(r), or its nu-th derivative, built on r over a power of
+    two: the division is exact, and keeps the divided differences of radii
+    near 1e-100 from overflowing."""
+    unit = math.ldexp(1.0, math.frexp(float(r[-1]))[1])
+    spline = PchipInterpolator(r / unit, f, extrapolate=False)
+    return lambda x, nu=0: spline(x / unit, nu) / unit**nu
+
+
 @dataclass(frozen=True)
 class RadialPlanarMeasure:
     """Rotation-invariant planar probability measure stored as a radial CDF.
@@ -119,7 +128,7 @@ class RadialPlanarMeasure:
         r, idx = np.unique(self.radii, return_index=True)
         if r.size < 2:
             return None
-        return PchipInterpolator(r, self.cumulative[idx], extrapolate=False)
+        return _pchip(r, self.cumulative[idx])
 
     def cdf(self, r) -> np.ndarray | float:
         """Mass of the closed ball (in the stored radial coordinate)."""
@@ -156,7 +165,7 @@ class RadialPlanarMeasure:
             interp = self._interpolant
             if interp is None:
                 raise DomainError("density needs at least two CDF samples")
-            deriv = np.clip(interp.derivative()(np.clip(r, self.radii[0], self.radii[-1])), 0.0, None)
+            deriv = np.clip(interp(np.clip(r, self.radii[0], self.radii[-1]), 1), 0.0, None)
             deriv = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0, deriv)
         out = deriv / (2.0 * math.pi * r)
         return float(out[0]) if scalar else out
@@ -472,8 +481,7 @@ def brown_rdiagonal(
     rs = inner + (outer - inner) * 0.5 * (1.0 - np.cos(np.pi * v))
     fs = np.empty_like(rs)
     inside = (rs >= r_dense[0]) & (rs <= r_dense[-1])
-    interp = PchipInterpolator(r_dense, f_dense, extrapolate=False)
-    fs[inside] = interp(rs[inside])
+    fs[inside] = _pchip(r_dense, f_dense)(rs[inside])
     # below the first dense sample the CDF runs linearly into the anchor
     low = rs < r_dense[0]
     if low.any():

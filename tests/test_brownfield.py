@@ -7,6 +7,7 @@ matrix's own eigensolve. Catalog operators add limit-law oracles on top.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from freeprob.brownfield import (
     default_epsilon,
     field_csv_text,
     field_metadata,
-    fk_determinant,
     logdet_field,
     mass_csv_text,
-    mass_in_disc,
     mass_in_region,
 )
 from freeprob.errors import DomainError, SentinelError
@@ -86,46 +85,46 @@ class TestGridSpec:
         assert g.dx == 0.5 and g.dy == 0.5
 
 
+def log_fk_at_zero(t, epsilon=0.0):
+    """The field at its centre node lambda = 0: ln of the regularized FK
+    determinant exp((1/2N) sum ln(sigma_i^2 + eps)) of t."""
+    g = GridSpec.square(0.5, 3, epsilon=epsilon)
+    return logdet_field(t, g).values[1, 1]
+
+
 class TestFkDeterminant:
+    """The field at lambda = 0 is ln of the Fuglede-Kadison determinant."""
+
     def test_identity(self):
-        assert fk_determinant(np.eye(2)) == 1.0
+        assert log_fk_at_zero(np.eye(2)) == 0.0
+        assert log_fk_at_zero(np.eye(2), 1e-8) == pytest.approx(0.5 * math.log1p(1e-8), abs=1e-15)
 
     def test_diag_geometric_mean(self):
-        assert fk_determinant(np.diag([1.0, 4.0])) == pytest.approx(2.0, abs=1e-14)
-
-    def test_nilpotent_singular_zero(self):
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert fk_determinant(e12) == 0.0
+        for eps in (0.0, 1e-12):
+            assert log_fk_at_zero(np.diag([1.0, 4.0]), eps) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_regularized_nilpotent_positive(self):
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        # singular values 1, 0 -> exp((ln(1+eps) + ln(eps))/4)
+        # singular values 1, 0 -> (ln(1+eps) + ln(eps))/4
         eps = 1e-4
-        expected = math.exp((math.log(1 + eps) + math.log(eps)) / 4)
-        assert fk_determinant(e12, eps) == pytest.approx(expected, rel=1e-12)
+        expected = (math.log(1 + eps) + math.log(eps)) / 4
+        assert log_fk_at_zero(e12, eps) == pytest.approx(expected, rel=1e-12)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(SEED)
         t = random_matrix(16, 3)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-        a, b = fk_determinant(t), fk_determinant(q @ t)
-        assert abs(a - b) <= 1e-10 * abs(a)
+        for eps in (0.0, default_epsilon(t)):
+            a, b = log_fk_at_zero(t, eps), log_fk_at_zero(q @ t, eps)
+            assert abs(a - b) <= 1e-10
 
     def test_multiplicative_on_invertibles(self):
         for seed in (1, 2, 3):
             a = np.eye(12) + 0.3 * random_matrix(12, seed)
             b = np.eye(12) + 0.3 * random_matrix(12, seed + 100)
-            lhs = fk_determinant(a @ b)
-            rhs = fk_determinant(a) * fk_determinant(b)
-            assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DomainError):
-            fk_determinant(np.zeros((2, 3)))
-
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(DomainError):
-            fk_determinant(np.eye(2), -1.0)
+            lhs = log_fk_at_zero(a @ b)
+            rhs = log_fk_at_zero(a) + log_fk_at_zero(b)
+            assert abs(lhs - rhs) <= 1e-10
 
 
 class TestLogdetField:
@@ -192,8 +191,8 @@ class TestLogdetField:
             x_min=-1.5, x_max=1.5, y_min=-1.5, y_max=1.5, nx=17, ny=17, epsilon=1e-7
         )
         a = logdet_field(t, g, threads=1).values
-        b = logdet_field(t, g, threads=4).values
-        assert np.array_equal(a, b)
+        for threads in (3, 4):
+            assert np.array_equal(a, logdet_field(t, g, threads=threads).values)
         g0 = GridSpec(x_min=-1.5, x_max=1.5, y_min=-1.5, y_max=1.5, nx=17, ny=17)
         c = logdet_field(t, g0, threads=1).values
         d = logdet_field(t, g0, threads=3).values
@@ -214,6 +213,17 @@ class TestLogdetField:
             got = logdet_field(t, g).values
             assert np.abs(got - svd_oracle(t, g)).max() <= 1e-11
 
+    def test_ragged_final_batch_matches_oracle(self):
+        # at N = 205 a batch holds 2**22 // 205**2 = 99 nodes, so a 101-node
+        # row is factored as batches of 99 and 2 in the same buffer
+        t = random_matrix(205, 17)
+        g = GridSpec(
+            x_min=-1.1, x_max=1.1, y_min=-0.3, y_max=0.3, nx=101, ny=3,
+            epsilon=default_epsilon(t),
+        )
+        got = logdet_field(t, g).values
+        assert np.abs(got - svd_oracle(t, g)).max() <= 1e-11
+
     def test_matches_svd_oracle_diagonal(self):
         t = np.diag([0.0, 0.5, -0.25 + 0.5j, 0.75j, 1.0 - 1.0j, 0.5])
         # nodes land exactly on the eigenvalues 0 and 0.5 (twice)
@@ -232,28 +242,36 @@ class TestLogdetField:
         g = GridSpec(
             x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5, epsilon=1e-300
         )
-        with pytest.raises(DomainError, match=r"epsilon 1\.000e-300 .* grid row 2 "):
-            logdet_field(np.outer(u, v.conj()), g)
+        t = np.outer(u, v.conj())
+        for threads in (1, 3):
+            with pytest.raises(DomainError, match=r"epsilon 1\.000e-300 .* grid row 2 "):
+                logdet_field(t, g, threads=threads)
+        # the failed call leaves nothing behind for the next one
+        g_ok = replace(g, epsilon=default_epsilon(t))
+        for threads in (1, 3):
+            got = logdet_field(t, g_ok, threads=threads).values
+            assert np.abs(got - svd_oracle(t, g_ok)).max() <= 1e-11
 
     def test_peak_memory_bounded_by_batch(self):
         # at N = 128 a batch holds 2**22 // 128**2 = 256 nodes, i.e. 2**22
-        # complex Gram entries of 16 bytes = 64 MiB; np.linalg.cholesky keeps
-        # the batch and its factor alive together, so the peak is two
-        # batches, 128 MiB, plus the row's O(N^2) matrices and the O(nodes)
-        # output (4 MiB allowed).  A 256-node grid row fills one batch.
+        # complex Gram entries of 16 bytes = 64 MiB; the factor overwrites
+        # the batch, so the peak is one batch per worker thread plus the
+        # rows' O(N^2) matrices and the O(nodes) output (4 MiB allowed).  A
+        # 256-node grid row fills one batch.
         batch = (1 << 22) * 16
         t = random_matrix(128, 3)
         g = GridSpec(
             x_min=-1.2, x_max=1.2, y_min=-1.2, y_max=1.2, nx=256, ny=3,
             epsilon=default_epsilon(t),
         )
-        tracemalloc.start()
-        try:
-            logdet_field(t, g, threads=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 2 * batch <= peak <= 2 * batch + (4 << 20)
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                logdet_field(t, g, threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert batch <= peak <= threads * batch + (4 << 20)
 
 
 class TestBrownLaplacian:
@@ -307,7 +325,8 @@ class TestBrownLaplacian:
         # limit law for the nilpotent-sum operator puts mass 1/3 in |z| <= 1/2
         t = realize("E12_plus_F12", build_m2_free_m2(256, 7))
         fld = brown_laplacian(logdet_field(t, GridSpec.square(0.85, 129)))
-        assert abs(mass_in_disc(fld, 0, 0.5) - 1.0 / 3.0) <= 0.05
+        disc = mass_in_region(fld, lambda x, y: x**2 + y**2 <= 0.25)
+        assert abs(disc - 1.0 / 3.0) <= 0.05
 
     def test_rotation_symmetric_field(self):
         # rotation-invariant limit law; the seed-averaged finite-dim field
@@ -328,7 +347,7 @@ class TestBrownLaplacian:
         with pytest.raises(DomainError):
             fld.total_mass()
         with pytest.raises(DomainError):
-            mass_in_disc(fld, 0, 1.0)
+            mass_in_region(fld, lambda x, y: x**2 + y**2 <= 1.0)
 
     def test_predicate_on_single_axis_broadcasts(self):
         t = np.diag([0.0, 1.0])

@@ -181,6 +181,20 @@ def test_rdiag_run_record_digests(two_point_file, tmp_path):
         assert sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_run_record_thread_settings(two_point_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    _run(["rdiag", two_point_file, "--out-dir", out])
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["blas_thread_env"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    }
+    assert record["affinity_cpus"] == len(os.sched_getaffinity(0)) >= 1
+    assert "run_record.json" not in record["outputs"]
+
+
 # -- simulate --------------------------------------------------------------
 
 

@@ -100,11 +100,13 @@ class TestTwoAtomAnnulus:
         assert np.array_equal(flipped.radii, base.radii)
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
-    @pytest.mark.parametrize("scale", [1e30, 1e100])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100])
     def test_cdf_is_scale_free(self, scale):
         # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; a
         # large s makes chi tiny, and the bisection must still reach float
-        # spacing (with 200 steps, s = 1e30 gave 0.508 at r = 1, not 0.733)
+        # spacing (with 200 steps, s = 1e30 gave 0.508 at r = 1, not 0.733);
+        # a small s makes chi huge, and the bracket must still reach it
+        # (doubling from -1, s = 1e-100 failed to bracket)
         base = brown_rdiagonal(TWO_ATOM)
         scaled = brown_rdiagonal(ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5))))
         probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 101)
