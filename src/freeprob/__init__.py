@@ -17,9 +17,7 @@ from .errors import (
 )
 from .measures import (
     ScalarMeasure,
-    TransformSample,
     chi_inverse,
-    chi_inverse_detailed,
     chi_vector,
     moment,
     psi_transform,
@@ -31,7 +29,6 @@ from .rdiagonal import (
     brown_rdiagonal,
     catalog_brown,
     pullback_radii,
-    support_membership,
 )
 from .matmodel import (
     FreeGroupModel,
@@ -59,7 +56,6 @@ from .algstruct import (
     close_algebra,
     commutant,
     find_invariant_subspace,
-    is_transitive,
     kfold_transitive,
     radical,
 )

@@ -29,7 +29,6 @@ __all__ = [
     "commutant",
     "radical",
     "find_invariant_subspace",
-    "is_transitive",
     "kfold_transitive",
 ]
 
@@ -364,17 +363,6 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
         verified=True,
         residual=0.0,
     )
-
-
-def is_transitive(span: AlgebraSpan) -> bool:
-    """True iff the span has no proper invariant subspace (iff dim = N^2)."""
-    report = find_invariant_subspace(span)
-    full = span.dim == span.ambient_dim**2
-    if (report.kind == "none") != full:
-        raise InternalInconsistencyError(
-            "subspace search and dimension count disagree on transitivity"
-        )
-    return report.kind == "none"
 
 
 # -- k-fold transitivity -------------------------------------------------------

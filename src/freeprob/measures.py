@@ -28,23 +28,12 @@ from .errors import DomainError, MeasureFormatError, PoleError
 
 __all__ = [
     "ScalarMeasure",
-    "TransformSample",
     "moment",
     "psi_transform",
     "chi_inverse",
-    "chi_inverse_detailed",
     "chi_vector",
     "s_transform",
 ]
-
-
-@dataclass(frozen=True)
-class TransformSample:
-    """One evaluated transform point with the branch that produced it."""
-
-    argument: float
-    value: float
-    branch_info: str
 
 
 @dataclass(frozen=True)
@@ -294,13 +283,8 @@ def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float
 
     method 'auto' uses the closed form for purely atomic measures with at
     most two atoms and falls back to chi_vector's bisection; 'closed' and
-    'numeric' force one path (used by the cross-validation tests).
+    'numeric' force one path (criterion 1 compares the two).
     """
-    return chi_inverse_detailed(measure, y, method).value
-
-
-def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto") -> TransformSample:
-    """chi with the branch that produced the value attached."""
     y = float(y)
     if method not in ("auto", "closed", "numeric"):
         raise DomainError(f"unknown chi method {method!r}")
@@ -308,15 +292,14 @@ def chi_inverse_detailed(measure: ScalarMeasure, y: float, method: str = "auto")
     if method == "closed" and not closed_ok:
         raise DomainError("closed-form chi needs at most two atoms and no density")
     if y == 0.0:
-        return TransformSample(y, 0.0, "principal:origin")
+        return 0.0
     if not y > _psi_lower_limit(measure):
         raise DomainError(
             f"y = {y} is at or below the lower limit {_psi_lower_limit(measure)} of psi"
         )
     if method == "closed" or (method == "auto" and closed_ok):
-        return TransformSample(y, _chi_closed(measure, y), "principal:closed-form")
-    z = float(chi_vector(measure, np.array([y]))[0])
-    return TransformSample(y, z, "principal:bisection")
+        return _chi_closed(measure, y)
+    return float(chi_vector(measure, np.array([y]))[0])
 
 
 # halvings that take any bracket within the doubles (widths 2^1024 down to

@@ -38,7 +38,6 @@ __all__ = [
     "RadialPlanarMeasure",
     "brown_rdiagonal",
     "catalog_brown",
-    "support_membership",
     "pullback_radii",
     "conditional_cdf",
 ]
@@ -382,12 +381,6 @@ def catalog_brown(tag: OperatorTag | str) -> RadialPlanarMeasure:
         support_outer=law.outer,
         closed_form=tag.value,
     )
-
-
-def support_membership(tag: OperatorTag | str, z: complex) -> bool:
-    """Whether z lies in the closed support of the catalogued Brown measure."""
-    law = CATALOG[OperatorTag(tag)]
-    return bool(law.coordinate(complex(z)) <= law.outer)
 
 
 def pullback_radii(tag: OperatorTag | str, values: np.ndarray) -> np.ndarray:

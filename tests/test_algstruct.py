@@ -17,7 +17,6 @@ from freeprob.algstruct import (
     close_algebra,
     commutant,
     find_invariant_subspace,
-    is_transitive,
     kfold_transitive,
     radical,
 )
@@ -115,7 +114,7 @@ class TestCloseAlgebra:
                 ]
             )
             assert span.dim == 25
-            assert is_transitive(span)
+            assert find_invariant_subspace(span).kind == "none"
 
 
 class TestCommutant:
@@ -244,10 +243,12 @@ class TestFindInvariantSubspace:
 
 class TestTransitivity:
     def test_full_true(self, m2):
-        assert is_transitive(m2)
+        assert m2.dim == 4
+        assert find_invariant_subspace(m2).kind == "none"
 
     def test_diagonal_false(self, diag3):
-        assert not is_transitive(diag3)
+        assert diag3.dim < 9
+        assert find_invariant_subspace(diag3).kind != "none"
 
     def test_burnside_equivalence_sweep(self):
         rng = np.random.default_rng(77)
@@ -256,7 +257,6 @@ class TestTransitivity:
             span = close_algebra(random_generators(rng, n, trial % 3))
             rep = find_invariant_subspace(span)
             full = span.dim == n * n
-            assert is_transitive(span) == full
             assert (rep.kind == "none") == full
             if rep.kind != "none":
                 assert rep.verified
@@ -272,7 +272,7 @@ class TestTransitivity:
                 for _ in range(2)
             ]
             span = close_algebra(gens)
-            if is_transitive(span):
+            if find_invariant_subspace(span).kind == "none":
                 seen_transitive += 1
                 assert kfold_transitive(span, 2, np.random.default_rng(trial))
                 assert span.dim == n * n
@@ -342,7 +342,7 @@ class TestLargeAlgebras:
     def test_twofold_at_sixteen(self, family, dim, verdict):
         span = close_algebra(prototype_generators(family, 16))
         assert span.dim == dim
-        assert is_transitive(span) == verdict
+        assert (find_invariant_subspace(span).kind == "none") == verdict
         result, peak = traced(lambda: kfold_transitive(span, 2, np.random.default_rng(0)))
         assert result == verdict
         assert peak < 200.0

