@@ -33,11 +33,9 @@ from .rdiagonal import (
 from .matmodel import (
     FreeGroupModel,
     MatrixModel,
-    SpectrumSample,
     build_free_group,
     build_m2_free_m2,
     catalog_spectrum,
-    empirical_radial_cdf,
     exact_identity_residuals,
     ks_distance,
     realize,

@@ -5,8 +5,12 @@ implementation against it at stated tolerances; nothing is fitted to the
 observed output.  Criteria 3-5 share one matrix model per seed: the catalog
 operators live in the same algebra, and the squared-operator laws follow
 from the sampled spectra by the spectral mapping lambda -> lambda^2.  Every
-spectrum is read from two n x n eigensolves of the Haar rotation's blocks
-per seed (catalog_spectrum), shared by all three comparisons.
+spectrum is a plain array of eigenvalues read from two n x n eigensolves of
+the Haar rotation's blocks per seed (catalog_spectrum), shared by all three
+comparisons; each criterion maps it to its law's radial coordinate
+(pullback_radii) and measures a KS distance.  The W1F12 atom 1/2 at 0 is
+exact by construction (the kernel is n exact zeros), so criterion 3 checks
+only the law conditioned off the atom.
 
 run_all executes the criteria in order and returns an AcceptanceResults
 consumed by both the CLI verify command and the acceptance test.  Every
@@ -43,7 +47,6 @@ from .matmodel import (
     catalog_spectrum,
     centered,
     derive_rng,
-    empirical_radial_cdf,
     exact_identity_residuals,
     haar_unitary,
     ks_distance,
@@ -241,31 +244,26 @@ def _criterion_3(cache: _SpectraCache) -> CriterionResult:
     samples = cache.samples()[OperatorTag.W1F12]
     catalog = catalog_brown(OperatorTag.W1F12)
     cond = conditional_cdf(catalog)
-    kernel_devs = []
     ks_values = []
-    for sample in samples:
-        emp = empirical_radial_cdf(sample, catalog.center)
-        kernel_devs.append(abs(emp.atom_fraction - catalog.center_atom_mass))
-        ks_values.append(ks_distance(emp.radii[emp.radii > 0.0], cond))
-    worst_kernel = max(kernel_devs)
+    for eigenvalues in samples:
+        radii = pullback_radii(OperatorTag.W1F12, eigenvalues)
+        ks_values.append(ks_distance(radii[radii > 0.0], cond))
     mean_ks = float(np.mean(ks_values))
     runtime = time.time() - started
-    passed = worst_kernel <= 0.02 and mean_ks <= 0.03 and runtime <= 600.0
+    passed = mean_ks <= 0.03 and runtime <= 600.0
     return CriterionResult(
         number=3,
         title="finite-dimensional radial law of the W1F12 operator",
         passed=passed,
-        headline=(
-            f"kernel fraction off by <= {worst_kernel:.4f} (bound 0.02), "
-            f"mean conditional KS {mean_ks:.4f} (bound 0.03)"
-        ),
+        headline=f"mean conditional KS {mean_ks:.4f} (bound 0.03)",
         runtime_s=runtime,
         details=(
             f"dimension {SPECTRA_DIM}, {SPECTRA_SEEDS} seeds",
-            "kernel deviations per seed: "
-            + ", ".join(f"{d:.4f}" for d in kernel_devs),
             "conditional KS per seed (atom excluded): "
             + ", ".join(f"{k:.4f}" for k in ks_values),
+            "the atom 1/2 at 0 is exact by construction and not checked: the "
+            "block route writes the kernel of W1 F12 (F12 = Q_1 Q_2* has rank "
+            "n) as n exact zeros",
             "runtime includes building the models and the two n x n block "
             "eigensolves per seed that criteria 4-5 reuse",
         ),
@@ -280,8 +278,8 @@ def _criterion_4(cache: _SpectraCache) -> CriterionResult:
     ks_values = []
     ks_squared = []
     violations = 0
-    for sample in samples:
-        radii = pullback_radii(OperatorTag.E12_plus_F12, sample.eigenvalues)
+    for eigenvalues in samples:
+        radii = pullback_radii(OperatorTag.E12_plus_F12, eigenvalues)
         violations += int(np.sum(radii > catalog.support_outer + SUPPORT_MARGIN))
         ks_values.append(ks_distance(radii, catalog.cdf))
         # spectral mapping: the squared operator's radial samples are |lambda|^2
@@ -344,11 +342,11 @@ def _criterion_5(cache: _SpectraCache) -> CriterionResult:
     squared = catalog_brown(OperatorTag.W1_plus_F12_squared)
     ks_values = []
     violations = 0
-    for sample in samples:
+    for eigenvalues in samples:
         # |lambda^2 - 1| is simultaneously the squared operator's distance to
         # its center 1 and the pullback coordinate of the unsquared law, so
         # one spectrum feeds both statements.
-        radii = pullback_radii(OperatorTag.W1_plus_F12, sample.eigenvalues)
+        radii = pullback_radii(OperatorTag.W1_plus_F12, eigenvalues)
         violations += int(np.sum(radii > squared.support_outer + SUPPORT_MARGIN))
         ks_values.append(ks_distance(radii, squared.cdf))
     mean_ks = float(np.mean(ks_values))

@@ -24,7 +24,7 @@ import scipy.linalg
 from scipy.linalg.lapack import zpotrf
 
 from .config import SIZE
-from .errors import DomainError, EigensolveError, SentinelError
+from .errors import DimensionMismatchError, DomainError, EigensolveError, SentinelError
 
 __all__ = [
     "GridSpec",
@@ -237,7 +237,7 @@ def logdet_field(
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"expected a square matrix, got {matrix.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
     path = "schur" if grid.epsilon == 0.0 else "svd"
 
     xs, ys = grid.xs(), grid.ys()

@@ -33,7 +33,13 @@ from .brownfield import (
     mass_csv_text,
 )
 from .algstruct import close_algebra, find_invariant_subspace, kfold_transitive
-from .errors import DomainError, FreeprobError, MeasureFormatError, exit_code_for
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    FreeprobError,
+    MeasureFormatError,
+    exit_code_for,
+)
 from .matio import load_matrix
 from .matmodel import (
     build_m2_free_m2,
@@ -178,11 +184,11 @@ def cmd_simulate(args) -> int:
         child = _child_seed(seed, f"simulate-{idx}")
         seed_list.append(child)
         model = build_m2_free_m2(half_dim, child)
-        sample = catalog_spectrum(tag, model)
-        pairs = zip(sample.eigenvalues.real.tolist(), sample.eigenvalues.imag.tolist())
+        eigenvalues = catalog_spectrum(tag, model)
+        pairs = zip(eigenvalues.real.tolist(), eigenvalues.imag.tolist())
         lines = "\n".join(f"{re!r},{im!r}" for re, im in pairs)
         writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + lines + "\n")
-        all_radii.append(pullback_radii(tag, sample.eigenvalues))
+        all_radii.append(pullback_radii(tag, eigenvalues))
 
     pooled = np.sort(np.concatenate(all_radii))
     cum = np.arange(1, pooled.size + 1) / pooled.size
@@ -225,6 +231,8 @@ def _field_matrix(args) -> tuple[np.ndarray, str]:
 def cmd_field(args) -> int:
     started = time.time()
     matrix, label = _field_matrix(args)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
     epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
     if args.grid is not None:
         grid = GridSpec(*_parse_grid(args.grid), epsilon=epsilon)

@@ -21,6 +21,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,6 @@ from .rdiagonal import CATALOG, OperatorTag
 __all__ = [
     "MatrixModel",
     "FreeGroupModel",
-    "SpectrumSample",
-    "EmpiricalRadialCdf",
     "FactorizationGap",
     "derive_rng",
     "haar_unitary",
@@ -48,7 +47,6 @@ __all__ = [
     "exact_identity_residuals",
     "spectrum",
     "catalog_spectrum",
-    "empirical_radial_cdf",
     "ks_distance",
     "ntrace",
     "centered",
@@ -222,124 +220,47 @@ def exact_identity_residuals(model: MatrixModel) -> dict[str, float]:
 # -- spectra ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """All eigenvalues of one realized matrix, with provenance."""
-
-    eigenvalues: np.ndarray
-    source: str
-    seed: int | None
-    dimension: int
-    norm: float  # normalized Frobenius norm of the source matrix
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=complex)
-        object.__setattr__(self, "eigenvalues", vals)
-        if vals.ndim != 1 or vals.size != self.dimension:
-            raise DimensionMismatchError(
-                f"expected {self.dimension} eigenvalues, got shape {vals.shape}"
-            )
-
-    @property
-    def zero_threshold(self) -> float:
-        """Distance below which an eigenvalue counts as sitting on a point."""
-        return 1e-8 * max(self.norm, 1e-300)
-
-
-def _normalized_frobenius(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix, "fro")) / math.sqrt(matrix.shape[0])
-
-
 def _eigvals(matrix: np.ndarray, source: str) -> np.ndarray:
     """Dense non-symmetric eigenvalues, with diagnostics if LAPACK fails."""
     try:
         return np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
         row_sum = float(np.max(np.abs(matrix).sum(axis=1)))
+        norm = float(np.linalg.norm(matrix, "fro")) / math.sqrt(matrix.shape[0])
         raise EigensolveError(
             f"eigensolve failed for {source or 'matrix'} (dim={matrix.shape[0]}, "
-            f"normalized Frobenius norm={_normalized_frobenius(matrix):.3e}, "
+            f"normalized Frobenius norm={norm:.3e}, "
             f"max row sum={row_sum:.3e}): {exc}"
         ) from exc
 
 
-def spectrum(
-    matrix: np.ndarray, source: str = "", seed: int | None = None
-) -> SpectrumSample:
-    """Dense non-symmetric eigensolve with failure diagnostics."""
+def spectrum(matrix: np.ndarray, source: str = "") -> np.ndarray:
+    """All eigenvalues of a square matrix by a dense non-symmetric eigensolve.
+
+    source names the matrix in the failure diagnostics.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-    return SpectrumSample(
-        eigenvalues=_eigvals(matrix, source),
-        source=source,
-        seed=seed,
-        dimension=matrix.shape[0],
-        norm=_normalized_frobenius(matrix),
-    )
+    return _eigvals(matrix, source)
 
 
-def catalog_spectrum(tag: OperatorTag | str, model: MatrixModel) -> SpectrumSample:
-    """All eigenvalues of realize(tag, model), read from n x n block eigensolves.
+def catalog_spectrum(tag: OperatorTag | str, model: MatrixModel) -> np.ndarray:
+    """All 2n eigenvalues of realize(tag, model), read from n x n block eigensolves.
 
     The catalog entry maps the model's cores (model.eigenvalues_of) to the
-    2n eigenvalues and gives the realized matrix's normalized Frobenius
-    norm from Q's blocks; the 2n x 2n matrix is never formed.
+    eigenvalues; the 2n x 2n matrix is never formed.
     """
-    tag = OperatorTag(tag)
-    vals, norm = CATALOG[tag].spectrum(model)
-    return SpectrumSample(
-        eigenvalues=vals, source=tag.value, seed=model.seed, dimension=model.dim, norm=norm
-    )
+    return CATALOG[OperatorTag(tag)].spectrum(model)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalRadialCdf:
-    """Step CDF of |eigenvalue - center| with an explicit atom at the center."""
-
-    radii: np.ndarray
-    cumulative: np.ndarray
-    atom_fraction: float
-    threshold: float
-    # fraction of points that would join the atom if the threshold grew 10x;
-    # a sharp kernel keeps this equal to atom_fraction
-    sensitivity: float
-
-
-def empirical_radial_cdf(
-    sample: SpectrumSample,
-    center: complex = 0j,
-    zero_threshold: float | None = None,
-) -> EmpiricalRadialCdf:
-    """Empirical radial law about a center, atom counted below the threshold."""
-    if sample.eigenvalues.size == 0:
-        raise DomainError("empty spectrum sample")
-    if zero_threshold is None:
-        zero_threshold = sample.zero_threshold
-    radii = np.abs(sample.eigenvalues - complex(center))
-    radii = np.where(radii < zero_threshold, 0.0, radii)
-    radii = np.sort(radii)
-    n = radii.size
-    cumulative = np.arange(1, n + 1, dtype=float) / n
-    atom = float(np.count_nonzero(radii == 0.0)) / n
-    wider = float(np.count_nonzero(radii < 10.0 * zero_threshold)) / n
-    return EmpiricalRadialCdf(
-        radii=radii,
-        cumulative=cumulative,
-        atom_fraction=atom,
-        threshold=float(zero_threshold),
-        sensitivity=wider,
-    )
-
-
-def ks_distance(empirical: EmpiricalRadialCdf | np.ndarray, cdf) -> float:
+def ks_distance(radii: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between sampled radii and a model CDF.
 
     Tied radii (the atom at the center in particular) are treated as one
     jump of the empirical CDF, compared against the model's value and left
     limit at that radius; the left limit at radius 0 is 0.
     """
-    radii = empirical.radii if isinstance(empirical, EmpiricalRadialCdf) else empirical
     radii = np.asarray(radii, dtype=float)
     n = radii.size
     if n == 0:
@@ -370,7 +291,10 @@ def ntrace(matrix: np.ndarray) -> complex:
 def centered(matrix: np.ndarray) -> np.ndarray:
     """Subtract the normalized trace times the identity."""
     matrix = np.asarray(matrix)
-    return matrix - ntrace(matrix) * np.eye(matrix.shape[0], dtype=matrix.dtype)
+    tau = ntrace(matrix)
+    out = matrix.astype(np.result_type(matrix, 1j))
+    out[np.diag_indices_from(out)] -= tau
+    return out
 
 
 _TOKEN_RE = re.compile(
@@ -414,10 +338,8 @@ def parse_word(text: str) -> tuple[WordFactor, ...]:
 
 def word_trace(model: MatrixModel | FreeGroupModel, word: str) -> complex:
     """Normalized trace of a word in the model's named factors."""
-    factors = parse_word(word)
-    dim = model.dim
-    product = np.eye(dim, dtype=complex)
-    for factor in factors:
+    mats = []
+    for factor in parse_word(word):
         base = model.factor(factor.name)
         if factor.power < 0 and not model.is_unitary_factor(factor.name):
             raise WordSpecError(
@@ -425,10 +347,8 @@ def word_trace(model: MatrixModel | FreeGroupModel, word: str) -> complex:
             )
         mat = base if factor.power >= 0 else base.conj().T
         mat = np.linalg.matrix_power(mat, abs(factor.power))
-        if factor.center:
-            mat = centered(mat)
-        product = product @ mat
-    return ntrace(product)
+        mats.append(centered(mat) if factor.center else mat)
+    return ntrace(reduce(np.matmul, mats))
 
 
 # -- the trace factorization identity ----------------------------------------
@@ -471,13 +391,12 @@ def trace_factorization_check(
         raise DomainError(
             f"Z must be centered: normalized trace is {ntrace(z):.3e}"
         )
-    left = a @ z @ b
-    right = c @ z @ d
-    lhs = ntrace(left.conj().T @ right)
-    rhs = (
-        ntrace(a.conj().T @ c)
-        * ntrace(b.conj().T @ d)
-        * ntrace(z.conj().T @ z)
-    )
+
+    # tau(X*Y) is the Frobenius inner product of X and Y over dim
+    def tau(x, y):
+        return complex(np.vdot(x, y)) / dim
+
+    lhs = tau(a @ z @ b, c @ z @ d)
+    rhs = tau(a, c) * tau(b, d) * tau(z, z)
     return FactorizationGap(lhs=lhs, rhs=rhs)
 

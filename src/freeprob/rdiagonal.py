@@ -229,9 +229,9 @@ class Law:
     coordinate maps eigenvalues to the stored radius; ball is the closed-ball
     mass on [0, outer] in that coordinate and slope its derivative; realize
     builds the operator from a matrix model's named factors (model.factor);
-    spectrum gives the realization's 2n eigenvalues and normalized Frobenius
-    norm from the model's rotation blocks (model.block) and n x n eigensolves
-    (model.eigenvalues_of), without forming the 2n x 2n matrix.
+    spectrum gives the realization's 2n eigenvalues as a plain array, read
+    from the model's n x n eigensolves (model.eigenvalues_of) without
+    forming the 2n x 2n matrix.
     """
 
     center: complex
@@ -241,7 +241,7 @@ class Law:
     ball: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
     realize: Callable[[Any], np.ndarray]
-    spectrum: Callable[[Any], tuple[np.ndarray, float]]
+    spectrum: Callable[[Any], np.ndarray]
 
     def cdf(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -290,51 +290,20 @@ def _nilpotent_core(m) -> np.ndarray:
     return m.block(2, 1) @ m.block(1, 2).conj().T
 
 
-def _reflected_trace(m) -> float:
-    """Re tr M = Re tr(W1 F12), read off the blocks without the product."""
-    return (np.vdot(m.block(1, 2), m.block(1, 1)) - np.vdot(m.block(2, 2), m.block(2, 1))).real
+def _mu(m) -> np.ndarray:
+    return m.eigenvalues_of(_reflected_core)
 
 
-def _w1f12_spectrum(m):
-    mu = m.eigenvalues_of(_reflected_core)
-    # ||W1 Q_1 Q_2*||_F^2 = tr(Q_2 Q_2*) = n
-    return np.concatenate((mu, np.zeros_like(mu))), SQRT_HALF
+def _nu(m) -> np.ndarray:
+    return m.eigenvalues_of(_nilpotent_core)
 
 
-def _nilpotent_sum_spectrum(m):
-    nu = m.eigenvalues_of(_nilpotent_core)
-    # ||E12 + F12||_F^2 = 2n + 2 Re tr(E12* F12), with tr(E12* F12) = tr(Q_11 Q_22*)
-    cross = np.vdot(m.block(2, 2), m.block(1, 1)).real
-    root = np.sqrt(nu)
-    return np.concatenate((root, -root)), math.sqrt(1.0 + cross / m.half_dim)
+def _plus_minus(v: np.ndarray) -> np.ndarray:
+    return np.concatenate((v, -v))
 
 
-def _nilpotent_square_spectrum(m):
-    nu = m.eigenvalues_of(_nilpotent_core)
-    # (E12 + F12)^2 = I_1 Q_21 Q_2* + Q_1 Q_12* I_2*; the cross term's trace
-    # is tr(Q_21* Q_11 Q_12* Q_22)
-    q11, q12, q21, q22 = m.block(1, 1), m.block(1, 2), m.block(2, 1), m.block(2, 2)
-    cross = np.vdot(q11.conj().T @ q21, q12.conj().T @ q22).real
-    square = np.vdot(q21, q21).real + np.vdot(q12, q12).real + 2.0 * cross
-    return np.concatenate((nu, nu)), math.sqrt(square / m.dim)
-
-
-def _shifted_sum_spectrum(m):
-    mu = m.eigenvalues_of(_reflected_core)
-    # ||W1 + F12||_F^2 = 2n + n + 2 Re tr(W1 F12)
-    root = np.sqrt(1.0 + mu)
-    return np.concatenate((root, -root)), math.sqrt(1.5 + _reflected_trace(m) / m.half_dim)
-
-
-def _shifted_square_spectrum(m):
-    mu = m.eigenvalues_of(_reflected_core)
-    # (W1 + F12)^2 = I + W1 F12 + F12 W1; the cross term's trace is tr(a c)
-    # with a = Q_1* W1 Q_1 and c = Q_2* W1 Q_2, both Hermitian
-    q11, q12, q21, q22 = m.block(1, 1), m.block(1, 2), m.block(2, 1), m.block(2, 2)
-    a = q11.conj().T @ q11 - q21.conj().T @ q21
-    c = q12.conj().T @ q12 - q22.conj().T @ q22
-    square = 2.0 + (2.0 * _reflected_trace(m) + np.vdot(a, c).real) / m.half_dim
-    return np.concatenate((1.0 + mu, 1.0 + mu)), math.sqrt(square)
+def _twice(v: np.ndarray) -> np.ndarray:
+    return np.concatenate((v, v))
 
 
 # center, center atom, outer radius, coordinate, ball mass, its slope,
@@ -343,26 +312,27 @@ CATALOG: dict[OperatorTag, Law] = {
     OperatorTag.W1F12: Law(
         0j, 0.5, SQRT_HALF, _about(0j),
         lambda r: 1.0 / (2.0 * (1.0 - r**2)), lambda r: r / (1.0 - r**2) ** 2,
-        lambda m: m.factor("W1") @ m.factor("F12"), _w1f12_spectrum,
+        # eig(M) and the kernel of rank-n F12 as n exact zeros
+        lambda m: m.factor("W1") @ m.factor("F12"), lambda m: np.pad(_mu(m), (0, m.half_dim)),
     ),
     OperatorTag.E12_plus_F12: Law(
         0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball, _nilpotent_slope,
-        lambda m: m.factor("E12") + m.factor("F12"), _nilpotent_sum_spectrum,
+        lambda m: m.factor("E12") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(_nu(m))),
     ),
     OperatorTag.E12_plus_F12_squared: Law(
         0j, 0.0, 0.5, _about(0j),
         lambda r: r / (1.0 - r), lambda r: 1.0 / (1.0 - r) ** 2,
-        lambda m: _square(m.factor("E12") + m.factor("F12")), _nilpotent_square_spectrum,
+        lambda m: _square(m.factor("E12") + m.factor("F12")), lambda m: _twice(_nu(m)),
     ),
     OperatorTag.W1_plus_F12_squared: Law(
         1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball, _nilpotent_slope,
-        lambda m: _square(m.factor("W1") + m.factor("F12")), _shifted_square_spectrum,
+        lambda m: _square(m.factor("W1") + m.factor("F12")), lambda m: _twice(1.0 + _mu(m)),
     ),
     # not radial about any center: stored in the coordinate |z^2 - 1|, the
     # pullback of the squared law, with center 0 the z -> -z symmetry point
     OperatorTag.W1_plus_F12: Law(
         0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball, _nilpotent_slope,
-        lambda m: m.factor("W1") + m.factor("F12"), _shifted_sum_spectrum,
+        lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + _mu(m))),
     ),
 }
 

@@ -23,7 +23,7 @@ from freeprob.brownfield import (
     mass_csv_text,
     mass_in_region,
 )
-from freeprob.errors import DomainError, SentinelError
+from freeprob.errors import DimensionMismatchError, DomainError, SentinelError
 from freeprob.matmodel import build_m2_free_m2, realize
 
 SEED = 20260822
@@ -147,7 +147,7 @@ class TestLogdetField:
         t = np.diag([0.3, 0.7])
         assert logdet_field(t, g0).path == "schur"
         assert logdet_field(t, geps).path == "svd"
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionMismatchError):
             logdet_field(np.zeros((2, 3)), g0)
 
     def test_paths_agree_away_from_spectrum(self):

@@ -321,6 +321,15 @@ def test_field_epsilon_below_gram_rounding_exits_4(tmp_path, capsys):
     assert "--epsilon 0 or a larger epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [["--grid-n", "8"], ["--grid=-1,1,-1,1,5,5"]])
+def test_field_non_square_matrix_exits_9(tmp_path, capsys, grid):
+    path = tmp_path / "wide.json"
+    save_matrix(path, np.ones((3, 4), dtype=complex))
+    code = _run(["field", "--matrix", path, *grid, "--out-dir", tmp_path / "out"])
+    assert code == 9
+    assert "square matrix" in capsys.readouterr().err
+
+
 def test_field_bad_grid_exits_4(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(path, np.eye(2, dtype=complex))

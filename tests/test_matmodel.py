@@ -13,16 +13,13 @@ from freeprob.errors import (
     WordSpecError,
 )
 from freeprob.matmodel import (
-    EmpiricalRadialCdf,
     FreeGroupModel,
     MatrixModel,
-    SpectrumSample,
     build_free_group,
     build_m2_free_m2,
     catalog_spectrum,
     centered,
     derive_rng,
-    empirical_radial_cdf,
     exact_identity_residuals,
     haar_unitary,
     ks_distance,
@@ -219,34 +216,15 @@ class TestRealize:
 class TestSpectrum:
     def test_jordan_block_is_nilpotent(self):
         j = np.diag(np.ones(2), k=1)
-        sam = spectrum(j, source="jordan")
-        assert np.max(np.abs(sam.eigenvalues)) < 1e-12
+        assert np.max(np.abs(spectrum(j, source="jordan"))) < 1e-12
 
     def test_diagonal(self):
-        sam = spectrum(np.diag([1.0, 2.0, 3.0]))
-        assert sorted(sam.eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
+        vals = spectrum(np.diag([1.0, 2.0, 3.0]))
+        assert sorted(vals.real) == pytest.approx([1.0, 2.0, 3.0])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             spectrum(np.ones((2, 3)))
-
-    def test_sample_count_validated(self):
-        with pytest.raises(DimensionMismatchError):
-            SpectrumSample(
-                eigenvalues=np.zeros(3, dtype=complex),
-                source="t",
-                seed=None,
-                dimension=4,
-                norm=1.0,
-            )
-
-    def test_kernel_fraction_of_rotated_product(self, big_model):
-        sam = spectrum(realize(OperatorTag.W1F12, big_model), source="W1F12")
-        emp = empirical_radial_cdf(sam)
-        assert abs(emp.atom_fraction - 0.5) <= 0.02
-        # the kernel is exact in this model, so the atom is insensitive to
-        # widening the threshold
-        assert emp.sensitivity == emp.atom_fraction
 
 
 class TestCatalogSpectrum:
@@ -258,13 +236,12 @@ class TestCatalogSpectrum:
         model = build_m2_free_m2(128, seed)
         block = catalog_spectrum(tag, model)
         dense = spectrum(realize(tag, model), source=tag.value)
-        cost = np.abs(block.eigenvalues[:, None] - dense.eigenvalues[None, :])
+        assert block.shape == (model.dim,)
+        cost = np.abs(block[:, None] - dense[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10
-        assert block.norm == pytest.approx(dense.norm, rel=1e-12, abs=0.0)
-        assert (block.source, block.seed, block.dimension) == (tag.value, seed, 256)
         if tag is OperatorTag.W1F12:
-            assert np.count_nonzero(block.eigenvalues == 0.0) == model.half_dim
+            assert np.count_nonzero(block == 0.0) == model.half_dim
 
     def test_tags_share_two_eigensolves(self, monkeypatch):
         model = build_m2_free_m2(16, seed=5)
@@ -285,18 +262,7 @@ class TestCatalogSpectrum:
 
 
 class TestEmpiricalCdf:
-    def test_tiny_example(self):
-        sam = SpectrumSample(
-            eigenvalues=np.array([0.0, 0.0, 1.0], dtype=complex),
-            source="t",
-            seed=None,
-            dimension=3,
-            norm=1.0,
-        )
-        emp = empirical_radial_cdf(sam, center=0j, zero_threshold=1e-8)
-        assert emp.atom_fraction == pytest.approx(2.0 / 3.0)
-        assert emp.cumulative[-1] == 1.0
-        assert emp.radii[-1] == 1.0
+    """Sampled radii against the catalog laws through ks_distance's step CDF."""
 
     def test_ks_of_exact_quantile_sample(self):
         cat = catalog_brown(OperatorTag.E12_plus_F12)
@@ -326,20 +292,20 @@ class TestEmpiricalCdf:
         ],
     )
     def test_spectra_match_catalog(self, big_model, tag):
-        cat = catalog_brown(tag)
-        sam = spectrum(realize(tag, big_model), source=tag.value)
-        emp = empirical_radial_cdf(sam, center=cat.center)
-        assert ks_distance(emp, cat.cdf) <= 0.05
+        radii = pullback_radii(tag, spectrum(realize(tag, big_model), source=tag.value))
+        # the dense eigensolve leaves the W1F12 kernel below 1e-14 rather
+        # than at 0, the law's atom; every other radius is above 1e-3
+        radii = np.where(radii < 1e-12, 0.0, radii)
+        assert ks_distance(radii, catalog_brown(tag).cdf) <= 0.05
 
     def test_spectrum_matches_catalog_in_pullback_coordinate(self, big_model):
-        sam = spectrum(realize(OperatorTag.W1_plus_F12, big_model), source="W1_plus_F12")
-        rho = pullback_radii(OperatorTag.W1_plus_F12, sam.eigenvalues)
+        vals = spectrum(realize(OperatorTag.W1_plus_F12, big_model), source="W1_plus_F12")
+        rho = pullback_radii(OperatorTag.W1_plus_F12, vals)
         assert ks_distance(rho, catalog_brown(OperatorTag.W1_plus_F12).cdf) <= 0.05
 
     def test_support_radius_bound(self, big_model):
-        sam = spectrum(realize(OperatorTag.E12_plus_F12, big_model), source="e")
-        emp = empirical_radial_cdf(sam)
-        assert emp.radii.max() <= 1.0 / math.sqrt(2.0) + 0.05
+        vals = spectrum(realize(OperatorTag.E12_plus_F12, big_model), source="e")
+        assert np.abs(vals).max() <= 1.0 / math.sqrt(2.0) + 0.05
 
     def test_two_atom_annulus_against_recipe(self, big_model):
         # Haar unitary times a deterministic positive diagonal: the recipe's
@@ -351,10 +317,9 @@ class TestEmpiricalCdf:
         rng = derive_rng(97, "annulus-check")
         u = haar_unitary(dim, rng)
         h = np.diag(np.concatenate([np.full(dim // 2, 0.5), np.full(dim // 2, 1.5)]))
-        sam = spectrum(u @ h, source="UH")
+        radii = np.abs(spectrum(u @ h, source="UH"))
         law = brown_rdiagonal(ScalarMeasure(atoms=((0.5, 0.5), (1.5, 0.5))))
-        emp = empirical_radial_cdf(sam)
-        assert ks_distance(emp, law.cdf) <= 0.05
+        assert ks_distance(radii, law.cdf) <= 0.05
 
 
 class TestWords:
@@ -387,6 +352,21 @@ class TestWords:
         word = "c(W1) c(V1) c(W1) c(V1) c(W1)"
         mean = np.mean([word_trace(build_m2_free_m2(256, s), word) for s in range(5)])
         assert abs(mean) < 0.1
+
+    def test_centered_subtracts_the_trace_on_a_copy(self):
+        m = np.arange(9.0).reshape(3, 3)
+        out = centered(m)
+        assert out.dtype == complex
+        assert np.array_equal(out, m - 4.0 * np.eye(3))
+        assert np.array_equal(m, np.arange(9.0).reshape(3, 3))
+
+    def test_matches_the_explicit_product(self, model):
+        v1 = model.factor("V1")
+        c_w1 = model.factor("W1") - ntrace(model.factor("W1")) * np.eye(model.dim)
+        c_v1inv = v1.conj().T - ntrace(v1.conj().T) * np.eye(model.dim)
+        explicit = ntrace(c_w1 @ v1 @ v1 @ model.factor("F12") @ c_v1inv)
+        got = word_trace(model, "c(W1) V1^2 F12 c(V1^-1)")
+        assert got == pytest.approx(explicit, abs=1e-13)
 
     def test_haar_symmetrization_commutes(self, model):
         u = model.factor("W1") @ model.factor("V1")
@@ -433,6 +413,21 @@ class TestTraceFactorization:
             return np.mean([one(s) for s in range(5)])
 
         assert gap(512) < gap(128)
+
+    def test_sides_match_the_explicit_products(self):
+        # general non-unitary inputs, where no side reduces to a constant
+        rng = np.random.default_rng(16)
+        a, b, c, d, g = (
+            (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) / math.sqrt(32)
+            for _ in range(5)
+        )
+        z = centered(g)
+        out = trace_factorization_check(a, b, c, d, z)
+        lhs = ntrace((a @ z @ b).conj().T @ (c @ z @ d))
+        rhs = ntrace(a.conj().T @ c) * ntrace(b.conj().T @ d) * ntrace(z.conj().T @ z)
+        assert abs(out.lhs - lhs) <= 1e-12
+        assert abs(out.rhs - rhs) <= 1e-12
+        assert abs(lhs) > 1e-3 and abs(rhs) > 1e-5
 
     def test_uncentered_rejected(self, freegroup):
         eye = np.eye(freegroup.dim, dtype=complex)
