@@ -29,7 +29,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Sizing:
-    # number of stored radial CDF samples (uniform in radius)
+    # number of radial CDF samples the radial recipe stores
     cdf_samples: int = 2049
     # quantile-map evaluation grid behind the radial recipe
     quantile_grid: int = 8192

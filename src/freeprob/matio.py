@@ -28,6 +28,14 @@ def _re_im(matrix: np.ndarray) -> np.ndarray:
     return np.stack((matrix.real, matrix.imag), axis=-1)
 
 
+def _complex(parts: list) -> np.ndarray:
+    """Complex array from reals in alternating re, im order, each finite."""
+    parts = np.array(parts, dtype=float)
+    if not np.all(np.isfinite(parts)):
+        raise MeasureFormatError("matrix entries must be finite")
+    return parts.view(complex)
+
+
 def matrix_to_json(matrix: np.ndarray) -> dict:
     parts = _re_im(matrix)
     return {
@@ -53,7 +61,7 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         flat = [float(v) for re, im in data for v in (re, im)]
     except (TypeError, ValueError) as exc:
         raise MeasureFormatError(f"malformed matrix entry: {exc}") from exc
-    return np.array(flat).view(complex).reshape(rows, cols)
+    return _complex(flat).reshape(rows, cols)
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
@@ -84,7 +92,7 @@ def matrix_from_csv(text: str) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise MeasureFormatError("empty matrix file")
-    return np.array(rows).view(complex)
+    return _complex(rows)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:

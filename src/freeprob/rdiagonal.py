@@ -55,9 +55,6 @@ class OperatorTag(str, enum.Enum):
     W1_plus_F12 = "W1_plus_F12"
 
 
-_TAG_VALUES = frozenset(t.value for t in OperatorTag)
-
-
 def _pchip(r: np.ndarray, f: np.ndarray):
     """Monotone cubic F(r), or its nu-th derivative, built on r over a power of
     two: the division is exact, and keeps the divided differences of radii
@@ -71,10 +68,10 @@ def _pchip(r: np.ndarray, f: np.ndarray):
 class RadialPlanarMeasure:
     """Rotation-invariant planar probability measure stored as a radial CDF.
 
-    cumulative[i] is the mass of the closed ball of radius radii[i] about
-    center (atoms included).  Evaluation interpolates with a monotone
-    piecewise cubic unless closed_form names a catalog law, in which case the
-    law's exact expression, in the law's own coordinate, is used.
+    The radial recipe's sampled output: cumulative[i] is the mass of the
+    closed ball of radius radii[i] about center (atoms included), read by a
+    monotone piecewise cubic.  center, center_atom_mass, support_outer and
+    cdf mean what they mean on a catalog Law.
     """
 
     center: complex
@@ -83,7 +80,6 @@ class RadialPlanarMeasure:
     cumulative: np.ndarray
     support_inner: float
     support_outer: float
-    closed_form: str | None = None
 
     def __post_init__(self) -> None:
         radii = np.asarray(self.radii, dtype=float)
@@ -110,13 +106,6 @@ class RadialPlanarMeasure:
             )
         if not self.support_inner <= self.support_outer:
             raise MeasureFormatError("support_inner must not exceed support_outer")
-        if self.closed_form is not None and self.closed_form not in _TAG_VALUES:
-            raise MeasureFormatError(f"unknown closed-form tag {self.closed_form!r}")
-
-    @property
-    def law(self) -> Law | None:
-        """The catalog entry named by closed_form, if any."""
-        return None if self.closed_form is None else CATALOG[OperatorTag(self.closed_form)]
 
     @property
     def center_atom_mass(self) -> float:
@@ -134,21 +123,15 @@ class RadialPlanarMeasure:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if self.law is not None:
-            out = self.law.cdf(r)
-        else:
-            out = np.empty_like(r)
-            below = r < self.radii[0]
-            above = r >= self.radii[-1]
-            mid = ~(below | above)
-            out[below] = self.center_atom_mass
-            out[above] = self.cumulative[-1]
-            if mid.any():
-                interp = self._interpolant
-                if interp is None:
-                    out[mid] = self.cumulative[0]
-                else:
-                    out[mid] = np.clip(interp(r[mid]), 0.0, 1.0)
+        out = np.full_like(r, np.nan)
+        below = r < self.radii[0]
+        above = r >= self.radii[-1]
+        mid = (r >= self.radii[0]) & (r < self.radii[-1])
+        out[below] = self.center_atom_mass
+        out[above] = self.cumulative[-1]
+        # NaN stays NaN; mid is empty when all radii are equal (no interpolant)
+        if mid.any():
+            out[mid] = np.clip(self._interpolant(r[mid]), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     def density(self, r) -> np.ndarray | float:
@@ -158,14 +141,11 @@ class RadialPlanarMeasure:
         r = np.atleast_1d(r)
         if np.any(r <= 0):
             raise DomainError("planar density is defined for r > 0")
-        if self.law is not None:
-            deriv = self.law.derivative(r)
-        else:
-            interp = self._interpolant
-            if interp is None:
-                raise DomainError("density needs at least two CDF samples")
-            deriv = np.clip(interp(np.clip(r, self.radii[0], self.radii[-1]), 1), 0.0, None)
-            deriv = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0, deriv)
+        interp = self._interpolant
+        if interp is None:
+            raise DomainError("density needs at least two CDF samples")
+        deriv = np.clip(interp(np.clip(r, self.radii[0], self.radii[-1]), 1), 0.0, None)
+        deriv = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0, deriv)
         out = deriv / (2.0 * math.pi * r)
         return float(out[0]) if scalar else out
 
@@ -177,7 +157,6 @@ class RadialPlanarMeasure:
             "atoms": [[z.real, z.imag, m] for z, m in self.atoms],
             "cdf": [[float(r), float(f)] for r, f in zip(self.radii, self.cumulative)],
             "support": [self.support_inner, self.support_outer],
-            "closed_form": self.closed_form,
         }
         return json.dumps(payload)
 
@@ -198,20 +177,21 @@ class RadialPlanarMeasure:
                 cumulative=pairs[:, 1],
                 support_inner=float(payload["support"][0]),
                 support_outer=float(payload["support"][1]),
-                closed_form=payload.get("closed_form"),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MeasureFormatError(f"malformed radial measure payload: {exc}") from exc
 
     def cdf_csv_rows(self, denominator: int = 1024) -> list[tuple[float, float]]:
-        """(r, F) rows on the dyadic grid k/denominator covering the support.
+        """(r, F) rows on the grid k * step covering the support.
 
-        Dyadic radii keep round values like 0.5 exactly representable in the
-        exported file; the exact support endpoints are appended.
+        step is the power of two above support_outer over denominator, so the
+        row count does not grow with scale and round radii like 0.5 stay exact
+        in the exported file; the exact support endpoints are appended.
         """
-        k0 = math.ceil(self.support_inner * denominator)
-        k1 = math.floor(self.support_outer * denominator)
-        rs = [k / denominator for k in range(k0, k1 + 1)]
+        step = math.ldexp(1.0, math.frexp(self.support_outer)[1]) / denominator
+        k0 = math.ceil(self.support_inner / step)
+        k1 = math.floor(self.support_outer / step)
+        rs = [k * step for k in range(k0, k1 + 1)]
         if not rs or rs[0] > self.support_inner:
             rs.insert(0, self.support_inner)
         if rs[-1] < self.support_outer:
@@ -227,16 +207,15 @@ class Law:
     """A catalogued Brown measure and the operator it belongs to.
 
     coordinate maps eigenvalues to the stored radius; ball is the closed-ball
-    mass on [0, outer] in that coordinate and slope its derivative; realize
-    builds the operator from a matrix model's named factors (model.factor);
-    spectrum gives the realization's 2n eigenvalues as a plain array, read
-    from the model's n x n eigensolves (model.eigenvalues_of) without
-    forming the 2n x 2n matrix.
+    mass on [0, support_outer] in that coordinate and slope its derivative;
+    realize builds the operator from a matrix model's named factors
+    (model.factor); spectrum gives the realization's 2n eigenvalues, read
+    from the model's n x n eigensolves without forming the 2n x 2n matrix.
     """
 
     center: complex
-    atom: float
-    outer: float
+    center_atom_mass: float
+    support_outer: float
     coordinate: Callable[[np.ndarray], np.ndarray]
     ball: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
@@ -245,13 +224,17 @@ class Law:
 
     def cdf(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        inside = self.ball(np.clip(r, 0.0, self.outer))
-        return np.where(r < 0.0, 0.0, np.where(r >= self.outer, 1.0, inside))
+        inside = self.ball(np.clip(r, 0.0, self.support_outer))
+        return np.where(r < 0.0, 0.0, np.where(r >= self.support_outer, 1.0, inside))
 
-    def derivative(self, r: np.ndarray) -> np.ndarray:
+    def density(self, r: np.ndarray) -> np.ndarray:
+        """Radial part of the planar density, F'(r) / (2 pi r)."""
         r = np.asarray(r, dtype=float)
-        inside = self.slope(np.clip(r, 0.0, self.outer))
-        return np.where((r > 0.0) & (r < self.outer), inside, 0.0)
+        if np.any(r <= 0.0):
+            raise DomainError("planar density is defined for r > 0")
+        inside = self.slope(np.clip(r, 0.0, self.support_outer))
+        slope = np.where(r < self.support_outer, inside, 0.0)
+        return slope / (2.0 * math.pi * r)
 
 
 def _about(center: complex) -> Callable[[np.ndarray], np.ndarray]:
@@ -306,7 +289,7 @@ def _twice(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v, v))
 
 
-# center, center atom, outer radius, coordinate, ball mass, its slope,
+# center, center atom mass, outer radius, coordinate, ball mass, its slope,
 # realization, block spectrum
 CATALOG: dict[OperatorTag, Law] = {
     OperatorTag.W1F12: Law(
@@ -337,20 +320,9 @@ CATALOG: dict[OperatorTag, Law] = {
 }
 
 
-def catalog_brown(tag: OperatorTag | str) -> RadialPlanarMeasure:
+def catalog_brown(tag: OperatorTag | str) -> Law:
     """Closed-form Brown measure for a catalogued operator."""
-    tag = OperatorTag(tag)
-    law = CATALOG[tag]
-    rs = np.linspace(0.0, law.outer, SIZE.cdf_samples)
-    return RadialPlanarMeasure(
-        center=law.center,
-        atoms=((law.center, law.atom),) if law.atom > 0.0 else (),
-        radii=rs,
-        cumulative=law.cdf(rs),
-        support_inner=0.0,
-        support_outer=law.outer,
-        closed_form=tag.value,
-    )
+    return CATALOG[OperatorTag(tag)]
 
 
 def pullback_radii(tag: OperatorTag | str, values: np.ndarray) -> np.ndarray:
@@ -358,7 +330,7 @@ def pullback_radii(tag: OperatorTag | str, values: np.ndarray) -> np.ndarray:
     return CATALOG[OperatorTag(tag)].coordinate(np.asarray(values, dtype=complex))
 
 
-def conditional_cdf(measure: RadialPlanarMeasure):
+def conditional_cdf(measure: RadialPlanarMeasure | Law):
     """CDF of the measure conditioned on not sitting in the center atom."""
     a = measure.center_atom_mass
     if a >= 1.0:

@@ -140,6 +140,17 @@ def test_mixed_generator_sizes_exits_9(tmp_path):
     assert _run(["algebra", a, b, "--out-dir", tmp_path / "out"]) == 9
 
 
+@pytest.mark.parametrize("command", ["field", "algebra"])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, command, suffix, bad):
+    path = tmp_path / f"bad{suffix}"
+    save_matrix(path, np.array([[1.0, 0.0], [bad, 0.5j]]))
+    argv = ["--matrix", path, "--grid-n", "8"] if command == "field" else [path]
+    assert _run([command, *argv, "--out-dir", tmp_path / "out"]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unreachable_error_codes_still_mapped():
     # no subcommand parses words or can disagree with itself on purpose,
     # so these taxonomy entries are asserted on the mapping directly

@@ -12,10 +12,10 @@ from freeprob.errors import (
     DiracInputError,
     DomainError,
     MeasureFormatError,
-    exit_code_for,
 )
 from freeprob.measures import ScalarMeasure
 from freeprob.rdiagonal import (
+    CATALOG,
     OperatorTag,
     RadialPlanarMeasure,
     brown_rdiagonal,
@@ -66,6 +66,13 @@ class TestWorkedExample:
         rs = np.linspace(0.0, SQRT_HALF, 4097)
         gap = np.max(np.abs(np.asarray(m.cdf(rs)) - np.asarray(cat.cdf(rs))))
         assert gap <= 1e-8
+
+    def test_planar_density_matches_catalog_entry(self):
+        # the recipe's density is the derivative of its cubic interpolant
+        m = brown_rdiagonal(BERNOULLI)
+        rs = np.linspace(0.02, SQRT_HALF - 0.01, 301)
+        ratio = np.asarray(m.density(rs)) / catalog_brown(OperatorTag.W1F12).density(rs)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-4
 
 
 class TestTwoAtomAnnulus:
@@ -164,6 +171,8 @@ class TestDiracHandling:
         assert m.support_inner == m.support_outer == 2.0
         assert m.cdf(1.999) == 0.0
         assert m.cdf(2.0) == 1.0
+        # a NaN radius lies in no range, here as on any other measure
+        assert math.isnan(m.cdf(math.nan))
 
     def test_dirac_at_zero_degenerates_to_point_mass(self):
         m = brown_rdiagonal(ScalarMeasure(atoms=((0.0, 1.0),)), allow_dirac=True)
@@ -202,32 +211,39 @@ class TestCatalog:
         assert cat.cdf(0.5) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_tags_accept_strings(self):
-        assert catalog_brown("W1F12").closed_form == "W1F12"
+        # catalog_brown is a lookup: the entry itself, by string or enum
+        assert catalog_brown("W1F12") is CATALOG[OperatorTag.W1F12]
+        assert catalog_brown(OperatorTag.W1F12) is CATALOG[OperatorTag.W1F12]
         with pytest.raises(ValueError):
             catalog_brown("NotATag")
 
     def test_edge_invariants_all_tags(self):
         for tag in OperatorTag:
             cat = catalog_brown(tag)
-            assert np.all(np.diff(np.asarray(cat.cdf(cat.radii))) >= -1e-15)
-            assert cat.cdf(cat.support_inner) == pytest.approx(
-                cat.center_atom_mass, abs=1e-12
-            )
+            rs = np.linspace(0.0, cat.support_outer, 2049)
+            assert np.all(np.diff(np.asarray(cat.cdf(rs))) >= -1e-15)
+            assert cat.cdf(0.0) == pytest.approx(cat.center_atom_mass, abs=1e-12)
             assert cat.cdf(cat.support_outer) == pytest.approx(1.0, abs=1e-12)
 
     def test_squared_law_matches_squared_radii(self):
         # squaring the nilpotent sum's radii lands on the squared law's CDF
         base = catalog_brown(OperatorTag.E12_plus_F12)
         squared = catalog_brown(OperatorTag.E12_plus_F12_squared)
-        rs = base.radii
+        rs = np.linspace(0.0, base.support_outer, 2049)
         gap = np.max(np.abs(np.asarray(squared.cdf(rs**2)) - np.asarray(base.cdf(rs))))
         assert gap <= 1e-10
 
-    def test_planar_density_recovers_total_mass(self):
-        cat = catalog_brown(OperatorTag.E12_plus_F12)
-        rs = np.linspace(1e-9, SQRT_HALF, 40001)
+    @pytest.mark.parametrize("tag", list(OperatorTag), ids=lambda t: t.value)
+    def test_planar_density_recovers_total_mass(self, tag):
+        # the continuous part carries all mass outside the center atom
+        cat = catalog_brown(tag)
+        rs = np.linspace(1e-9, cat.support_outer, 40001)
         mass = np.trapezoid(np.asarray(cat.density(rs)) * 2.0 * np.pi * rs, rs)
-        assert mass == pytest.approx(1.0, abs=1e-3)
+        assert mass == pytest.approx(1.0 - cat.center_atom_mass, abs=1e-3)
+
+    def test_planar_density_needs_positive_radius(self):
+        with pytest.raises(DomainError):
+            catalog_brown(OperatorTag.W1F12).density(np.array([0.5, 0.0]))
 
     def test_conditional_cdf_strips_atom(self):
         cat = catalog_brown(OperatorTag.W1F12)
@@ -270,26 +286,13 @@ class TestSerialization:
         assert np.array_equal(back.radii, m.radii)
         assert np.array_equal(back.cumulative, m.cumulative)
         assert back.support_inner == m.support_inner
-        assert back.closed_form is None
-
-    def test_json_keeps_closed_form_tag(self):
-        cat = catalog_brown(OperatorTag.W1F12)
-        back = RadialPlanarMeasure.from_json(cat.to_json())
-        assert back.closed_form == "W1F12"
-        assert back.cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_json_payload_shape(self):
-        payload = json.loads(catalog_brown(OperatorTag.W1_plus_F12_squared).to_json())
-        assert payload["center"] == [1.0, 0.0]
+        payload = json.loads(brown_rdiagonal(BERNOULLI).to_json())
+        assert sorted(payload) == ["atoms", "cdf", "center", "support"]
+        assert payload["center"] == [0.0, 0.0]
+        assert payload["atoms"] == [[0.0, 0.0, 0.5]]
         assert payload["support"] == [0.0, pytest.approx(SQRT_HALF)]
-        assert payload["closed_form"] == "W1_plus_F12_squared"
-
-    def test_unknown_closed_form_rejected_at_load(self):
-        payload = json.loads(catalog_brown(OperatorTag.W1F12).to_json())
-        payload["closed_form"] = "bogus"
-        with pytest.raises(MeasureFormatError) as excinfo:
-            RadialPlanarMeasure.from_json(json.dumps(payload))
-        assert exit_code_for(excinfo.value) == 3
 
     def test_malformed_json_raises(self):
         with pytest.raises(MeasureFormatError):
@@ -298,10 +301,23 @@ class TestSerialization:
             RadialPlanarMeasure.from_json('{"center": [0, 0]}')
 
     def test_csv_rows_hit_dyadic_grid(self):
-        rows = dict(catalog_brown(OperatorTag.W1F12).cdf_csv_rows())
-        assert rows[0.5] == pytest.approx(2.0 / 3.0, abs=1e-14)
+        rows = dict(brown_rdiagonal(BERNOULLI).cdf_csv_rows())
+        assert rows[0.5] == pytest.approx(2.0 / 3.0, abs=1e-8)
         assert max(rows) == pytest.approx(SQRT_HALF)
         assert rows[max(rows)] == 1.0
+
+    @pytest.mark.parametrize("exponent", [-10, 10])
+    def test_csv_rows_scale_with_the_measure(self, exponent):
+        # the grid step follows the outer radius's power of two, so scaling
+        # H by 2^e scales every row's radius by 2^e and keeps its mass
+        scale = 2.0**exponent
+        base = brown_rdiagonal(TWO_ATOM).cdf_csv_rows()
+        scaled = brown_rdiagonal(
+            ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5)))
+        ).cdf_csv_rows()
+        # outer radius sqrt(5/4) lies in [1, 2), so the step is 2/1024
+        assert base[2][0] - base[1][0] == 2.0 / 1024
+        assert scaled == [(r * scale, f) for r, f in base]
 
     def test_validation_rejects_bad_cdf(self):
         with pytest.raises(MeasureFormatError):
