@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SIZE, TOL
+from .config import SIZE, TOL, require_fits
 from .errors import DimensionMismatchError, DomainError, InternalInconsistencyError
 
 __all__ = [
@@ -31,17 +31,6 @@ __all__ = [
     "find_invariant_subspace",
     "kfold_transitive",
 ]
-
-# inputs whose largest array would pass this size are refused up front
-_MAX_SYSTEM_BYTES = 256 * 2**20
-
-
-def _require_fits(need: int, what: str) -> None:
-    if need > _MAX_SYSTEM_BYTES:
-        raise DomainError(
-            f"{what} needs ~{need >> 20} MB, above the {_MAX_SYSTEM_BYTES >> 20} MB cap"
-        )
-
 
 # -- span plumbing -----------------------------------------------------------
 
@@ -158,7 +147,7 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     if n < 1:
         raise DomainError("ambient dimension must be positive")
     # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
-    _require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
+    require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
     left = (np.eye(n, dtype=complex),) + gens
     rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]))
@@ -409,7 +398,7 @@ def kfold_transitive(
 
     comm = commutant(span)
     # k^2 dim(A') candidate matrices in M_kN
-    _require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
+    require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
     eye_k = np.eye(k, dtype=complex)
     units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
     subspaces = _discover_verified_subspaces(

@@ -40,7 +40,7 @@ from .errors import (
     MeasureFormatError,
     exit_code_for,
 )
-from .matio import load_matrix
+from .matio import load_matrix, read_text
 from .matmodel import (
     build_m2_free_m2,
     catalog_spectrum,
@@ -146,11 +146,7 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
 
 def cmd_rdiag(args) -> int:
     started = time.time()
-    try:
-        text = Path(args.measure_file).read_text()
-    except OSError as exc:
-        raise MeasureFormatError(f"cannot read {args.measure_file}: {exc}") from exc
-    mu = ScalarMeasure.from_json(text)
+    mu = ScalarMeasure.from_json(read_text(args.measure_file))
     radial = brown_rdiagonal(mu)
     writer = OutputWriter(args.out_dir)
     stem = Path(args.measure_file).stem
@@ -371,9 +367,7 @@ def _apply_config(args) -> None:
     if args.config is None:
         return
     try:
-        payload = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise MeasureFormatError(f"cannot read config {args.config}: {exc}") from exc
+        payload = json.loads(read_text(args.config))
     except json.JSONDecodeError as exc:
         raise MeasureFormatError(f"{args.config}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

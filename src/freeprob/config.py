@@ -2,12 +2,15 @@
 
 TOL holds the shared tolerances and SIZE the default grid sizes and sampling
 budgets.  Both are frozen instances that each module imports by value, so
-nothing changes them at run time.
+nothing changes them at run time.  require_fits refuses, before allocating,
+any input whose largest array would pass MAX_SYSTEM_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -46,3 +49,13 @@ class Sizing:
 
 TOL = Tolerances()
 SIZE = Sizing()
+
+# inputs whose largest array would pass this size are refused up front
+MAX_SYSTEM_BYTES = 256 * 2**20
+
+
+def require_fits(need: int, what: str) -> None:
+    if need > MAX_SYSTEM_BYTES:
+        raise DomainError(
+            f"{what} needs ~{need >> 20} MB, above the {MAX_SYSTEM_BYTES >> 20} MB cap"
+        )

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MeasureFormatError
 
 __all__ = ["matrix_to_json", "matrix_from_json", "matrix_to_csv", "matrix_from_csv",
-           "save_matrix", "load_matrix"]
+           "save_matrix", "load_matrix", "read_text"]
 
 
 def _re_im(matrix: np.ndarray) -> np.ndarray:
@@ -105,14 +105,23 @@ def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
         raise MeasureFormatError(f"unsupported matrix extension {path.suffix!r}")
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's UTF-8 text; a file that cannot be read or decoded is a
+    format error, so it exits 3 like any other malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeasureFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".json":
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
         return matrix_from_json(payload)
     if path.suffix == ".csv":
-        return matrix_from_csv(path.read_text())
+        return matrix_from_csv(read_text(path))
     raise MeasureFormatError(f"unsupported matrix extension {path.suffix!r}")

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import require_fits
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -72,10 +73,18 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise DomainError(f"unitary dimension must be >= 1, got {dim}")
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g / math.sqrt(2.0))
+    require_fits(16 * dim**2, f"a Haar rotation of dimension {dim}")
+    # fill g in place from one float buffer: the same draws as
+    # standard_normal + 1j * standard_normal, without its three temporaries
+    g = np.empty((dim, dim), dtype=complex)
+    buf = np.empty((dim, dim))
+    g.real = rng.standard_normal(out=buf)
+    g.imag = rng.standard_normal(out=buf)
+    del buf
+    g /= math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    q *= d / np.abs(d)
     return q
 
 

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .config import SIZE, TOL
 from .errors import DiracInputError, DomainError, MeasureFormatError
@@ -58,7 +57,11 @@ class OperatorTag(str, enum.Enum):
 def _pchip(r: np.ndarray, f: np.ndarray):
     """Monotone cubic F(r), or its nu-th derivative, built on r over a power of
     two: the division is exact, and keeps the divided differences of radii
-    near 1e-100 from overflowing."""
+    near 1e-100 from overflowing.  scipy.interpolate is imported here, not at
+    module level: it is most of the package's import time, and only the radial
+    recipe reads it."""
+    from scipy.interpolate import PchipInterpolator
+
     unit = math.ldexp(1.0, math.frexp(float(r[-1]))[1])
     spline = PchipInterpolator(r / unit, f, extrapolate=False)
     return lambda x, nu=0: spline(x / unit, nu) / unit**nu

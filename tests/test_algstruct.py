@@ -12,7 +12,6 @@ import pytest
 
 from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
-    _MAX_SYSTEM_BYTES,
     AlgebraSpan,
     close_algebra,
     commutant,
@@ -20,6 +19,7 @@ from freeprob.algstruct import (
     kfold_transitive,
     radical,
 )
+from freeprob.config import MAX_SYSTEM_BYTES
 from freeprob.errors import DimensionMismatchError, DomainError
 from freeprob.matmodel import derive_rng, haar_unitary
 
@@ -355,7 +355,7 @@ class TestLargeAlgebras:
 
     def test_size_cap_refuses_before_allocating(self):
         n = 64
-        assert 16 * 4 * n**4 > _MAX_SYSTEM_BYTES
+        assert 16 * 4 * n**4 > MAX_SYSTEM_BYTES
         gens = [np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)]
 
         def refuse():
@@ -368,7 +368,7 @@ class TestLargeAlgebras:
     def test_kfold_size_cap_refuses_large_k(self):
         # M_9 of the trivial algebra's 81-dimensional commutant, in M_81
         span = close_algebra([], ambient_dim=9)
-        assert 16 * 9**4 * 81 * 9**2 > _MAX_SYSTEM_BYTES
+        assert 16 * 9**4 * 81 * 9**2 > MAX_SYSTEM_BYTES
         with pytest.raises(DomainError, match="cap"):
             kfold_transitive(span, 9)
 

@@ -63,17 +63,36 @@ def test_version_exits_0(capsys):
     assert "freeprob" in capsys.readouterr().out
 
 
-def test_module_entry_point_prints_version():
+def _run_python(*args):
+    """A fresh interpreter that imports freeprob from this checkout's src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
-    proc = subprocess.run(
-        [sys.executable, "-m", "freeprob", "--version"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_prints_version():
+    proc = _run_python("-m", "freeprob", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"freeprob {__version__}"
+
+
+def test_radial_recipe_alone_imports_scipy_interpolate():
+    # scipy.interpolate is most of the package's import time; only the
+    # radial recipe reads it, so importing the package must not load it
+    script = (
+        "import sys\n"
+        "import freeprob, freeprob.cli\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+        "freeprob.brown_rdiagonal(freeprob.ScalarMeasure(((0.0, 0.5), (1.0, 0.5))))\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_malformed_measure_exits_3(tmp_path, capsys):
@@ -87,6 +106,23 @@ def test_missing_measure_file_exits_3(tmp_path):
     assert _run(["rdiag", tmp_path / "absent.json", "--out-dir", tmp_path]) == 3
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("entry", ["algebra-json", "algebra-csv", "field", "rdiag", "config"])
+def test_unreadable_input_file_exits_3(two_point_file, tmp_path, capsys, entry, content):
+    path = tmp_path / ("x.csv" if entry == "algebra-csv" else "x.json")
+    if content is not None:
+        path.write_bytes(content)
+    argv = {
+        "algebra-json": ["algebra", path],
+        "algebra-csv": ["algebra", path],
+        "field": ["field", "--matrix", path, "--grid-n", "8"],
+        "rdiag": ["rdiag", path],
+        "config": ["rdiag", two_point_file, "--config", path],
+    }[entry]
+    assert _run([*argv, "--out-dir", tmp_path / "out"]) == 3
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 def test_simulate_without_seed_exits_4(tmp_path):
     code = _run(["simulate", "--tag", "W1F12", "--dim", "32",
                  "--out-dir", tmp_path])
@@ -97,6 +133,13 @@ def test_simulate_odd_dim_exits_4(tmp_path):
     code = _run(["simulate", "--tag", "W1F12", "--dim", "33", "--seed", "1",
                  "--out-dir", tmp_path])
     assert code == 4
+
+
+def test_simulate_huge_dim_exits_4(tmp_path, capsys):
+    code = _run(["simulate", "--tag", "W1F12", "--dim", "400000", "--seed", "1",
+                 "--out-dir", tmp_path])
+    assert code == 4
+    assert "256 MB cap" in capsys.readouterr().err
 
 
 def test_simulate_zero_seeds_exits_4(tmp_path):

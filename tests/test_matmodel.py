@@ -1,11 +1,13 @@
 """Matrix-model oracle: exact relations every seed, freeness in the limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from freeprob.config import require_fits
 from freeprob.errors import (
     DimensionMismatchError,
     DomainError,
@@ -75,6 +77,27 @@ class TestHaarUnitary:
     def test_bad_dim_rejected(self):
         with pytest.raises(DomainError):
             haar_unitary(0, derive_rng(SEED, "bad"))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 127])
+    def test_matches_the_plain_expression_bitwise(self, dim):
+        # the in-place build draws the same stream and rounds the same way
+        rng = derive_rng(SEED, "plain")
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g / math.sqrt(2.0))
+        d = np.diagonal(r)
+        expected = q * (d / np.abs(d))
+        assert haar_unitary(dim, derive_rng(SEED, "plain")).tobytes() == expected.tobytes()
+
+    def test_size_cap_refuses_before_allocating(self):
+        require_fits(16 * 4096**2, "dim 4096")  # exactly the cap still passes
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="256 MB cap"):
+                build_free_group(5000, 1)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0
 
     def test_derived_streams_are_independent(self):
         a = derive_rng(SEED, "alpha").standard_normal(4)
