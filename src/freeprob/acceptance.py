@@ -290,13 +290,14 @@ def _criterion_4(cache: _SpectraCache) -> CriterionResult:
     mean_ks = float(np.mean(ks_values))
     mean_ks_sq = float(np.mean(ks_squared))
 
-    # Adjudicate the density-constant question numerically.  Candidate A is
-    # the radial CDF family used by this package; candidates B and C are the
-    # density forms with the radial factor dropped.
-    rs = np.linspace(0.0, catalog.support_outer, 20001)
-    mass_without_r = float(2.0 * np.trapezoid((1.0 - rs * rs) ** -2.0, rs))
-    rho = np.linspace(1e-6, 0.5, 20001)
-    probe = float(0.5 * np.trapezoid(rho**-1.0 * (1.0 - rho) ** -2.0, rho))
+    # Adjudicate the density-constant question in closed form.  Candidate A
+    # is the radial CDF family used by this package; candidates B and C are
+    # the density forms with the radial factor dropped, of masses
+    # 2 int_0^a (1-r^2)^-2 dr and (1/2) int_rho0^(1/2) rho^-1 (1-rho)^-2 drho.
+    a = catalog.support_outer
+    mass_without_r = a / (1.0 - a * a) + math.atanh(a)
+    rho0 = 1e-6
+    probe = 0.5 * (2.0 - math.log(rho0 / (1.0 - rho0)) - 1.0 / (1.0 - rho0))
     note = (
         "density adjudication: F(r) = r^2/(1-r^2) on [0, 1/sqrt(2)] and its "
         "squared-coordinate pushforward F(rho) = rho/(1-rho) on [0, 1/2] are "

@@ -25,6 +25,7 @@ from functools import reduce
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .config import require_fits
 from .errors import (
@@ -70,22 +71,41 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     Each column of Q is rescaled by the phase of the matching diagonal entry
     of R; without that correction the QR factorization is biased by the
     sign convention of the decomposition.
+
+    The Ginibre matrix is drawn into one Fortran-order array, factored there
+    by LAPACK zgeqrf and turned into Q there by zungqr, so the build holds
+    the rotation and an O(dim * 32) workspace; only R's diagonal is copied
+    out.  The f2py wrappers honour overwrite_a only for F-contiguous arrays
+    and silently copy any other layout, and the lwork = -1 workspace queries
+    pass it too, since a query without it copies the whole matrix.  The
+    result is F-ordered and equal, byte for byte, to the same expression
+    through np.linalg.qr.
     """
     if dim < 1:
         raise DomainError(f"unitary dimension must be >= 1, got {dim}")
     require_fits(16 * dim**2, f"a Haar rotation of dimension {dim}")
-    # fill g in place from one float buffer: the same draws as
-    # standard_normal + 1j * standard_normal, without its three temporaries
-    g = np.empty((dim, dim), dtype=complex)
-    buf = np.empty((dim, dim))
-    g.real = rng.standard_normal(out=buf)
-    g.imag = rng.standard_normal(out=buf)
-    del buf
+    # standard_normal refuses the strided g.real and g.imag as out=; row
+    # chunks of ~64K draws equal the bulk (dim, dim) draws bit for bit
+    g = np.empty((dim, dim), dtype=complex, order="F")
+    rows = max(1, 65536 // dim)
+    for part in (g.real, g.imag):
+        for i in range(0, dim, rows):
+            part[i : i + rows] = rng.standard_normal((min(rows, dim - i), dim))
     g /= math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    tau = _lapack_call(zgeqrf, g)[1]
+    d = np.diagonal(g).copy()
+    q = _lapack_call(zungqr, g, tau)[0]
     q *= d / np.abs(d)
     return q
+
+
+def _lapack_call(routine: Callable, a: np.ndarray, *args: np.ndarray) -> list:
+    """Run a scipy LAPACK wrapper in place on F-ordered a, workspace queried first."""
+    work = routine(a, *args, lwork=-1, overwrite_a=1)[-2]
+    *out, info = routine(a, *args, lwork=int(work[0].real), overwrite_a=1)
+    if info != 0:
+        raise EigensolveError(f"LAPACK {routine.__name__} failed with info = {info}")
+    return out
 
 
 def m2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -90,3 +90,6 @@ def test_density_adjudication_recorded(results):
     notes = results.results[3].notes
     assert any("density adjudication" in note for note in notes)
     assert any("rho/(1-rho)" in note for note in notes)
+    # closed forms: sqrt(2) + ln(1 + sqrt(2)) and the truncated 1/rho integral
+    assert any("integrates to 2.2956, not 1" in note for note in notes)
+    assert any("already integrates to 7.4)" in note for note in notes)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from freeprob import matmodel
 from freeprob.config import require_fits
 from freeprob.errors import (
     DimensionMismatchError,
@@ -78,7 +79,8 @@ class TestHaarUnitary:
         with pytest.raises(DomainError):
             haar_unitary(0, derive_rng(SEED, "bad"))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 127])
+    # 300 and 512 pass LAPACK's 128-column crossover into the blocked code
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 127, 300, 512])
     def test_matches_the_plain_expression_bitwise(self, dim):
         # the in-place build draws the same stream and rounds the same way
         rng = derive_rng(SEED, "plain")
@@ -87,6 +89,25 @@ class TestHaarUnitary:
         d = np.diagonal(r)
         expected = q * (d / np.abs(d))
         assert haar_unitary(dim, derive_rng(SEED, "plain")).tobytes() == expected.tobytes()
+
+    def test_build_holds_little_more_than_the_rotation(self):
+        # a copy of the Ginibre matrix, a float draw buffer or a workspace
+        # query without overwrite_a each pushes the peak to about 1.5-2x
+        tracemalloc.start()
+        try:
+            haar_unitary(1024, derive_rng(SEED, "peak"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 1024**2
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def zgeqrf(a, lwork, overwrite_a):
+            return a, np.ones(len(a), dtype=complex), np.ones(1, dtype=complex), -1
+
+        monkeypatch.setattr(matmodel, "zgeqrf", zgeqrf)
+        with pytest.raises(EigensolveError, match="zgeqrf failed with info = -1"):
+            haar_unitary(8, derive_rng(SEED, "fail"))
 
     def test_size_cap_refuses_before_allocating(self):
         require_fits(16 * 4096**2, "dim 4096")  # exactly the cap still passes
