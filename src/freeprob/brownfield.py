@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import zpotrf
 
-from .config import SIZE
+from .config import SIZE, require_fits
 from .errors import DimensionMismatchError, DomainError, EigensolveError, SentinelError
 
 __all__ = [
@@ -82,14 +82,14 @@ class GridSpec:
         cls,
         points: np.ndarray,
         n: int,
-        padding: float = 0.15,
         epsilon: float = 0.0,
     ) -> "GridSpec":
-        """Smallest padded square grid containing the given complex points."""
+        """Grid around the given complex points, padded on every side by a
+        quarter of the larger side of their bounding box."""
         points = np.asarray(points, dtype=complex)
         x0, x1 = float(points.real.min()), float(points.real.max())
         y0, y1 = float(points.imag.min()), float(points.imag.max())
-        pad = padding * max(x1 - x0, y1 - y0, 1e-3)
+        pad = 0.25 * max(x1 - x0, y1 - y0, 1e-3)
         return cls(
             x_min=x0 - pad,
             x_max=x1 + pad,
@@ -233,12 +233,18 @@ def logdet_field(
     Gram matrix's rounding leaves a factor undefined and raises DomainError.
     Grid rows are split into one contiguous share per thread, each thread
     reusing one buffer for its share, and written back by index, so the
-    result is identical for any thread count.
+    result is identical for any thread count.  Before any evaluation, a
+    value array or, at epsilon > 0, a row's Gram pair B*B, B + B* past the
+    size cap is refused.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
     path = "schur" if grid.epsilon == 0.0 else "svd"
+    n = matrix.shape[0]
+    require_fits(8 * grid.nx * grid.ny, f"a {grid.nx} x {grid.ny} field")
+    if path == "svd":
+        require_fits(32 * n * n, f"the Gram pair of a {n} x {n} matrix")
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))
@@ -257,7 +263,6 @@ def logdet_field(
             return [_schur_column(diag, xs, ys[iy], jitter) for iy in share]
 
     else:
-        n = matrix.shape[0]
         chunk = min(grid.nx, max(1, (1 << 22) // max(1, n * n)))
 
         def run_rows(share: np.ndarray):

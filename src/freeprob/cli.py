@@ -50,6 +50,7 @@ from .matmodel import (
 )
 from .measures import ScalarMeasure
 from .rdiagonal import (
+    SUPPORT_MARGIN,
     OperatorTag,
     brown_rdiagonal,
     catalog_brown,
@@ -192,7 +193,7 @@ def cmd_simulate(args) -> int:
     writer.write_text("empirical_cdf.csv", "r,cdf\n" + rows + "\n")
 
     ks = ks_distance(pooled, catalog.cdf)
-    margin_violations = int(np.sum(pooled > catalog.support_outer + 0.05))
+    margin_violations = int(np.sum(pooled > catalog.support_outer + SUPPORT_MARGIN))
     summary = {
         "tag": tag.value,
         "dim": args.dim,
@@ -234,7 +235,7 @@ def cmd_field(args) -> int:
         grid = GridSpec(*_parse_grid(args.grid), epsilon=epsilon)
     else:
         eigs = np.linalg.eigvals(matrix)
-        grid = GridSpec.covering(eigs, n=args.grid_n, padding=0.25, epsilon=epsilon)
+        grid = GridSpec.covering(eigs, n=args.grid_n, epsilon=epsilon)
     field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))
     writer = OutputWriter(args.out_dir)
     writer.write_text("field.csv", field_csv_text(field))

@@ -35,6 +35,7 @@ __all__ = [
     "Law",
     "OperatorTag",
     "RadialPlanarMeasure",
+    "SUPPORT_MARGIN",
     "brown_rdiagonal",
     "catalog_brown",
     "pullback_radii",
@@ -184,14 +185,14 @@ class RadialPlanarMeasure:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MeasureFormatError(f"malformed radial measure payload: {exc}") from exc
 
-    def cdf_csv_rows(self, denominator: int = 1024) -> list[tuple[float, float]]:
+    def cdf_csv_rows(self) -> list[tuple[float, float]]:
         """(r, F) rows on the grid k * step covering the support.
 
-        step is the power of two above support_outer over denominator, so the
+        step is the power of two above support_outer over 1024, so the
         row count does not grow with scale and round radii like 0.5 stay exact
         in the exported file; the exact support endpoints are appended.
         """
-        step = math.ldexp(1.0, math.frexp(self.support_outer)[1]) / denominator
+        step = math.ldexp(1.0, math.frexp(self.support_outer)[1]) / 1024
         k0 = math.ceil(self.support_inner / step)
         k1 = math.floor(self.support_outer / step)
         rs = [k * step for k in range(k0, k1 + 1)]
@@ -321,6 +322,11 @@ CATALOG: dict[OperatorTag, Law] = {
         lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + _mu(m))),
     ),
 }
+
+
+# how far past a law's outer radius a finite-dimensional eigenvalue may sit
+# before it counts as a support violation
+SUPPORT_MARGIN = 0.05
 
 
 def catalog_brown(tag: OperatorTag | str) -> Law:

@@ -6,6 +6,7 @@ the recorded evidence if the criterion failed.  Run with -s to see the lines
 on a green suite.
 """
 
+import itertools
 import json
 
 import pytest
@@ -75,6 +76,29 @@ def test_criterion_9_cli_reproducibility(results):
     _check(results, 9)
 
 
+def _slow_clock(monkeypatch, step: float) -> None:
+    # each reading is step seconds after the one before
+    ticks = itertools.count(0.0, step)
+    monkeypatch.setattr(acceptance.time, "time", lambda: next(ticks))
+
+
+def test_runner_fails_a_criterion_past_its_bound(monkeypatch):
+    _slow_clock(monkeypatch, 5.0)
+    result = acceptance._criterion_1()
+    # the check itself holds; only the 1 s bound fails it
+    assert result.runtime_s >= 5.0
+    assert not result.passed
+    assert result.details[-1] == f"runtime {result.runtime_s:.2f} s (bound 1 s)"
+
+
+def test_runner_ignores_the_clock_without_a_bound(monkeypatch):
+    _slow_clock(monkeypatch, 1e6)
+    result = acceptance._criterion_7()
+    assert result.runtime_s >= 1e6
+    assert result.passed
+    assert result.details[-1] == f"runtime {result.runtime_s:.2f} s (no bound)"
+
+
 def test_report_shape(results):
     assert results.total == 9
     assert results.master_seed == acceptance.MASTER_SEED
@@ -84,6 +108,16 @@ def test_report_shape(results):
     text = json.dumps(payload)
     assert json.loads(text)["total"] == 9
     assert len(results.lines) == 9
+
+
+def test_report_key_sets(results):
+    payload = results.to_json()
+    assert set(payload) == {"master_seed", "passed", "total", "all_passed", "criteria"}
+    for criterion in payload["criteria"]:
+        assert set(criterion) == {
+            "number", "title", "passed", "headline", "runtime_s", "details", "notes",
+        }
+        assert criterion["details"][-1].startswith("runtime ")
 
 
 def test_density_adjudication_recorded(results):

@@ -73,9 +73,10 @@ class TestGridSpec:
         assert g.x_min == -1.0 and g.x_max == 3.0
         assert g.y_min == -1.0 and g.y_max == 3.0
         pts = np.array([0.0 + 0j, 1.0 + 2j])
-        g2 = GridSpec.covering(pts, n=21, padding=0.1)
-        assert g2.x_min < 0.0 < 1.0 < g2.x_max
-        assert g2.y_min < 0.0 < 2.0 < g2.y_max
+        g2 = GridSpec.covering(pts, n=21)
+        # padded by a quarter of the larger side, 2, on every side
+        assert (g2.x_min, g2.x_max) == (-0.5, 1.5)
+        assert (g2.y_min, g2.y_max) == (-0.5, 2.5)
 
     def test_node_layout(self):
         g = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=2.0, nx=3, ny=5)
@@ -202,7 +203,7 @@ class TestLogdetField:
         t = random_matrix(50, 13)
         eigs = np.linalg.eigvals(t)
         eps = default_epsilon(t)
-        grids = [GridSpec.covering(eigs, n=24, padding=0.25, epsilon=eps)]
+        grids = [GridSpec.covering(eigs, n=24, epsilon=eps)]
         # the centre node of each small grid lies within 1e-6 of an eigenvalue,
         # where the Gram matrix's smallest eigenvalue is close to eps
         grids += [
@@ -251,6 +252,13 @@ class TestLogdetField:
         for threads in (1, 3):
             got = logdet_field(t, g_ok, threads=threads).values
             assert np.abs(got - svd_oracle(t, g_ok)).max() <= 1e-11
+
+    def test_gram_pair_above_size_cap_refused(self):
+        # a read-only broadcast view: the matrix itself takes no memory
+        big = np.broadcast_to(np.complex128(1.0), (2897, 2897))
+        # 32 * 2897^2 bytes is just past 256 MiB; 2896 would fit
+        with pytest.raises(DomainError, match="Gram pair of a 2897 x 2897 matrix"):
+            logdet_field(big, GridSpec.square(1.0, 3, epsilon=1e-6))
 
     def test_peak_memory_bounded_by_batch(self):
         # at N = 128 a batch holds 2**22 // 128**2 = 256 nodes, i.e. 2**22
@@ -307,7 +315,7 @@ class TestBrownLaplacian:
         eps = default_epsilon(t)
         errors = []
         for n in (65, 129):
-            g = GridSpec.covering(eigs, n=n, padding=0.25, epsilon=eps)
+            g = GridSpec.covering(eigs, n=n, epsilon=eps)
             fld = brown_laplacian(logdet_field(t, g))
             errors.append(abs(fld.total_mass() - 1.0))
         assert errors[1] <= 0.5 * errors[0]
@@ -315,7 +323,7 @@ class TestBrownLaplacian:
     def test_subharmonic_within_noise_floor(self):
         t = random_matrix(20, 4)
         g = GridSpec.covering(
-            np.linalg.eigvals(t), n=65, padding=0.25, epsilon=default_epsilon(t)
+            np.linalg.eigvals(t), n=65, epsilon=default_epsilon(t)
         )
         fld = brown_laplacian(logdet_field(t, g))
         assert math.isfinite(fld.noise_floor)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freeprob import __version__, cli
+from freeprob import __version__, brownfield, cli
 from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
@@ -382,6 +382,21 @@ def test_field_non_square_matrix_exits_9(tmp_path, capsys, grid):
     code = _run(["field", "--matrix", path, *grid, "--out-dir", tmp_path / "out"])
     assert code == 9
     assert "square matrix" in capsys.readouterr().err
+
+
+def test_field_above_size_cap_exits_4_at_once(tmp_path, capsys, monkeypatch):
+    # an 8x8 matrix on a 6000^2 grid needs a 288 MB value array
+    def evaluated(*args):
+        raise AssertionError("a grid row was evaluated")
+
+    monkeypatch.setattr(brownfield, "_svd_column", evaluated)
+    path = tmp_path / "m.json"
+    save_matrix(path, np.eye(8, dtype=complex))
+    code = _run(["field", "--matrix", path, "--grid-n", "6000",
+                 "--out-dir", tmp_path / "out"])
+    assert code == 4
+    assert "6000 x 6000 field needs ~274 MB, above the 256 MB cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_field_bad_grid_exits_4(tmp_path):
