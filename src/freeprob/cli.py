@@ -2,22 +2,23 @@
 algebra reports, and the acceptance verifier, all with reproducible run
 records.
 
-Every command writes its outputs plus a run_record.json holding the command
-line, master seed, config snapshot, wall time, the BLAS thread variables,
-the number of CPUs the process may use, and a sha256 digest per output
-file.  Stochastic commands refuse to run without an explicit --seed; there
-is no silent entropy.
+Each command returns its output files as text; only once it succeeds does
+main write them plus a run_record.json with the command line, master seed,
+config snapshot, wall time, BLAS thread variables, usable CPU count, and a
+sha256 digest per output, so a failed command leaves no directory behind.
+Stochastic commands need an explicit --seed; there is no silent entropy.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
+from hashlib import sha256
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,47 +70,44 @@ CONFIG_KEYS = {
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class OutputWriter:
-    """Writes command outputs under out_dir and tracks their digests."""
+class CommandResult(NamedTuple):
+    """A command's output texts by file name, its summary and its exit code."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.digests: dict[str, str] = {}
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
-        path.write_text(text)
-        self.digests[name] = hashlib.sha256(text.encode()).hexdigest()
-        return path
-
-    def write_json(self, name: str, payload) -> Path:
-        return self.write_text(
-            name, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+    outputs: dict[str, str]
+    summary: str
+    code: int = 0
 
 
-def _config_snapshot(args) -> dict:
-    snap = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    snap["out_dir"] = str(snap["out_dir"])
-    return snap
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_run_record(writer: OutputWriter, args, started: float) -> None:
+def _csv_text(header: str, rows) -> str:
+    return header + "\n" + "\n".join(f"{a!r},{b!r}" for a, b in rows) + "\n"
+
+
+def _write_outputs(args, outputs: dict[str, str], started: float) -> None:
+    """The CLI's one disk writer: out_dir, each output, then run_record.json."""
     record = {
         "command": args.raw_argv,
         "seed": args.seed,
-        "config": _config_snapshot(args),
+        "config": {key: getattr(args, key, None) for key in CONFIG_KEYS}
+        | {"out_dir": str(args.out_dir)},
         "wall_time_s": time.time() - started,
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "affinity_cpus": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
-        "outputs": dict(sorted(writer.digests.items())),
+        "outputs": {n: sha256(t.encode()).hexdigest() for n, t in outputs.items()},
     }
-    (writer.out_dir / "run_record.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
+    path = args.out_dir
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in {**outputs, "run_record.json": _json_text(record)}.items():
+            path = args.out_dir / name
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MeasureFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _require_seed(args, command: str) -> int:
@@ -145,56 +143,48 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_rdiag(args) -> int:
-    started = time.time()
+def cmd_rdiag(args) -> CommandResult:
     mu = ScalarMeasure.from_json(read_text(args.measure_file))
     radial = brown_rdiagonal(mu)
-    writer = OutputWriter(args.out_dir)
     stem = Path(args.measure_file).stem
-    # to_json already returns serialized text, so write it verbatim
-    writer.write_text(f"{stem}_radial.json", radial.to_json() + "\n")
     rows = radial.cdf_csv_rows()
-    csv_text = "r,cdf\n" + "\n".join(f"{r!r},{f!r}" for r, f in rows) + "\n"
-    writer.write_text(f"{stem}_cdf.csv", csv_text)
-    _write_run_record(writer, args, started)
-    print(
+    return CommandResult(
+        # to_json already returns serialized text, so it is written verbatim
+        {
+            f"{stem}_radial.json": radial.to_json() + "\n",
+            f"{stem}_cdf.csv": _csv_text("r,cdf", rows),
+        },
         f"radial law: atom {radial.center_atom_mass:.6g}, support "
         f"[{radial.support_inner:.6g}, {radial.support_outer:.6g}], "
-        f"{len(rows)} CDF rows -> {writer.out_dir}"
+        f"{len(rows)} CDF rows",
     )
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args) -> CommandResult:
     seed = _require_seed(args, "simulate")
     tag = OperatorTag(args.tag)
     half_dim = _half_dim(args)
     if args.seeds < 1:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
-    writer = OutputWriter(args.out_dir)
 
     catalog = catalog_brown(tag)
+    outputs = {}
     all_radii = []
-    seed_list = []
-    for idx in range(args.seeds):
-        child = _child_seed(seed, f"simulate-{idx}")
-        seed_list.append(child)
+    seed_list = [_child_seed(seed, f"simulate-{idx}") for idx in range(args.seeds)]
+    for idx, child in enumerate(seed_list):
         model = build_m2_free_m2(half_dim, child)
         eigenvalues = catalog_spectrum(tag, model)
         pairs = zip(eigenvalues.real.tolist(), eigenvalues.imag.tolist())
-        lines = "\n".join(f"{re!r},{im!r}" for re, im in pairs)
-        writer.write_text(f"eigenvalues_seed{idx}.csv", "re,im\n" + lines + "\n")
+        outputs[f"eigenvalues_seed{idx}.csv"] = _csv_text("re,im", pairs)
         all_radii.append(pullback_radii(tag, eigenvalues))
 
     pooled = np.sort(np.concatenate(all_radii))
     cum = np.arange(1, pooled.size + 1) / pooled.size
-    rows = "\n".join(f"{r!r},{c!r}" for r, c in zip(pooled.tolist(), cum.tolist()))
-    writer.write_text("empirical_cdf.csv", "r,cdf\n" + rows + "\n")
+    outputs["empirical_cdf.csv"] = _csv_text("r,cdf", zip(pooled.tolist(), cum.tolist()))
 
     ks = ks_distance(pooled, catalog.cdf)
     margin_violations = int(np.sum(pooled > catalog.support_outer + SUPPORT_MARGIN))
-    summary = {
+    outputs["simulation_summary.json"] = _json_text({
         "tag": tag.value,
         "dim": args.dim,
         "master_seed": seed,
@@ -204,14 +194,12 @@ def cmd_simulate(args) -> int:
         "support_outer": catalog.support_outer,
         "support_margin_violations": margin_violations,
         "cdf_end": float(cum[-1]),
-    }
-    writer.write_json("simulation_summary.json", summary)
-    _write_run_record(writer, args, started)
-    print(
+    })
+    return CommandResult(
+        outputs,
         f"{tag.value}: dim {args.dim}, {args.seeds} seed(s), KS {ks:.4f}, "
-        f"{margin_violations} support violations -> {writer.out_dir}"
+        f"{margin_violations} support violations",
     )
-    return 0
 
 
 def _field_matrix(args) -> tuple[np.ndarray, str]:
@@ -225,8 +213,7 @@ def _field_matrix(args) -> tuple[np.ndarray, str]:
     return realize(tag, model), tag.value
 
 
-def cmd_field(args) -> int:
-    started = time.time()
+def cmd_field(args) -> CommandResult:
     matrix, label = _field_matrix(args)
     if matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
@@ -237,21 +224,19 @@ def cmd_field(args) -> int:
         eigs = np.linalg.eigvals(matrix)
         grid = GridSpec.covering(eigs, n=args.grid_n, epsilon=epsilon)
     field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))
-    writer = OutputWriter(args.out_dir)
-    writer.write_text("field.csv", field_csv_text(field))
-    writer.write_text("mass.csv", mass_csv_text(field))
-    # wall time lives in run_record.json; outputs stay digest-stable
-    writer.write_json("field_meta.json", field_metadata(field, source=label))
-    _write_run_record(writer, args, started)
-    print(
+    return CommandResult(
+        {
+            "field.csv": field_csv_text(field),
+            "mass.csv": mass_csv_text(field),
+            # wall time lives in run_record.json; outputs stay digest-stable
+            "field_meta.json": _json_text(field_metadata(field, source=label)),
+        },
         f"field[{label}]: {grid.nx}x{grid.ny} nodes, path {field.path}, "
-        f"total mass {field.total_mass():.6f} -> {writer.out_dir}"
+        f"total mass {field.total_mass():.6f}",
     )
-    return 0
 
 
-def cmd_algebra(args) -> int:
-    started = time.time()
+def cmd_algebra(args) -> CommandResult:
     mats = [load_matrix(p) for p in args.matrix_files]
     span = close_algebra(mats)
     report = find_invariant_subspace(span)
@@ -263,38 +248,29 @@ def cmd_algebra(args) -> int:
         "transitive": report.kind == "none",
         "subspace": None if report.kind == "none" else report.to_json(),
     }
+    verdict = "transitive" if payload["transitive"] else "reducible"
     if args.kfold is not None:
         seed = _require_seed(args, "algebra --kfold")
         rng = derive_rng(seed, f"kfold-{args.kfold}")
-        payload["kfold"] = {
-            "k": args.kfold,
-            "result": kfold_transitive(span, args.kfold, rng),
-        }
-    writer = OutputWriter(args.out_dir)
-    writer.write_json("algebra_report.json", payload)
-    _write_run_record(writer, args, started)
-    verdict = "transitive" if payload["transitive"] else "reducible"
-    if args.kfold is not None:
-        verdict += f", {args.kfold}-fold: {payload['kfold']['result']}"
-    print(f"algebra: dim {span.dim} in M_{span.ambient_dim}, {verdict} -> {writer.out_dir}")
-    return 0
+        result = kfold_transitive(span, args.kfold, rng)
+        payload["kfold"] = {"k": args.kfold, "result": result}
+        verdict += f", {args.kfold}-fold: {result}"
+    return CommandResult(
+        {"algebra_report.json": _json_text(payload)},
+        f"algebra: dim {span.dim} in M_{span.ambient_dim}, {verdict}",
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> CommandResult:
     from . import acceptance
 
-    started = time.time()
-    writer = OutputWriter(args.out_dir)
     results = acceptance.run_all(threads=args.threads)
-    for line in results.lines:
-        print(line)
-    writer.write_json("acceptance_report.json", results.to_json())
-    _write_run_record(writer, args, started)
-    print(
-        f"acceptance: {results.passed_count}/{results.total} criteria passed "
-        f"-> {writer.out_dir}"
+    tally = f"acceptance: {results.passed_count}/{results.total} criteria passed"
+    return CommandResult(
+        {"acceptance_report.json": _json_text(results.to_json())},
+        "\n".join([*results.lines, tally]),
+        0 if results.all_passed else 1,
     )
-    return 0 if results.all_passed else 1
 
 
 # -- parser --------------------------------------------------------------------
@@ -395,10 +371,14 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         if args.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        started = time.time()
+        result = args.func(args)
+        _write_outputs(args, result.outputs, started)
     except FreeprobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    print(f"{result.summary} -> {args.out_dir}")
+    return result.code
 
 
 def entrypoint() -> None:

@@ -136,10 +136,12 @@ def test_simulate_odd_dim_exits_4(tmp_path):
 
 
 def test_simulate_huge_dim_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
     code = _run(["simulate", "--tag", "W1F12", "--dim", "400000", "--seed", "1",
-                 "--out-dir", tmp_path])
+                 "--out-dir", out])
     assert code == 4
     assert "256 MB cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_zero_seeds_exits_4(tmp_path):
@@ -194,6 +196,18 @@ def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, command, suffix, bad)
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocker", ["out", "parent"])
+def test_unwritable_out_dir_exits_3(two_point_file, tmp_path, capsys, blocker):
+    # --out-dir names an existing file, or a directory below one
+    (tmp_path / "taken").write_text("not a directory")
+    out = tmp_path / "taken" if blocker == "out" else tmp_path / "taken" / "out"
+    assert _run(["rdiag", two_point_file, "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "not a directory"
+
+
 def test_unreachable_error_codes_still_mapped():
     # no subcommand parses words or can disagree with itself on purpose,
     # so these taxonomy entries are asserted on the mapping directly
@@ -222,15 +236,30 @@ def test_rdiag_outputs(two_point_file, tmp_path, capsys):
     assert abs(table["0.0"] - 0.5) <= 1e-9
 
 
-def test_rdiag_run_record_digests(two_point_file, tmp_path):
+@pytest.mark.parametrize("command", ["rdiag", "simulate", "field", "algebra"])
+def test_run_record_digests(two_point_file, tmp_path, command):
+    matrix = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
+    gens = _write_gens(tmp_path, matrix, matrix.T)
+    argv, seed, expected = {
+        "rdiag": ([two_point_file], None, {"two_point_radial.json", "two_point_cdf.csv"}),
+        "simulate": (
+            ["--tag", "W1F12", "--dim", "16", "--seeds", "2", "--seed", "4"],
+            4,
+            {"eigenvalues_seed0.csv", "eigenvalues_seed1.csv", "empirical_cdf.csv",
+             "simulation_summary.json"},
+        ),
+        "field": (["--matrix", gens[0], "--grid-n", "12"], None,
+                  {"field.csv", "mass.csv", "field_meta.json"}),
+        "algebra": ([*gens, "--kfold", "2", "--seed", "6"], 6, {"algebra_report.json"}),
+    }[command]
     out = tmp_path / "out"
-    _run(["rdiag", two_point_file, "--out-dir", out])
+    assert _run([command, *argv, "--out-dir", out]) == 0
     record = json.loads((out / "run_record.json").read_text())
-    assert record["command"][0] == "freeprob"
-    assert record["command"][1] == "rdiag"
-    assert record["seed"] is None
+    assert record["command"][:2] == ["freeprob", command]
+    assert record["seed"] == seed
     assert record["wall_time_s"] >= 0.0
-    assert set(record["outputs"]) == {"two_point_radial.json", "two_point_cdf.csv"}
+    written = {path.name for path in out.iterdir()} - {"run_record.json"}
+    assert set(record["outputs"]) == written == expected
     for name, digest in record["outputs"].items():
         assert sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -314,6 +343,28 @@ def test_simulate_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys):
                  "--out-dir", tmp_path / "out"])
     assert code == 7
     assert "eigensolve failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_last_eigensolve_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the first two seeds finish; the third seed's eigensolve fails
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def fail_third(a):
+        if len(solved) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        solved.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail_third)
+    out = tmp_path / "out"
+    code = _run(["simulate", "--tag", "W1_plus_F12", "--dim", "32", "--seeds", "3",
+                 "--seed", "1", "--out-dir", out])
+    assert code == 7
+    assert len(solved) == 2
+    assert "eigensolve failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_w1f12_counts_kernel_as_atom(tmp_path):
