@@ -11,6 +11,13 @@ decision surfaces as a hard internal failure instead of a quiet wrong
 boolean.  The k-fold transitivity decision runs two independent routes
 (ampliation lattice and orbit sampling) and treats any certified
 disagreement the same way.
+
+A span computes its commutant and radical once and both decisions read
+them.  A candidate subspace is accepted or refused from the Frobenius norm
+of its residual where that settles the spectral-norm test, so an SVD is
+taken only in the band between; the orbit route checks its sampled tuples
+in one batched SVD.  A tall matrix whose left singular vectors are not
+needed is decomposed through its QR factor, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -42,6 +49,19 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > TOL.rank_rtol * s[0]))
 
 
+def _reduce_tall(stack: np.ndarray) -> np.ndarray:
+    """A matrix, or stack of them, with the same singular values and right
+    singular vectors, bit for bit, and no more rows than it needs.
+
+    LAPACK's SVD (gesdd) replaces a matrix with at least 17/9 as many rows
+    as columns by the triangular factor of its QR decomposition before
+    anything else; taking that step here spares it forming the left
+    singular vectors, which no caller reads.
+    """
+    rows, cols = stack.shape[-2:]
+    return np.linalg.qr(stack, mode="r") if rows >= int(cols * 17 / 9) else stack
+
+
 def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
     """Orthonormal row basis of the row space, with borderline-gap flag.
 
@@ -51,7 +71,7 @@ def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
     """
     if stack.size == 0:
         return stack.reshape(0, stack.shape[-1]), False
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    _, s, vh = np.linalg.svd(_reduce_tall(stack), full_matrices=False)
     rank = _rank(s)
     flagged = (
         0 < rank < s.size and s[rank - 1] / max(s[rank], np.finfo(float).tiny)
@@ -60,8 +80,10 @@ def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
     return vh[:rank], bool(flagged)
 
 
-def _as_matrices(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    return tuple(row.reshape(n, n) for row in rows)
+def _read_only(matrices) -> tuple[np.ndarray, ...]:
+    for m in matrices:
+        m.flags.writeable = False
+    return tuple(matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +97,9 @@ class AlgebraSpan:
     read only the generators, so a span built by hand answers for its
     generators, not its basis.  closure_residual is the largest relative
     residual of close_algebra's final left products; gap_flagged marks a
-    borderline singular-value cut.
+    borderline singular-value cut.  The commutant and radical properties
+    hold the module functions' answers, computed once per span and read
+    only.
     """
 
     ambient_dim: int
@@ -107,6 +131,14 @@ class AlgebraSpan:
         rows = np.array([b.ravel() for b in self.basis])
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def commutant(self) -> tuple[np.ndarray, ...]:
+        return _read_only(commutant(self))
+
+    @cached_property
+    def radical(self) -> tuple[np.ndarray, ...]:
+        return _read_only(radical(self))
 
     def project_coefficients(self, matrix: np.ndarray) -> np.ndarray:
         """Coefficients of the trace-orthogonal projection onto the span."""
@@ -149,12 +181,12 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
     # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
     require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
-    left = (np.eye(n, dtype=complex),) + gens
-    rows, flagged = _orthonormal_rows(np.array([m.ravel() for m in left]))
+    left = np.stack((np.eye(n, dtype=complex),) + gens)
+    rows, flagged = _orthonormal_rows(left.reshape(len(left), n * n))
     # left products by the generators either grow the span or certify closure
     for _ in range(n * n + 1):
-        mats = _as_matrices(rows, n)
-        prows = np.array([(g @ b).ravel() for g in left for b in mats])
+        mats = rows.reshape(-1, n, n)
+        prows = (left[:, None] @ mats).reshape(-1, n * n)
         new_rows, pflag = _orthonormal_rows(np.vstack([rows, prows]))
         flagged = flagged or pflag
         if new_rows.shape[0] == rows.shape[0]:
@@ -163,7 +195,7 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
             resid = np.linalg.norm(resid_mat, axis=1) / np.maximum(norms, 1.0)
             return AlgebraSpan(
                 ambient_dim=n,
-                basis=mats,
+                basis=tuple(mats),
                 generators=gens,
                 closure_residual=float(resid.max()) if resid.size else 0.0,
                 gap_flagged=flagged,
@@ -190,7 +222,7 @@ def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     system = np.vstack(blocks)
     # rows >= cols always holds here, so the reduced SVD still returns the
     # complete right-singular set
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    _, s, vh = np.linalg.svd(_reduce_tall(system), full_matrices=False)
     null_rows = vh[_rank(s) :].conj()
     return [row.reshape(n, n) for row in null_rows]
 
@@ -245,15 +277,48 @@ class SubspaceReport:
         }
 
 
-def _invariance_residual(generators, vectors: np.ndarray) -> float:
-    """Worst relative norm of the part of g*V sticking out of span(V)."""
-    worst = 0.0
+def _generator_scales(generators) -> list[float]:
+    """max(1, ||g||_2) per generator, the scale of its invariance residual."""
+    return [max(1.0, float(np.linalg.norm(g, 2))) for g in generators]
+
+
+def _outside_parts(generators, vectors: np.ndarray):
+    """(I - VV^*) g V per generator: the part of g*V sticking out of span(V)."""
     for g in generators:
         gv = g @ vectors
-        out = gv - vectors @ (vectors.conj().T @ gv)
-        scale = max(1.0, float(np.linalg.norm(g, 2)))
-        worst = max(worst, float(np.linalg.norm(out, 2)) / scale)
-    return worst
+        yield gv - vectors @ (vectors.conj().T @ gv)
+
+
+def _invariance_residual(generators, scales, vectors: np.ndarray) -> float:
+    """Worst relative spectral norm of the parts of g*V outside span(V)."""
+    parts = zip(_outside_parts(generators, vectors), scales)
+    return max([0.0, *(float(np.linalg.norm(out, 2)) / scale for out, scale in parts)])
+
+
+# relative room for rounding in the Frobenius shortcuts, so that only a norm
+# far inside or outside the bound skips the spectral norm
+_NORM_SLACK = 1e-12
+
+
+def _is_invariant(generators, scales, vectors: np.ndarray) -> bool:
+    """Whether every generator maps span(V) into itself within tolerance.
+
+    The test is ||R||_2 <= invariance_atol * scale for each outside part R
+    with m columns.  Since ||R||_2 <= ||R||_F <= sqrt(m) ||R||_2, the cheap
+    Frobenius norm settles it outside the band between bound and sqrt(m)
+    bound; only a norm inside the band takes an SVD.
+    """
+    root_m = np.sqrt(vectors.shape[1])
+    for out, scale in zip(_outside_parts(generators, vectors), scales):
+        bound = TOL.invariance_atol * scale
+        fro = float(np.linalg.norm(out))
+        if fro <= bound * (1.0 - _NORM_SLACK):
+            continue
+        if fro > root_m * bound * (1.0 + _NORM_SLACK):
+            return False
+        if float(np.linalg.norm(out, 2)) / scale > TOL.invariance_atol:
+            return False
+    return True
 
 
 def _column_space(matrix: np.ndarray) -> np.ndarray:
@@ -281,19 +346,19 @@ def _eigenspace_candidates(x: np.ndarray):
     eigs = np.linalg.eigvals(x)
     scale = max(1.0, float(np.abs(eigs).max()))
     clusters: list[list[int]] = []
+    centers: list[complex] = []
     for idx in range(n):
-        for cluster in clusters:
-            center = eigs[cluster].mean()
-            if np.abs(eigs[idx] - center) <= TOL.cluster_rtol * scale:
+        for pos, cluster in enumerate(clusters):
+            if np.abs(eigs[idx] - centers[pos]) <= TOL.cluster_rtol * scale:
                 cluster.append(idx)
+                centers[pos] = eigs[cluster].mean()
                 break
         else:
             clusters.append([idx])
-    clusters.sort(key=len)
-    for cluster in clusters:
+            centers.append(eigs[idx])
+    for cluster, lam in sorted(zip(clusters, centers), key=lambda pair: len(pair[0])):
         if len(cluster) == n:
             continue
-        lam = eigs[cluster].mean()
         radius = float(np.abs(eigs[cluster] - lam).max()) if len(cluster) > 1 else 0.0
         shifted = x - lam * np.eye(n)
         _, s, vh = np.linalg.svd(shifted)
@@ -333,10 +398,12 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     rng = np.random.default_rng(0)
     found_any = False
     n = span.ambient_dim
-    for kind, vectors in _subspace_candidates(radical(span), commutant(span), n, rng):
+    gens = span.generators
+    scales = _generator_scales(gens)
+    for kind, vectors in _subspace_candidates(span.radical, span.commutant, n, rng):
         found_any = True
-        resid = _invariance_residual(span.generators, vectors)
-        if resid <= TOL.invariance_atol:
+        if _is_invariant(gens, scales, vectors):
+            resid = _invariance_residual(gens, scales, vectors)
             return SubspaceReport(kind=kind, basis=vectors, verified=True, residual=resid)
     if found_any:
         raise InternalInconsistencyError(
@@ -359,22 +426,41 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
 
 def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     """Whether every N x N block of the projection is a scalar multiple of I."""
-    for i in range(k):
-        for j in range(k):
-            block = projection[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            c = np.trace(block) / n
-            if np.abs(block - c * np.eye(n)).max() > TOL.invariance_atol:
-                return False
-    return True
+    blocks = projection.reshape(k, n, k, n).swapaxes(1, 2)
+    c = np.trace(blocks, axis1=2, axis2=3) / n
+    return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= TOL.invariance_atol)
 
 
 def _discover_verified_subspaces(rad, comm, generators, ambient_dim: int, rng):
     """All distinct verified proper invariant subspaces the sampler can see."""
+    scales = _generator_scales(generators)
     return [
         vectors
         for _, vectors in _subspace_candidates(rad, comm, ambient_dim, rng)
-        if _invariance_residual(generators, vectors) <= TOL.invariance_atol
+        if _is_invariant(generators, scales, vectors)
     ]
+
+
+def _full_rank_tuples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """SIZE.orbit_tuples random complex n x k tuples of rank k.
+
+    Each draw takes its real part, then its imaginary part; a rank-deficient
+    draw is skipped and the next one taken, as if drawn one at a time.
+    """
+    tuples = np.empty((0, n, k), dtype=complex)
+    while len(tuples) < SIZE.orbit_tuples:
+        parts = rng.standard_normal((SIZE.orbit_tuples - len(tuples), 2, n, k))
+        xi = parts[:, 0] + 1j * parts[:, 1]
+        tuples = np.concatenate([tuples, xi[np.linalg.matrix_rank(xi) == k]])
+    return tuples
+
+
+def _orbits_full(basis: np.ndarray, tuples: np.ndarray) -> bool:
+    """Whether {B xi : B in the basis} spans all of C^{N x k} for every tuple xi."""
+    _, n, k = tuples.shape
+    stacks = (basis @ tuples[:, None]).reshape(len(tuples), len(basis), n * k)
+    s = np.linalg.svd(_reduce_tall(stacks), compute_uv=False)
+    return all(_rank(row) == n * k for row in s)
 
 
 def kfold_transitive(
@@ -396,13 +482,13 @@ def kfold_transitive(
         raise DomainError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    comm = commutant(span)
+    comm = span.commutant
     # k^2 dim(A') candidate matrices in M_kN
     require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
     eye_k = np.eye(k, dtype=complex)
     units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
     subspaces = _discover_verified_subspaces(
-        [np.kron(eye_k, r) for r in radical(span)],
+        [np.kron(eye_k, r) for r in span.radical],
         [np.kron(e, c) for e in units for c in comm],
         tuple(np.kron(eye_k, g) for g in span.generators),
         k * n,
@@ -415,19 +501,11 @@ def kfold_transitive(
         )
     route_lattice = all(_blocks_scalar(v @ v.conj().T, k, n) for v in subspaces)
 
-    tuples = [np.eye(n, k, dtype=complex)]
-    draws = 0
-    while draws < SIZE.orbit_tuples:
-        xi = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        if np.linalg.matrix_rank(xi) == k:
-            tuples.append(xi)
-            draws += 1
-    orbit_full = True
-    for xi in tuples:
-        stack = np.array([(b @ xi).ravel() for b in span.basis])
-        if _rank(np.linalg.svd(stack, compute_uv=False)) < k * n:
-            orbit_full = False
-            break
+    draws = _full_rank_tuples(rng, n, k)
+    basis = span.rows.reshape(span.dim, n, n)
+    # the standard-basis tuple alone first: it certifies most failures
+    standard = np.eye(n, k, dtype=complex)[None]
+    orbit_full = _orbits_full(basis, standard) and _orbits_full(basis, draws)
 
     if not orbit_full and route_lattice:
         raise InternalInconsistencyError(

@@ -12,6 +12,7 @@ Stochastic commands need an explicit --seed; there is no silent entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,6 +239,12 @@ def cmd_field(args) -> CommandResult:
 
 def cmd_algebra(args) -> CommandResult:
     mats = [load_matrix(p) for p in args.matrix_files]
+    # refuse a bad --kfold before the closure, not after it
+    if args.kfold is not None:
+        _require_seed(args, "algebra --kfold")
+        n = mats[0].shape[0]
+        if not 1 <= args.kfold <= n:
+            raise DomainError(f"--kfold must lie in [1, {n}], got {args.kfold}")
     span = close_algebra(mats)
     report = find_invariant_subspace(span)
     payload = {
@@ -250,8 +257,7 @@ def cmd_algebra(args) -> CommandResult:
     }
     verdict = "transitive" if payload["transitive"] else "reducible"
     if args.kfold is not None:
-        seed = _require_seed(args, "algebra --kfold")
-        rng = derive_rng(seed, f"kfold-{args.kfold}")
+        rng = derive_rng(args.seed, f"kfold-{args.kfold}")
         result = kfold_transitive(span, args.kfold, rng)
         payload["kfold"] = {"k": args.kfold, "result": result}
         verdict += f", {args.kfold}-fold: {result}"
@@ -284,6 +290,7 @@ class _Explicit(argparse.Action):
         namespace.explicit = namespace.explicit | {self.dest}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.set_defaults(explicit=frozenset())

@@ -62,7 +62,7 @@ def test_criterion_8_algebra_suite(results):
 def test_criterion_8_counts_failed_verification(monkeypatch):
     # no candidate subspace re-verifies, so every instance's subspace search
     # or 2-fold decision raises, and the criterion must count it and fail
-    monkeypatch.setattr(algstruct, "_invariance_residual", lambda gens, vectors: 1.0)
+    monkeypatch.setattr(algstruct, "_is_invariant", lambda gens, scales, vectors: False)
     result = acceptance._criterion_8()
     assert not result.passed
     assert "100 failed verifications" in result.headline

@@ -13,6 +13,7 @@ import pytest
 from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
     AlgebraSpan,
+    _reduce_tall,
     close_algebra,
     commutant,
     find_invariant_subspace,
@@ -141,6 +142,33 @@ class TestCommutant:
                 assert np.abs(x @ b - b @ x).max() <= 1e-9
 
 
+def test_commutant_and_radical_cached_read_only(upper2):
+    assert upper2.commutant is upper2.commutant
+    for mats, fresh in ((upper2.commutant, commutant(upper2)), (upper2.radical, radical(upper2))):
+        assert len(mats) == len(fresh)
+        for m, f in zip(mats, fresh):
+            assert np.array_equal(m, f)
+            assert not m.flags.writeable
+    with pytest.raises(AttributeError):
+        upper2.commutant = ()
+
+
+@pytest.mark.parametrize("rows", [64, 119, 120, 256])
+def test_reduce_tall_keeps_singular_bits(rows):
+    # at 120 rows and more (17/9 of the 64 columns) LAPACK's SVD starts from
+    # the QR factor itself, so reducing first changes no bit of s or vh
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, 64)) + 1j * rng.standard_normal((rows, 64))
+    reduced = _reduce_tall(a)
+    assert reduced.shape == ((64, 64) if rows >= 120 else a.shape)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    _, s_r, vh_r = np.linalg.svd(reduced, full_matrices=False)
+    assert np.array_equal(s, s_r) and np.array_equal(vh, vh_r)
+    assert np.array_equal(
+        np.linalg.svd(a, compute_uv=False), np.linalg.svd(reduced, compute_uv=False)
+    )
+
+
 def basis_wide_commutant_dim(span):
     """Nullity of the stacked X -> XB - BX over every basis element B."""
     n = span.ambient_dim
@@ -231,6 +259,34 @@ class TestFindInvariantSubspace:
                 gv = g @ v
                 out = gv - v @ (v.conj().T @ gv)
                 assert np.linalg.norm(out, 2) <= 1e-9 * max(1.0, np.linalg.norm(g, 2))
+
+    @pytest.mark.parametrize("a, verified", [(0.9e-9, True), (1.1e-9, False)])
+    def test_verification_at_the_spectral_bound(self, a, verified):
+        # the radical's image is V = span(e1, e2); g maps e1 -> a e3 and
+        # e2 -> a e4, so R = (I - VV^*) g V has ||R||_2 = a and ||R||_F =
+        # a sqrt(2) against the bound 1e-9: 0.9e-9 lies between the two
+        # Frobenius tests and needs the spectral norm, 1.1e-9 fails
+        nil = np.zeros((4, 4), dtype=complex)
+        nil[0, 2] = nil[1, 3] = 1.0
+        g = np.zeros((4, 4), dtype=complex)
+        g[2, 0] = g[3, 1] = a
+        span = AlgebraSpan(
+            ambient_dim=4,
+            basis=(np.eye(4, dtype=complex) / 2, nil / np.sqrt(2)),
+            generators=(g,),
+        )
+        rep = find_invariant_subspace(span)
+        assert rep.verified
+        if verified:
+            assert rep.kind == "radical_image"
+            assert rep.residual == pytest.approx(a, rel=1e-12)
+            assert np.allclose(rep.basis @ rep.basis.conj().T, np.diag([1, 1, 0, 0]))
+        else:
+            # V is refused, and a commutant eigenspace inside span(e3, e4) is
+            # found instead
+            assert rep.kind == "commutant_eigenspace"
+            assert rep.residual <= 1e-9
+            assert np.allclose(rep.basis[:2], 0.0)
 
     def test_report_json_round_trip(self, upper2):
         payload = find_invariant_subspace(upper2).to_json()

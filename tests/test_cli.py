@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freeprob import __version__, brownfield, cli
+from freeprob import __version__, algstruct, brownfield, cli
 from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
@@ -512,6 +512,40 @@ def test_algebra_kfold_without_seed_exits_4(tmp_path):
     paths = _write_gens(tmp_path, np.eye(2))
     code = _run(["algebra", *paths, "--kfold", "2", "--out-dir", tmp_path / "o"])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "flags", [["--kfold", "4", "--seed", "1"], ["--kfold", "0", "--seed", "1"], ["--kfold", "2"]]
+)
+def test_algebra_bad_kfold_refused_before_closure(tmp_path, monkeypatch, capsys, flags):
+    closures = []
+    monkeypatch.setattr(cli, "close_algebra", lambda mats: closures.append(mats))
+    rng = np.random.default_rng(4)
+    paths = _write_gens(tmp_path, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+    out = tmp_path / "out"
+    assert _run(["algebra", *paths, *flags, "--out-dir", out]) == 4
+    assert closures == []
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_algebra_kfold_computes_commutant_and_radical_once(tmp_path, monkeypatch):
+    calls = {"commutant": 0, "radical": 0}
+    for name in calls:
+        original = getattr(algstruct, name)
+
+        def counted(span, name=name, original=original):
+            calls[name] += 1
+            return original(span)
+
+        monkeypatch.setattr(algstruct, name, counted)
+    rng = np.random.default_rng(8)
+    gens = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2)]
+    paths = _write_gens(tmp_path, *gens)
+    out = tmp_path / "out"
+    assert _run(["algebra", *paths, "--kfold", "2", "--seed", "3", "--out-dir", out]) == 0
+    assert json.loads((out / "algebra_report.json").read_text())["kfold"]["result"] is True
+    assert calls == {"commutant": 1, "radical": 1}
 
 
 # -- config file -------------------------------------------------------------
