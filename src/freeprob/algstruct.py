@@ -73,10 +73,8 @@ def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
         return stack.reshape(0, stack.shape[-1]), False
     _, s, vh = np.linalg.svd(_reduce_tall(stack), full_matrices=False)
     rank = _rank(s)
-    flagged = (
-        0 < rank < s.size and s[rank - 1] / max(s[rank], np.finfo(float).tiny)
-        < TOL.gap_flag_ratio
-    )
+    # compared by product: an exact zero s[rank] must not be divided by
+    flagged = 0 < rank < s.size and s[rank - 1] < TOL.gap_flag_ratio * s[rank]
     return vh[:rank], bool(flagged)
 
 
@@ -140,42 +138,27 @@ class AlgebraSpan:
     def radical(self) -> tuple[np.ndarray, ...]:
         return _read_only(radical(self))
 
-    def project_coefficients(self, matrix: np.ndarray) -> np.ndarray:
-        """Coefficients of the trace-orthogonal projection onto the span."""
-        return self.rows.conj() @ np.asarray(matrix, dtype=complex).ravel()
 
-    def contains(self, matrix: np.ndarray) -> bool:
-        m = np.asarray(matrix, dtype=complex)
-        coef = self.project_coefficients(m)
-        resid = np.linalg.norm(m.ravel() - self.rows.T @ coef)
-        return resid <= TOL.rank_rtol * max(1.0, np.linalg.norm(m))
-
-
-def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
+def close_algebra(generators) -> AlgebraSpan:
     """Smallest unital algebra containing the generators.
 
     A unital span closed under left products g @ b, g in (I,) + generators,
     holds every word in them, so it is the algebra.  The span grows by those
     products with rank-revealing re-orthonormalization until its dimension
     stabilizes; how far the final products stick out is the closure residual.
+    At least one generator is needed, since the first one fixes N; the
+    scalars of M_N are close_algebra([I]).
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
+    if not gens:
+        raise DomainError("need at least one generator")
     for g in gens:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatchError(f"generator has shape {g.shape}")
     dims = {g.shape[0] for g in gens}
     if len(dims) > 1:
         raise DimensionMismatchError(f"generators of mixed sizes {sorted(dims)}")
-    if gens:
-        n = gens[0].shape[0]
-        if ambient_dim is not None and ambient_dim != n:
-            raise DimensionMismatchError(
-                f"ambient_dim {ambient_dim} != generator size {n}"
-            )
-    elif ambient_dim is None:
-        raise DomainError("need ambient_dim when the generator list is empty")
-    else:
-        n = ambient_dim
+    n = gens[0].shape[0]
     if n < 1:
         raise DomainError("ambient dimension must be positive")
     # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
@@ -197,7 +180,7 @@ def close_algebra(generators, ambient_dim: int | None = None) -> AlgebraSpan:
                 ambient_dim=n,
                 basis=tuple(mats),
                 generators=gens,
-                closure_residual=float(resid.max()) if resid.size else 0.0,
+                closure_residual=float(resid.max()),
                 gap_flagged=flagged,
             )
         rows = new_rows

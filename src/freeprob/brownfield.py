@@ -30,6 +30,7 @@ __all__ = [
     "GridSpec",
     "BrownField",
     "default_epsilon",
+    "require_gram_fits",
     "logdet_field",
     "brown_laplacian",
     "mass_in_region",
@@ -150,6 +151,12 @@ def default_epsilon(matrix: np.ndarray) -> float:
     return SIZE.epsilon_scale * float(np.linalg.norm(matrix, 2)) ** 2
 
 
+def require_gram_fits(n: int) -> None:
+    """Refuse an epsilon > 0 field of an n x n matrix whose Gram pair B*B,
+    B + B* would pass the size cap."""
+    require_fits(32 * n * n, f"the Gram pair of a {n} x {n} matrix")
+
+
 def _schur_column(
     diag: np.ndarray, xs: np.ndarray, y: float, jitter: complex
 ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -244,7 +251,7 @@ def logdet_field(
     n = matrix.shape[0]
     require_fits(8 * grid.nx * grid.ny, f"a {grid.nx} x {grid.ny} field")
     if path == "svd":
-        require_fits(32 * n * n, f"the Gram pair of a {n} x {n} matrix")
+        require_gram_fits(n)
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))

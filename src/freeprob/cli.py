@@ -33,6 +33,7 @@ from .brownfield import (
     field_metadata,
     logdet_field,
     mass_csv_text,
+    require_gram_fits,
 )
 from .algstruct import close_algebra, find_invariant_subspace, kfold_transitive
 from .errors import (
@@ -203,21 +204,35 @@ def cmd_simulate(args) -> CommandResult:
     )
 
 
+def _refuse_large_gram(args, n: int, default_floor: float) -> None:
+    """Refuse, before any work, an epsilon > 0 field whose Gram pair passes
+    the size cap; default_floor is a lower bound on the default epsilon."""
+    if (default_floor if args.epsilon is None else args.epsilon) > 0.0:
+        require_gram_fits(n)
+
+
 def _field_matrix(args) -> tuple[np.ndarray, str]:
     if args.matrix is not None:
-        return load_matrix(args.matrix), Path(args.matrix).name
+        matrix = load_matrix(args.matrix)
+        if matrix.shape[0] != matrix.shape[1]:
+            raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
+        # the default 1e-6 ||T||_2^2 is at least 1e-6 ||T||_F^2 / N
+        floor = SIZE.epsilon_scale * float(np.linalg.norm(matrix)) ** 2 / len(matrix)
+        _refuse_large_gram(args, len(matrix), floor)
+        return matrix, Path(args.matrix).name
     if args.tag is None:
         raise DomainError("field needs either --matrix FILE or --tag TAG")
     seed = _require_seed(args, "field with --tag")
     tag = OperatorTag(args.tag)
-    model = build_m2_free_m2(_half_dim(args), _child_seed(seed, "field"))
+    half_dim = _half_dim(args)
+    # a catalog operator is never zero, so its default epsilon is positive
+    _refuse_large_gram(args, args.dim, 1.0)
+    model = build_m2_free_m2(half_dim, _child_seed(seed, "field"))
     return realize(tag, model), tag.value
 
 
 def cmd_field(args) -> CommandResult:
     matrix, label = _field_matrix(args)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
     epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
     if args.grid is not None:
         grid = GridSpec(*_parse_grid(args.grid), epsilon=epsilon)

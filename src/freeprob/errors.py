@@ -25,8 +25,8 @@ class PoleError(FreeprobError):
 
 
 class DiracInputError(FreeprobError):
-    """The radial recipe needs a non-Dirac distribution; the degenerate
-    uniform-circle limit must be requested explicitly."""
+    """The radial recipe needs a non-Dirac distribution; a point mass is
+    always refused."""
 
 
 class EigensolveError(FreeprobError):

@@ -109,10 +109,6 @@ class ScalarMeasure:
     def is_dirac(self) -> bool:
         return not self.density and len(self.atoms) == 1
 
-    @property
-    def mean(self) -> float:
-        return moment(self, 1)
-
     def inverse_square_moment(self) -> float:
         """int t^-2 dmu(t); inf when there is mass at (or touching) zero."""
         if self.mass_at(0.0) > 0.0:

@@ -9,10 +9,8 @@ description into a sampled radial CDF.
 
 The catalog lists the five operators built from two free copies of the 2x2
 matrix algebra that the rest of the package simulates.  Catalog ground truth
-is the ball-mass form; planar densities, where wanted, are derived from it
-as F'(r) / (2 pi r) rather than read off any printed density expression,
-since the latter is only consistent with the ball masses up to the area
-Jacobian (and, for the squared nilpotent sum, a constant).
+is the ball-mass form F(r); a planar density, where wanted, is
+F'(r) / (2 pi r).
 """
 
 from __future__ import annotations
@@ -70,16 +68,15 @@ def _pchip(r: np.ndarray, f: np.ndarray):
 
 @dataclass(frozen=True)
 class RadialPlanarMeasure:
-    """Rotation-invariant planar probability measure stored as a radial CDF.
+    """Rotation-invariant planar probability measure about 0 stored as a radial CDF.
 
     The radial recipe's sampled output: cumulative[i] is the mass of the
-    closed ball of radius radii[i] about center (atoms included), read by a
-    monotone piecewise cubic.  center, center_atom_mass, support_outer and
-    cdf mean what they mean on a catalog Law.
+    closed ball of radius radii[i] about 0 (the atom at 0 included), read by
+    a monotone piecewise cubic.  center_atom_mass, support_outer and cdf
+    mean what they mean on a catalog Law.
     """
 
-    center: complex
-    atoms: tuple[tuple[complex, float], ...]
+    center_atom_mass: float
     radii: np.ndarray
     cumulative: np.ndarray
     support_inner: float
@@ -90,10 +87,6 @@ class RadialPlanarMeasure:
         cum = np.asarray(self.cumulative, dtype=float)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "cumulative", cum)
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(
-            self, "atoms", tuple((complex(z), float(m)) for z, m in self.atoms)
-        )
         if radii.shape != cum.shape or radii.ndim != 1 or radii.size == 0:
             raise MeasureFormatError("radial CDF needs matching 1-d sample arrays")
         if np.any(np.diff(radii) < 0) or np.any(np.diff(cum) < -TOL.cdf_end_atol):
@@ -111,15 +104,9 @@ class RadialPlanarMeasure:
         if not self.support_inner <= self.support_outer:
             raise MeasureFormatError("support_inner must not exceed support_outer")
 
-    @property
-    def center_atom_mass(self) -> float:
-        return sum(m for z, m in self.atoms if z == self.center)
-
     @cached_property
     def _interpolant(self):
         r, idx = np.unique(self.radii, return_index=True)
-        if r.size < 2:
-            return None
         return _pchip(r, self.cumulative[idx])
 
     def cdf(self, r) -> np.ndarray | float:
@@ -133,57 +120,21 @@ class RadialPlanarMeasure:
         mid = (r >= self.radii[0]) & (r < self.radii[-1])
         out[below] = self.center_atom_mass
         out[above] = self.cumulative[-1]
-        # NaN stays NaN; mid is empty when all radii are equal (no interpolant)
-        if mid.any():
-            out[mid] = np.clip(self._interpolant(r[mid]), 0.0, 1.0)
-        return float(out[0]) if scalar else out
-
-    def density(self, r) -> np.ndarray | float:
-        """Radial part of the planar density, F'(r) / (2 pi r)."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        if np.any(r <= 0):
-            raise DomainError("planar density is defined for r > 0")
-        interp = self._interpolant
-        if interp is None:
-            raise DomainError("density needs at least two CDF samples")
-        deriv = np.clip(interp(np.clip(r, self.radii[0], self.radii[-1]), 1), 0.0, None)
-        deriv = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0, deriv)
-        out = deriv / (2.0 * math.pi * r)
+        # NaN lies in no range and stays NaN
+        out[mid] = np.clip(self._interpolant(r[mid]), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
+        atom = self.center_atom_mass
         payload = {
-            "center": [self.center.real, self.center.imag],
-            "atoms": [[z.real, z.imag, m] for z, m in self.atoms],
+            "center": [0.0, 0.0],
+            "atoms": [[0.0, 0.0, atom]] if atom > 0.0 else [],
             "cdf": [[float(r), float(f)] for r, f in zip(self.radii, self.cumulative)],
             "support": [self.support_inner, self.support_outer],
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialPlanarMeasure":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MeasureFormatError(f"invalid JSON: {exc}") from exc
-        try:
-            pairs = np.array(payload["cdf"], dtype=float).reshape(-1, 2)
-            return cls(
-                center=complex(payload["center"][0], payload["center"][1]),
-                atoms=tuple(
-                    (complex(a, b), float(m)) for a, b, m in payload["atoms"]
-                ),
-                radii=pairs[:, 0],
-                cumulative=pairs[:, 1],
-                support_inner=float(payload["support"][0]),
-                support_outer=float(payload["support"][1]),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise MeasureFormatError(f"malformed radial measure payload: {exc}") from exc
 
     def cdf_csv_rows(self) -> list[tuple[float, float]]:
         """(r, F) rows on the grid k * step covering the support.
@@ -211,10 +162,10 @@ class Law:
     """A catalogued Brown measure and the operator it belongs to.
 
     coordinate maps eigenvalues to the stored radius; ball is the closed-ball
-    mass on [0, support_outer] in that coordinate and slope its derivative;
-    realize builds the operator from a matrix model's named factors
-    (model.factor); spectrum gives the realization's 2n eigenvalues, read
-    from the model's n x n eigensolves without forming the 2n x 2n matrix.
+    mass on [0, support_outer] in that coordinate; realize builds the
+    operator from a matrix model's named factors (model.factor); spectrum
+    gives the realization's 2n eigenvalues, read from the model's n x n
+    eigensolves without forming the 2n x 2n matrix.
     """
 
     center: complex
@@ -222,7 +173,6 @@ class Law:
     support_outer: float
     coordinate: Callable[[np.ndarray], np.ndarray]
     ball: Callable[[np.ndarray], np.ndarray]
-    slope: Callable[[np.ndarray], np.ndarray]
     realize: Callable[[Any], np.ndarray]
     spectrum: Callable[[Any], np.ndarray]
 
@@ -230,15 +180,6 @@ class Law:
         r = np.asarray(r, dtype=float)
         inside = self.ball(np.clip(r, 0.0, self.support_outer))
         return np.where(r < 0.0, 0.0, np.where(r >= self.support_outer, 1.0, inside))
-
-    def density(self, r: np.ndarray) -> np.ndarray:
-        """Radial part of the planar density, F'(r) / (2 pi r)."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise DomainError("planar density is defined for r > 0")
-        inside = self.slope(np.clip(r, 0.0, self.support_outer))
-        slope = np.where(r < self.support_outer, inside, 0.0)
-        return slope / (2.0 * math.pi * r)
 
 
 def _about(center: complex) -> Callable[[np.ndarray], np.ndarray]:
@@ -253,10 +194,6 @@ def _square(s: np.ndarray) -> np.ndarray:
 # 1, and of the unsquared shifted sum in the coordinate |z^2 - 1|
 def _nilpotent_ball(r):
     return r**2 / (1.0 - r**2)
-
-
-def _nilpotent_slope(r):
-    return 2.0 * r / (1.0 - r**2) ** 2
 
 
 # Block spectra.  Write Q = [Q_1 Q_2] in n-column blocks with n x n blocks
@@ -293,32 +230,30 @@ def _twice(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v, v))
 
 
-# center, center atom mass, outer radius, coordinate, ball mass, its slope,
-# realization, block spectrum
+# center, center atom mass, outer radius, coordinate, ball mass, realization,
+# block spectrum
 CATALOG: dict[OperatorTag, Law] = {
     OperatorTag.W1F12: Law(
-        0j, 0.5, SQRT_HALF, _about(0j),
-        lambda r: 1.0 / (2.0 * (1.0 - r**2)), lambda r: r / (1.0 - r**2) ** 2,
+        0j, 0.5, SQRT_HALF, _about(0j), lambda r: 1.0 / (2.0 * (1.0 - r**2)),
         # eig(M) and the kernel of rank-n F12 as n exact zeros
         lambda m: m.factor("W1") @ m.factor("F12"), lambda m: np.pad(_mu(m), (0, m.half_dim)),
     ),
     OperatorTag.E12_plus_F12: Law(
-        0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball, _nilpotent_slope,
+        0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball,
         lambda m: m.factor("E12") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(_nu(m))),
     ),
     OperatorTag.E12_plus_F12_squared: Law(
-        0j, 0.0, 0.5, _about(0j),
-        lambda r: r / (1.0 - r), lambda r: 1.0 / (1.0 - r) ** 2,
+        0j, 0.0, 0.5, _about(0j), lambda r: r / (1.0 - r),
         lambda m: _square(m.factor("E12") + m.factor("F12")), lambda m: _twice(_nu(m)),
     ),
     OperatorTag.W1_plus_F12_squared: Law(
-        1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball, _nilpotent_slope,
+        1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball,
         lambda m: _square(m.factor("W1") + m.factor("F12")), lambda m: _twice(1.0 + _mu(m)),
     ),
     # not radial about any center: stored in the coordinate |z^2 - 1|, the
     # pullback of the squared law, with center 0 the z -> -z symmetry point
     OperatorTag.W1_plus_F12: Law(
-        0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball, _nilpotent_slope,
+        0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball,
         lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + _mu(m))),
     ),
 }
@@ -354,43 +289,16 @@ def conditional_cdf(measure: RadialPlanarMeasure | Law):
 # -- the radial recipe -----------------------------------------------------
 
 
-def _degenerate_circle(c: float) -> RadialPlanarMeasure:
-    # uniform measure on the circle of radius ||H||_2 = c; at c = 0 this is
-    # the point mass at the origin
-    return RadialPlanarMeasure(
-        center=0j,
-        atoms=((0j, 1.0),) if c == 0.0 else (),
-        radii=np.array([c, c]),
-        cumulative=np.array([1.0, 1.0]),
-        support_inner=c,
-        support_outer=c,
-    )
-
-
-def brown_rdiagonal(
-    mu_h: ScalarMeasure,
-    samples: int | None = None,
-    allow_dirac: bool = False,
-) -> RadialPlanarMeasure:
+def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     """Brown measure of U H for U Haar unitary free from positive H ~ mu_h.
 
     The output is rotation invariant about 0: an atom mu_h({0}) at the
-    origin and the radial CDF obtained by inverting the quantile map
-    r(t) = S_{mu_{H^2}}(t - 1)^{-1/2}.  Point masses are rejected unless
-    allow_dirac is set, in which case the uniform measure on the circle of
-    radius ||H||_2 is returned as the degenerate limit.
+    origin and the radial CDF, SIZE.cdf_samples samples of it, obtained by
+    inverting the quantile map r(t) = S_{mu_{H^2}}(t - 1)^{-1/2}.  A point
+    mass, where that map degenerates, is refused.
     """
-    if samples is None:
-        samples = SIZE.cdf_samples
-    if samples < 16:
-        raise DomainError("need at least 16 CDF samples")
     if mu_h.is_dirac:
-        if not allow_dirac:
-            raise DiracInputError(
-                "the radial recipe needs a non-degenerate distribution; "
-                "pass allow_dirac=True for the uniform-circle limit"
-            )
-        return _degenerate_circle(mu_h.atoms[0][0])
+        raise DiracInputError("the radial recipe needs a non-degenerate distribution")
 
     atom = mu_h.mass_at(0.0)
     outer = math.sqrt(moment(mu_h, 2))
@@ -421,7 +329,7 @@ def brown_rdiagonal(
 
     # sample radii clustered quadratically at both support edges: monotone
     # cubic reconstruction loses accuracy exactly where the CDF flattens out
-    v = np.linspace(0.0, 1.0, samples)
+    v = np.linspace(0.0, 1.0, SIZE.cdf_samples)
     rs = inner + (outer - inner) * 0.5 * (1.0 - np.cos(np.pi * v))
     fs = np.empty_like(rs)
     inside = (rs >= r_dense[0]) & (rs <= r_dense[-1])
@@ -437,10 +345,8 @@ def brown_rdiagonal(
     fs[0] = atom
     fs[-1] = 1.0
 
-    atoms = ((0j, atom),) if atom > 0.0 else ()
     return RadialPlanarMeasure(
-        center=0j,
-        atoms=atoms,
+        center_atom_mass=atom,
         radii=rs,
         cumulative=fs,
         support_inner=inner,

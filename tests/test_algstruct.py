@@ -52,7 +52,7 @@ def jordan3():
 
 @pytest.fixture(scope="module")
 def trivial3():
-    return close_algebra([], ambient_dim=3)
+    return close_algebra([np.eye(3, dtype=complex)])
 
 
 def random_generators(rng, n, kind):
@@ -63,6 +63,11 @@ def random_generators(rng, n, kind):
     a = np.zeros((n, n), dtype=complex)
     a[np.triu_indices(n, 1)] = rng.standard_normal(n * (n - 1) // 2)
     return [a, np.diag(rng.standard_normal(n)).astype(complex)]
+
+
+def in_span(span, x):
+    """Whether x lies in the span: adding it as a generator keeps the dimension."""
+    return close_algebra([*span.generators, x]).dim == span.dim
 
 
 class TestCloseAlgebra:
@@ -80,7 +85,8 @@ class TestCloseAlgebra:
         assert jordan3.closure_residual <= 1e-9
 
     def test_identity_in_span(self, jordan3):
-        assert jordan3.contains(np.eye(3, dtype=complex))
+        assert in_span(jordan3, np.eye(3, dtype=complex))
+        assert not in_span(jordan3, N3.T)
 
     def test_basis_trace_orthonormal(self, m2):
         rows = np.array([b.ravel() for b in m2.basis])
@@ -90,8 +96,12 @@ class TestCloseAlgebra:
     def test_empty_generators(self):
         with pytest.raises(DomainError):
             close_algebra([])
-        span = close_algebra([], ambient_dim=3)
-        assert span.dim == 1 and span.ambient_dim == 3
+
+    def test_identity_generates_the_scalars(self, trivial3):
+        assert trivial3.dim == 1 and trivial3.ambient_dim == 3
+        # the stack (I, I) has an exact zero singular value past the rank
+        span = close_algebra([np.eye(9, dtype=complex)])
+        assert span.dim == 1 and not span.gap_flagged
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -100,10 +110,6 @@ class TestCloseAlgebra:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             close_algebra([np.zeros((2, 3))])
-
-    def test_ambient_dim_conflict_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            close_algebra([E12], ambient_dim=5)
 
     def test_two_haar_unitaries_generate(self):
         # generically two independent unitaries generate all of M_5
@@ -126,7 +132,7 @@ class TestCommutant:
         assert np.abs(x - (np.trace(x) / 2) * np.eye(2)).max() <= 1e-10
 
     def test_trivial_algebra_everything(self):
-        comm = commutant(close_algebra([], ambient_dim=3))
+        comm = commutant(close_algebra([np.eye(3, dtype=complex)]))
         assert len(comm) == 9
 
     def test_diagonal_algebra(self, diag3):
@@ -223,7 +229,7 @@ class TestRadical:
 
     def test_radical_inside_span(self, jordan3):
         for x in radical(jordan3):
-            assert jordan3.contains(x)
+            assert in_span(jordan3, x)
 
 
 class TestFindInvariantSubspace:
@@ -423,7 +429,7 @@ class TestLargeAlgebras:
 
     def test_kfold_size_cap_refuses_large_k(self):
         # M_9 of the trivial algebra's 81-dimensional commutant, in M_81
-        span = close_algebra([], ambient_dim=9)
+        span = close_algebra([np.eye(9, dtype=complex)])
         assert 16 * 9**4 * 81 * 9**2 > MAX_SYSTEM_BYTES
         with pytest.raises(DomainError, match="cap"):
             kfold_transitive(span, 9)

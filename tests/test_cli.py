@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freeprob import __version__, algstruct, brownfield, cli
+from freeprob import __version__, algstruct, brownfield, cli, config
 from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
@@ -448,6 +449,60 @@ def test_field_above_size_cap_exits_4_at_once(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "6000 x 6000 field needs ~274 MB, above the 256 MB cap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_field_tag_gram_above_cap_refused_before_the_model(tmp_path, capsys):
+    # 2898 is the smallest even dimension whose Gram pair, 32 N^2 bytes,
+    # passes the 256 MB cap; the refusal must come before the Haar build
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = _run(["field", "--tag", "W1F12", "--dim", "2898", "--seed", "1",
+                     "--out-dir", out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "Gram pair of a 2898 x 2898 matrix" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20
+
+
+def _refuse_if_called(*args, **kwargs):
+    raise AssertionError("called before the size check")
+
+
+@pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1e-3"]], ids=["default", "explicit"])
+def test_field_matrix_gram_above_cap_refused_after_load(tmp_path, capsys, monkeypatch, epsilon):
+    # under a 1536-byte cap the 40 x 40 Gram pair (51200 bytes) is refused
+    # before the default epsilon's 2-norm or the covering grid's eigensolve
+    monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 1536)
+    monkeypatch.setattr(cli, "default_epsilon", _refuse_if_called)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse_if_called)
+    rng = np.random.default_rng(4)
+    path = tmp_path / "m.json"
+    save_matrix(path, rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+    out = tmp_path / "out"
+    code = _run(["field", "--matrix", path, *epsilon, "--out-dir", out])
+    assert code == 4
+    assert "Gram pair of a 40 x 40 matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["tag", "zero"])
+def test_field_without_epsilon_skips_the_gram_check(tmp_path, monkeypatch, source):
+    # at epsilon 0, given or the default of a zero matrix, no Gram pair is
+    # built, so a cap below its size (2048 bytes at N = 8) does not refuse
+    monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 1536)
+    if source == "tag":
+        argv = ["--tag", "W1F12", "--dim", "8", "--seed", "1", "--epsilon", "0"]
+    else:
+        path = tmp_path / "zero.json"
+        save_matrix(path, np.zeros((8, 8), dtype=complex))
+        argv = ["--matrix", path]
+    out = tmp_path / "out"
+    assert _run(["field", *argv, "--grid-n", "8", "--out-dir", out]) == 0
+    assert json.loads((out / "field_meta.json").read_text())["path"] == "schur"
 
 
 def test_field_bad_grid_exits_4(tmp_path):

@@ -1,18 +1,16 @@
 """Radial Brown measures: the annulus recipe against its closed forms."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
 
-from freeprob.errors import (
-    DiracInputError,
-    DomainError,
-    MeasureFormatError,
-)
+from freeprob import rdiagonal
+from freeprob.errors import DiracInputError, MeasureFormatError
 from freeprob.measures import ScalarMeasure
 from freeprob.rdiagonal import (
     CATALOG,
@@ -44,7 +42,6 @@ class TestWorkedExample:
     def test_atom_is_exact(self):
         m = brown_rdiagonal(BERNOULLI)
         assert m.center_atom_mass == 0.5
-        assert m.atoms == ((0j, 0.5),)
 
     def test_outer_radius(self):
         m = brown_rdiagonal(BERNOULLI)
@@ -59,6 +56,8 @@ class TestWorkedExample:
     def test_endpoint_mass(self):
         m = brown_rdiagonal(BERNOULLI)
         assert m.cdf(m.support_outer) == 1.0
+        # a NaN radius lies in no range of the CDF
+        assert math.isnan(m.cdf(math.nan))
 
     def test_matches_catalog_entry(self):
         m = brown_rdiagonal(BERNOULLI)
@@ -66,13 +65,6 @@ class TestWorkedExample:
         rs = np.linspace(0.0, SQRT_HALF, 4097)
         gap = np.max(np.abs(np.asarray(m.cdf(rs)) - np.asarray(cat.cdf(rs))))
         assert gap <= 1e-8
-
-    def test_planar_density_matches_catalog_entry(self):
-        # the recipe's density is the derivative of its cubic interpolant
-        m = brown_rdiagonal(BERNOULLI)
-        rs = np.linspace(0.02, SQRT_HALF - 0.01, 301)
-        ratio = np.asarray(m.density(rs)) / catalog_brown(OperatorTag.W1F12).density(rs)
-        assert np.max(np.abs(ratio - 1.0)) <= 1e-4
 
 
 class TestTwoAtomAnnulus:
@@ -93,9 +85,15 @@ class TestTwoAtomAnnulus:
         assert m.cumulative[-1] == 1.0
         assert np.all(np.diff(m.cumulative) >= 0.0)
 
-    def test_sample_count_is_independent_of_values(self):
-        coarse = brown_rdiagonal(TWO_ATOM, samples=513)
-        fine = brown_rdiagonal(TWO_ATOM, samples=4097)
+    def test_sample_count_is_independent_of_values(self, monkeypatch):
+        def recipe(samples):
+            monkeypatch.setattr(
+                rdiagonal, "SIZE", dataclasses.replace(rdiagonal.SIZE, cdf_samples=samples)
+            )
+            return brown_rdiagonal(TWO_ATOM)
+
+        coarse, fine = recipe(513), recipe(4097)
+        assert coarse.radii.size == 513 and fine.radii.size == 4097
         probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 2001)
         gap = np.max(np.abs(np.asarray(coarse.cdf(probe)) - np.asarray(fine.cdf(probe))))
         assert gap <= 1e-7
@@ -163,26 +161,21 @@ class TestDensityAnnulus:
 
 class TestDiracHandling:
     def test_dirac_rejected_by_default(self):
-        with pytest.raises(DiracInputError):
-            brown_rdiagonal(ScalarMeasure(atoms=((2.0, 1.0),)))
+        # every point mass, at 0 too, is refused
+        for loc in (2.0, 0.0):
+            with pytest.raises(DiracInputError):
+                brown_rdiagonal(ScalarMeasure(atoms=((loc, 1.0),)))
 
-    def test_opt_in_gives_uniform_circle(self):
-        m = brown_rdiagonal(ScalarMeasure(atoms=((2.0, 1.0),)), allow_dirac=True)
-        assert m.support_inner == m.support_outer == 2.0
-        assert m.cdf(1.999) == 0.0
-        assert m.cdf(2.0) == 1.0
-        # a NaN radius lies in no range, here as on any other measure
-        assert math.isnan(m.cdf(math.nan))
 
-    def test_dirac_at_zero_degenerates_to_point_mass(self):
-        m = brown_rdiagonal(ScalarMeasure(atoms=((0.0, 1.0),)), allow_dirac=True)
-        assert m.support_outer == 0.0
-        assert m.cdf(0.0) == 1.0
-        assert m.center_atom_mass == 1.0
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(DomainError):
-            brown_rdiagonal(BERNOULLI, samples=4)
+# F'(r) for each catalog ball mass F, written out apart from CATALOG; the
+# planar density is F'(r) / (2 pi r)
+BALL_SLOPES = {
+    OperatorTag.W1F12: lambda r: r / (1.0 - r**2) ** 2,
+    OperatorTag.E12_plus_F12: lambda r: 2.0 * r / (1.0 - r**2) ** 2,
+    OperatorTag.E12_plus_F12_squared: lambda r: 1.0 / (1.0 - r) ** 2,
+    OperatorTag.W1_plus_F12_squared: lambda r: 2.0 * r / (1.0 - r**2) ** 2,
+    OperatorTag.W1_plus_F12: lambda r: 2.0 * r / (1.0 - r**2) ** 2,
+}
 
 
 class TestCatalog:
@@ -235,15 +228,13 @@ class TestCatalog:
 
     @pytest.mark.parametrize("tag", list(OperatorTag), ids=lambda t: t.value)
     def test_planar_density_recovers_total_mass(self, tag):
-        # the continuous part carries all mass outside the center atom
+        # the density integrated over each disc gives the ball mass off the
+        # center atom, and over the support all of it
         cat = catalog_brown(tag)
-        rs = np.linspace(1e-9, cat.support_outer, 40001)
-        mass = np.trapezoid(np.asarray(cat.density(rs)) * 2.0 * np.pi * rs, rs)
-        assert mass == pytest.approx(1.0 - cat.center_atom_mass, abs=1e-3)
-
-    def test_planar_density_needs_positive_radius(self):
-        with pytest.raises(DomainError):
-            catalog_brown(OperatorTag.W1F12).density(np.array([0.5, 0.0]))
+        rs = np.linspace(0.0, cat.support_outer, 40001)
+        mass = cumulative_trapezoid(BALL_SLOPES[tag](rs), rs, initial=0.0)
+        assert np.max(np.abs(mass - (cat.cdf(rs) - cat.center_atom_mass))) <= 1e-8
+        assert mass[-1] == pytest.approx(1.0 - cat.center_atom_mass, abs=1e-8)
 
     def test_conditional_cdf_strips_atom(self):
         cat = catalog_brown(OperatorTag.W1F12)
@@ -281,11 +272,14 @@ class TestSupportMembership:
 
 class TestSerialization:
     def test_json_round_trip(self):
+        # the text holds every radius and mass exactly
         m = brown_rdiagonal(TWO_ATOM)
-        back = RadialPlanarMeasure.from_json(m.to_json())
-        assert np.array_equal(back.radii, m.radii)
-        assert np.array_equal(back.cumulative, m.cumulative)
-        assert back.support_inner == m.support_inner
+        payload = json.loads(m.to_json())
+        radii, masses = np.array(payload["cdf"]).T
+        assert np.array_equal(radii, m.radii)
+        assert np.array_equal(masses, m.cumulative)
+        assert payload["support"] == [m.support_inner, m.support_outer]
+        assert payload["atoms"] == []
 
     def test_json_payload_shape(self):
         payload = json.loads(brown_rdiagonal(BERNOULLI).to_json())
@@ -293,12 +287,6 @@ class TestSerialization:
         assert payload["center"] == [0.0, 0.0]
         assert payload["atoms"] == [[0.0, 0.0, 0.5]]
         assert payload["support"] == [0.0, pytest.approx(SQRT_HALF)]
-
-    def test_malformed_json_raises(self):
-        with pytest.raises(MeasureFormatError):
-            RadialPlanarMeasure.from_json("{not json")
-        with pytest.raises(MeasureFormatError):
-            RadialPlanarMeasure.from_json('{"center": [0, 0]}')
 
     def test_csv_rows_hit_dyadic_grid(self):
         rows = dict(brown_rdiagonal(BERNOULLI).cdf_csv_rows())
@@ -322,8 +310,7 @@ class TestSerialization:
     def test_validation_rejects_bad_cdf(self):
         with pytest.raises(MeasureFormatError):
             RadialPlanarMeasure(
-                center=0j,
-                atoms=(),
+                center_atom_mass=0.0,
                 radii=np.array([0.0, 1.0]),
                 cumulative=np.array([0.0, 0.9]),
                 support_inner=0.0,
@@ -331,8 +318,7 @@ class TestSerialization:
             )
         with pytest.raises(MeasureFormatError):
             RadialPlanarMeasure(
-                center=0j,
-                atoms=(),
+                center_atom_mass=0.0,
                 radii=np.array([0.0, 1.0]),
                 cumulative=np.array([0.5, 1.0]),
                 support_inner=0.0,
