@@ -4,9 +4,11 @@ records.
 
 Each command returns its output files as text; only once it succeeds does
 main write them plus a run_record.json with the command line, master seed,
-config snapshot, wall time, BLAS thread variables, usable CPU count, and a
-sha256 digest per output, so a failed command leaves no directory behind.
-Stochastic commands need an explicit --seed; there is no silent entropy.
+the resolved RECORDED_FLAGS, wall time, BLAS thread variables, usable CPU
+count, and a sha256 digest per output, so a failed command leaves no
+directory behind.  Settings come from flags only, and matrices from JSON
+files.  Stochastic commands need an explicit --seed; there is no silent
+entropy.
 """
 
 from __future__ import annotations
@@ -60,14 +62,8 @@ from .rdiagonal import (
     pullback_radii,
 )
 
-# config key -> (accepted JSON value types, what the error message asks for);
-# JSON true and false are refused everywhere although bool subclasses int
-CONFIG_KEYS = {
-    "threads": ((int,), "an integer"),
-    "out_dir": ((str,), "a string"),
-    "epsilon": ((int, float, type(None)), "a number or null"),
-    "grid": ((str, type(None)), "a string or null"),
-}
+# flags whose resolved values run_record.json keeps as its "config" block
+RECORDED_FLAGS = ("threads", "out_dir", "epsilon", "grid")
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -93,7 +89,7 @@ def _write_outputs(args, outputs: dict[str, str], started: float) -> None:
     record = {
         "command": args.raw_argv,
         "seed": args.seed,
-        "config": {key: getattr(args, key, None) for key in CONFIG_KEYS}
+        "config": {key: getattr(args, key, None) for key in RECORDED_FLAGS}
         | {"out_dir": str(args.out_dir)},
         "wall_time_s": time.time() - started,
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
@@ -297,22 +293,12 @@ def cmd_verify(args) -> CommandResult:
 # -- parser --------------------------------------------------------------------
 
 
-class _Explicit(argparse.Action):
-    """Store the value and record that the flag was given on the command line."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.explicit = namespace.explicit | {self.dest}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.set_defaults(explicit=frozenset())
     common.add_argument("--seed", type=int, default=None, help="master seed (required for stochastic commands)")
-    common.add_argument("--threads", type=int, default=1, action=_Explicit, help="worker thread cap")
-    common.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), action=_Explicit, help="output directory")
-    common.add_argument("--config", type=Path, default=None, help="JSON config file; flags override its values")
+    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    common.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="freeprob",
@@ -339,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_field = sub.add_parser(
         "field", parents=[common], help="log-determinant field and cell masses on a grid"
     )
-    p_field.add_argument("--matrix", default=None, help="matrix file (.json or .csv)")
+    p_field.add_argument("--matrix", default=None, help="matrix file (.json)")
     p_field.add_argument("--tag", default=None, choices=tags, help="catalog operator instead of a file")
     p_field.add_argument("--dim", type=int, default=128, help="dimension for --tag (even)")
-    p_field.add_argument("--grid", default=None, action=_Explicit, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
+    p_field.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
     p_field.add_argument("--grid-n", dest="grid_n", type=int, default=SIZE.grid_nx, help="nodes per axis for the automatic grid")
-    p_field.add_argument("--epsilon", type=float, default=None, action=_Explicit, help="regularization (default 1e-6*||T||^2)")
+    p_field.add_argument("--epsilon", type=float, default=None, help="regularization (default 1e-6*||T||^2)")
     p_field.set_defaults(func=cmd_field)
 
     p_alg = sub.add_parser(
@@ -362,35 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    if args.config is None:
-        return
-    try:
-        payload = json.loads(read_text(args.config))
-    except json.JSONDecodeError as exc:
-        raise MeasureFormatError(f"{args.config}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise MeasureFormatError("config file must hold a JSON object")
-    for key, value in payload.items():
-        if key not in CONFIG_KEYS:
-            raise MeasureFormatError(f"unknown config key {key!r}")
-        types, wanted = CONFIG_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise MeasureFormatError(f"config key {key!r} must be {wanted}, got {value!r}")
-        if key == "out_dir":
-            value = Path(value)
-        # a flag given on the command line wins over the config file
-        if key not in args.explicit:
-            setattr(args, key, value)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     args.raw_argv = ["freeprob", *argv]
     try:
-        _apply_config(args)
         if args.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
         started = time.time()

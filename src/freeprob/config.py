@@ -56,6 +56,8 @@ MAX_SYSTEM_BYTES = 256 * 2**20
 
 def require_fits(need: int, what: str) -> None:
     if need > MAX_SYSTEM_BYTES:
+        # MiB rounded up to 0.1, so a need past the cap never reads as equal to it
+        tenths = -(-10 * need // 2**20)
         raise DomainError(
-            f"{what} needs ~{need >> 20} MB, above the {MAX_SYSTEM_BYTES >> 20} MB cap"
+            f"{what} needs {tenths / 10:.1f} MiB, above the {MAX_SYSTEM_BYTES / 2**20:g} MiB cap"
         )

@@ -1,7 +1,9 @@
 """Exception taxonomy and the exit-code table used by the command line.
 
-Each error class maps to one documented process exit code.  The table is
-exhaustive: a test iterates over EXIT_CODES and triggers every variant.
+Each error class maps to one documented process exit code.  No command
+raises PoleError (5, raised only by psi_transform) or WordSpecError (10,
+raised only by the word API), and InternalInconsistencyError (70) marks a
+defect, so the tests check those entries on the table, not through a command.
 Code 2 is reserved for argparse usage errors and 1 for a failed verify run.
 """
 

@@ -1,10 +1,8 @@
-"""Complex matrix file formats.
+"""Complex matrix files.
 
-Two interchangeable encodings, dispatched by file extension:
-
-* JSON: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with ``data``
-  holding r*c entries in row-major order.
-* CSV: r lines, each with 2c comma-separated reals alternating re, im.
+One encoding, JSON, in files ending in ``.json``:
+``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with ``data`` holding
+r*c entries in row-major order.  Any other extension is refused.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ import numpy as np
 
 from .errors import MeasureFormatError
 
-__all__ = ["matrix_to_json", "matrix_from_json", "matrix_to_csv", "matrix_from_csv",
-           "save_matrix", "load_matrix", "read_text"]
+__all__ = ["matrix_to_json", "matrix_from_json", "save_matrix", "load_matrix", "read_text"]
 
 
 def _re_im(matrix: np.ndarray) -> np.ndarray:
@@ -64,45 +61,11 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     return _complex(flat).reshape(rows, cols)
 
 
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    parts = _re_im(matrix)
-    rows = parts.reshape(parts.shape[0], -1).tolist()
-    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
-        fields = [f for f in line.strip().split(",") if f != ""]
-        if not fields:
-            continue
-        if len(fields) % 2 != 0:
-            raise MeasureFormatError(
-                f"line {lineno}: odd field count {len(fields)}; "
-                "entries must be re,im pairs"
-            )
-        try:
-            row = [float(f) for f in fields]
-        except ValueError as exc:
-            raise MeasureFormatError(f"line {lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise MeasureFormatError(
-                f"line {lineno}: ragged row width {len(row) // 2} != {len(rows[0]) // 2}"
-            )
-        rows.append(row)
-    if not rows:
-        raise MeasureFormatError("empty matrix file")
-    return _complex(rows)
-
-
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
     path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(json.dumps(matrix_to_json(matrix)))
-    elif path.suffix == ".csv":
-        path.write_text(matrix_to_csv(matrix))
-    else:
+    if path.suffix != ".json":
         raise MeasureFormatError(f"unsupported matrix extension {path.suffix!r}")
+    path.write_text(json.dumps(matrix_to_json(matrix)))
 
 
 def read_text(path: str | Path) -> str:
@@ -116,12 +79,10 @@ def read_text(path: str | Path) -> str:
 
 def load_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if path.suffix == ".json":
-        try:
-            payload = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
-        return matrix_from_json(payload)
-    if path.suffix == ".csv":
-        return matrix_from_csv(read_text(path))
-    raise MeasureFormatError(f"unsupported matrix extension {path.suffix!r}")
+    if path.suffix != ".json":
+        raise MeasureFormatError(f"unsupported matrix extension {path.suffix!r}")
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return matrix_from_json(payload)

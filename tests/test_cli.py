@@ -1,4 +1,4 @@
-"""Command-line surface: exit codes, output files, run records, config."""
+"""Command-line surface: exit codes, output files, run records."""
 
 import json
 import os
@@ -16,6 +16,7 @@ from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
     MeasureFormatError,
+    PoleError,
     WordSpecError,
     exit_code_for,
 )
@@ -108,17 +109,15 @@ def test_missing_measure_file_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "not-utf8"])
-@pytest.mark.parametrize("entry", ["algebra-json", "algebra-csv", "field", "rdiag", "config"])
-def test_unreadable_input_file_exits_3(two_point_file, tmp_path, capsys, entry, content):
-    path = tmp_path / ("x.csv" if entry == "algebra-csv" else "x.json")
+@pytest.mark.parametrize("entry", ["algebra-json", "field", "rdiag"])
+def test_unreadable_input_file_exits_3(tmp_path, capsys, entry, content):
+    path = tmp_path / "x.json"
     if content is not None:
         path.write_bytes(content)
     argv = {
         "algebra-json": ["algebra", path],
-        "algebra-csv": ["algebra", path],
         "field": ["field", "--matrix", path, "--grid-n", "8"],
         "rdiag": ["rdiag", path],
-        "config": ["rdiag", two_point_file, "--config", path],
     }[entry]
     assert _run([*argv, "--out-dir", tmp_path / "out"]) == 3
     assert "error: cannot read" in capsys.readouterr().err
@@ -141,7 +140,7 @@ def test_simulate_huge_dim_exits_4(tmp_path, capsys):
     code = _run(["simulate", "--tag", "W1F12", "--dim", "400000", "--seed", "1",
                  "--out-dir", out])
     assert code == 4
-    assert "256 MB cap" in capsys.readouterr().err
+    assert "256 MiB cap" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -187,7 +186,7 @@ def test_mixed_generator_sizes_exits_9(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["field", "algebra"])
-@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("suffix", [".json"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, command, suffix, bad):
     path = tmp_path / f"bad{suffix}"
@@ -209,9 +208,41 @@ def test_unwritable_out_dir_exits_3(two_point_file, tmp_path, capsys, blocker):
     assert (tmp_path / "taken").read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exits_4(two_point_file, tmp_path, threads):
+    out = tmp_path / "out"
+    assert _run(["rdiag", two_point_file, "--threads", threads, "--out-dir", out]) == 4
+    assert not out.exists()
+
+
+def test_config_option_exits_2(tmp_path):
+    # settings come from flags only; there is no settings file
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({"threads": 2}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(["simulate", "--tag", "W1F12", "--dim", "8", "--seed", "1",
+              "--config", config_file, "--out-dir", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["field", "algebra"])
+def test_csv_matrix_exits_3(tmp_path, capsys, command):
+    # JSON is the only matrix encoding, whatever the file holds
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,0.0,0.0,0.0\n0.0,0.0,1.0,0.0\n")
+    argv = ["--matrix", path, "--grid-n", "8"] if command == "field" else [path]
+    out = tmp_path / "out"
+    assert _run([command, *argv, "--out-dir", out]) == 3
+    assert "unsupported matrix extension '.csv'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unreachable_error_codes_still_mapped():
-    # no subcommand parses words or can disagree with itself on purpose,
-    # so these taxonomy entries are asserted on the mapping directly
+    # no subcommand evaluates psi at a pole, parses words or can disagree
+    # with itself on purpose, so these entries are asserted on the mapping
+    assert exit_code_for(PoleError("x")) == 5
     assert exit_code_for(WordSpecError("x")) == 10
     assert exit_code_for(InternalInconsistencyError("x")) == 70
     assert EXIT_CODES[MeasureFormatError] == 3
@@ -241,23 +272,29 @@ def test_rdiag_outputs(two_point_file, tmp_path, capsys):
 def test_run_record_digests(two_point_file, tmp_path, command):
     matrix = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
     gens = _write_gens(tmp_path, matrix, matrix.T)
-    argv, seed, expected = {
-        "rdiag": ([two_point_file], None, {"two_point_radial.json", "two_point_cdf.csv"}),
+    argv, seed, expected, settings = {
+        "rdiag": ([two_point_file], None, {"two_point_radial.json", "two_point_cdf.csv"}, {}),
         "simulate": (
-            ["--tag", "W1F12", "--dim", "16", "--seeds", "2", "--seed", "4"],
+            ["--tag", "W1F12", "--dim", "16", "--seeds", "2", "--seed", "4", "--threads", "2"],
             4,
             {"eigenvalues_seed0.csv", "eigenvalues_seed1.csv", "empirical_cdf.csv",
              "simulation_summary.json"},
+            {"threads": 2},
         ),
-        "field": (["--matrix", gens[0], "--grid-n", "12"], None,
-                  {"field.csv", "mass.csv", "field_meta.json"}),
-        "algebra": ([*gens, "--kfold", "2", "--seed", "6"], 6, {"algebra_report.json"}),
+        "field": (["--matrix", gens[0], "--grid=-40,40,-40,40,12,12", "--epsilon", "0.001"],
+                  None, {"field.csv", "mass.csv", "field_meta.json"},
+                  {"epsilon": 0.001, "grid": "-40,40,-40,40,12,12"}),
+        "algebra": ([*gens, "--kfold", "2", "--seed", "6"], 6, {"algebra_report.json"}, {}),
     }[command]
     out = tmp_path / "out"
     assert _run([command, *argv, "--out-dir", out]) == 0
     record = json.loads((out / "run_record.json").read_text())
     assert record["command"][:2] == ["freeprob", command]
     assert record["seed"] == seed
+    # the resolved flags, exactly these four, whether given or left at default
+    assert record["config"] == {
+        "threads": 1, "out_dir": str(out), "epsilon": None, "grid": None, **settings,
+    }
     assert record["wall_time_s"] >= 0.0
     written = {path.name for path in out.iterdir()} - {"run_record.json"}
     assert set(record["outputs"]) == written == expected
@@ -437,7 +474,7 @@ def test_field_non_square_matrix_exits_9(tmp_path, capsys, grid):
 
 
 def test_field_above_size_cap_exits_4_at_once(tmp_path, capsys, monkeypatch):
-    # an 8x8 matrix on a 6000^2 grid needs a 288 MB value array
+    # an 8x8 matrix on a 6000^2 grid needs a 288,000,000-byte value array
     def evaluated(*args):
         raise AssertionError("a grid row was evaluated")
 
@@ -447,13 +484,13 @@ def test_field_above_size_cap_exits_4_at_once(tmp_path, capsys, monkeypatch):
     code = _run(["field", "--matrix", path, "--grid-n", "6000",
                  "--out-dir", tmp_path / "out"])
     assert code == 4
-    assert "6000 x 6000 field needs ~274 MB, above the 256 MB cap" in capsys.readouterr().err
+    assert "6000 x 6000 field needs 274.7 MiB, above the 256 MiB cap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_field_tag_gram_above_cap_refused_before_the_model(tmp_path, capsys):
     # 2898 is the smallest even dimension whose Gram pair, 32 N^2 bytes,
-    # passes the 256 MB cap; the refusal must come before the Haar build
+    # passes the 256 MiB cap; the refusal must come before the Haar build
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -601,105 +638,6 @@ def test_algebra_kfold_computes_commutant_and_radical_once(tmp_path, monkeypatch
     assert _run(["algebra", *paths, "--kfold", "2", "--seed", "3", "--out-dir", out]) == 0
     assert json.loads((out / "algebra_report.json").read_text())["kfold"]["result"] is True
     assert calls == {"commutant": 1, "radical": 1}
-
-
-# -- config file -------------------------------------------------------------
-
-
-def test_config_supplies_out_dir(two_point_file, tmp_path):
-    target = tmp_path / "from_config"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"out_dir": str(target)}))
-    assert _run(["rdiag", two_point_file, "--config", config]) == 0
-    assert (target / "run_record.json").exists()
-
-
-def test_explicit_flag_beats_config(two_point_file, tmp_path):
-    config_target = tmp_path / "from_config"
-    flag_target = tmp_path / "from_flag"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"out_dir": str(config_target)}))
-    code = _run(["rdiag", two_point_file, "--config", config,
-                 "--out-dir", flag_target])
-    assert code == 0
-    assert (flag_target / "run_record.json").exists()
-    assert not config_target.exists()
-
-
-def test_explicit_flag_equal_to_default_beats_config(
-    two_point_file, tmp_path, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"out_dir": "from_config", "threads": 4}))
-    code = _run(["rdiag", two_point_file, "--out-dir", ".", "--threads", "1",
-                 "--config", config])
-    assert code == 0
-    assert not (tmp_path / "from_config").exists()
-    record = json.loads((tmp_path / "run_record.json").read_text())
-    assert record["config"]["out_dir"] == "."
-    assert record["config"]["threads"] == 1
-
-
-def test_config_fills_flags_not_given(two_point_file, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"threads": 3}))
-    out = tmp_path / "out"
-    assert _run(["rdiag", two_point_file, "--config", config, "--out-dir", out]) == 0
-    record = json.loads((out / "run_record.json").read_text())
-    assert record["config"]["threads"] == 3
-
-
-def test_unknown_config_key_exits_3(two_point_file, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid_spacing": 1}))
-    code = _run(["rdiag", two_point_file, "--config", config,
-                 "--out-dir", tmp_path / "out"])
-    assert code == 3
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"threads": "4"},
-        {"threads": 2.0},
-        {"threads": True},
-        {"epsilon": "big"},
-        {"epsilon": False},
-        {"grid": 5},
-        {"out_dir": None},
-    ],
-)
-def test_config_value_of_wrong_type_exits_3(two_point_file, tmp_path, capsys, payload):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    code = _run(["rdiag", two_point_file, "--config", config,
-                 "--out-dir", tmp_path / "out"])
-    assert code == 3
-    assert "must be" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_exits_4(two_point_file, tmp_path, threads):
-    out = tmp_path / "out"
-    assert _run(["rdiag", two_point_file, "--threads", threads, "--out-dir", out]) == 4
-    assert not out.exists()
-
-
-def test_config_threads_below_one_exits_4(two_point_file, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"threads": 0}))
-    out = tmp_path / "out"
-    assert _run(["rdiag", two_point_file, "--config", config, "--out-dir", out]) == 4
-    assert not out.exists()
-
-
-def test_config_must_be_object(two_point_file, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text("[1, 2]")
-    code = _run(["rdiag", two_point_file, "--config", config,
-                 "--out-dir", tmp_path / "out"])
-    assert code == 3
 
 
 # -- verify ----------------------------------------------------------------

@@ -8,9 +8,7 @@ import pytest
 from freeprob.errors import MeasureFormatError
 from freeprob.matio import (
     load_matrix,
-    matrix_from_csv,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     save_matrix,
 )
@@ -20,11 +18,6 @@ SAMPLE = np.array([[1 + 2j, 3.5], [-1j, 0.25 - 0.75j]])
 
 def test_json_round_trip():
     back = matrix_from_json(matrix_to_json(SAMPLE))
-    assert np.array_equal(back, SAMPLE)
-
-
-def test_csv_round_trip():
-    back = matrix_from_csv(matrix_to_csv(SAMPLE))
     assert np.array_equal(back, SAMPLE)
 
 
@@ -55,31 +48,10 @@ def test_json_rejects_nonpositive_dims():
         matrix_from_json({"rows": 0, "cols": 2, "data": []})
 
 
-def test_csv_rejects_odd_fields():
-    with pytest.raises(MeasureFormatError):
-        matrix_from_csv("1.0,2.0,3.0\n")
-
-
-def test_csv_rejects_ragged_rows():
-    with pytest.raises(MeasureFormatError):
-        matrix_from_csv("1.0,0.0\n1.0,0.0,2.0,0.0\n")
-
-
-def test_csv_rejects_empty():
-    with pytest.raises(MeasureFormatError):
-        matrix_from_csv("\n\n")
-
-
 def test_save_load_json(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(path, SAMPLE)
     json.loads(path.read_text())
-    assert np.array_equal(load_matrix(path), SAMPLE)
-
-
-def test_save_load_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    save_matrix(path, SAMPLE)
     assert np.array_equal(load_matrix(path), SAMPLE)
 
 

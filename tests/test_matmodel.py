@@ -113,12 +113,17 @@ class TestHaarUnitary:
         require_fits(16 * 4096**2, "dim 4096")  # exactly the cap still passes
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="256 MB cap"):
+            with pytest.raises(DomainError, match="256 MiB cap"):
                 build_free_group(5000, 1)
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
         assert peak < 1.0
+
+    def test_size_cap_message_one_byte_past_the_cap(self):
+        # the need rounds up, so one byte past the cap never reads as the cap
+        with pytest.raises(DomainError, match=r"^dim x needs 256\.1 MiB, above the 256 MiB cap$"):
+            require_fits(256 * 2**20 + 1, "dim x")
 
     def test_derived_streams_are_independent(self):
         a = derive_rng(SEED, "alpha").standard_normal(4)
