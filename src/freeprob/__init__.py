@@ -35,7 +35,6 @@ from .matmodel import (
     MatrixModel,
     build_free_group,
     build_m2_free_m2,
-    catalog_spectrum,
     exact_identity_residuals,
     ks_distance,
     realize,

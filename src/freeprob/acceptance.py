@@ -6,8 +6,9 @@ observed output.  Criteria 3-5 share one matrix model per seed: the catalog
 operators live in the same algebra, and the squared-operator laws follow
 from the sampled spectra by the spectral mapping lambda -> lambda^2.  Every
 spectrum is a plain array of eigenvalues read from two n x n eigensolves of
-the Haar rotation's blocks per seed (catalog_spectrum), shared by all three
-comparisons; each criterion maps it to its law's radial coordinate
+the Haar rotation's blocks per seed (the model's cached block eigenvalues,
+read through each Law's spectrum), shared by all three comparisons; each
+criterion maps it to its law's radial coordinate
 (pullback_radii) and measures a KS distance.  The W1F12 atom 1/2 at 0 is
 exact by construction (the kernel is n exact zeros), so criterion 3 checks
 only the law conditioned off the atom.
@@ -53,7 +54,6 @@ from .matio import save_matrix
 from .matmodel import (
     build_free_group,
     build_m2_free_m2,
-    catalog_spectrum,
     centered,
     derive_rng,
     exact_identity_residuals,
@@ -186,7 +186,7 @@ def _catalog_spectra() -> dict[OperatorTag, list[np.ndarray]]:
     for child in _child_seeds("criteria-3-4-5-spectra", SPECTRA_SEEDS):
         model = build_m2_free_m2(SPECTRA_DIM // 2, child)
         for tag in _SPECTRA_TAGS:
-            out[tag].append(catalog_spectrum(tag, model))
+            out[tag].append(catalog_brown(tag).spectrum(model))
     return out
 
 

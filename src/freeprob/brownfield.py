@@ -151,10 +151,15 @@ def default_epsilon(matrix: np.ndarray) -> float:
     return SIZE.epsilon_scale * float(np.linalg.norm(matrix, 2)) ** 2
 
 
-def require_gram_fits(n: int) -> None:
-    """Refuse an epsilon > 0 field of an n x n matrix whose Gram pair B*B,
-    B + B* would pass the size cap."""
-    require_fits(32 * n * n, f"the Gram pair of a {n} x {n} matrix")
+def require_gram_fits(n: int, nx: int, workers: int) -> int:
+    """Refuse an epsilon > 0 field of an n x n matrix on nx-node grid rows if
+    its workers, each holding a row's Gram pair B*B, B + B* and a batch of at
+    most 2**22 Gram entries, would pass the size cap; return the batch length,
+    which the worker count never changes."""
+    chunk = min(nx, max(1, (1 << 22) // max(1, n * n)))
+    what = f"{workers} worker(s), each with the Gram pair of a {n} x {n} matrix and a {chunk}-node batch,"
+    require_fits(workers * (16 * chunk + 32) * n * n, what)
+    return chunk
 
 
 def _schur_column(
@@ -241,17 +246,16 @@ def logdet_field(
     Grid rows are split into one contiguous share per thread, each thread
     reusing one buffer for its share, and written back by index, so the
     result is identical for any thread count.  Before any evaluation, a
-    value array or, at epsilon > 0, a row's Gram pair B*B, B + B* past the
-    size cap is refused.
+    value array or, at epsilon > 0, the threads' Gram pairs and buffers
+    past the size cap are refused.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
     path = "schur" if grid.epsilon == 0.0 else "svd"
     n = matrix.shape[0]
+    workers = min(threads, grid.ny)
     require_fits(8 * grid.nx * grid.ny, f"a {grid.nx} x {grid.ny} field")
-    if path == "svd":
-        require_gram_fits(n)
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))
@@ -270,7 +274,7 @@ def logdet_field(
             return [_schur_column(diag, xs, ys[iy], jitter) for iy in share]
 
     else:
-        chunk = min(grid.nx, max(1, (1 << 22) // max(1, n * n)))
+        chunk = require_gram_fits(n, grid.nx, workers)
 
         def run_rows(share: np.ndarray):
             buf = np.empty((chunk, n, n), dtype=complex)
@@ -281,7 +285,7 @@ def logdet_field(
 
     # contiguous shares keep the first failing row first in the results,
     # so an error names the same row for any thread count
-    shares = np.array_split(np.arange(grid.ny), min(threads, grid.ny))
+    shares = np.array_split(np.arange(grid.ny), workers)
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         rows = [row for done in pool.map(run_rows, shares) for row in done]
     for iy, (col, flags, dead) in enumerate(rows):

@@ -48,7 +48,6 @@ from .errors import (
 from .matio import load_matrix, read_text
 from .matmodel import (
     build_m2_free_m2,
-    catalog_spectrum,
     derive_rng,
     ks_distance,
     realize,
@@ -88,7 +87,7 @@ def _write_outputs(args, outputs: dict[str, str], started: float) -> None:
     """The CLI's one disk writer: out_dir, each output, then run_record.json."""
     record = {
         "command": args.raw_argv,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "config": {key: getattr(args, key, None) for key in RECORDED_FLAGS}
         | {"out_dir": str(args.out_dir)},
         "wall_time_s": time.time() - started,
@@ -120,10 +119,10 @@ def _child_seed(master: int, label: str) -> int:
     return int(derive_rng(master, label).integers(0, 2**63))
 
 
-def _half_dim(args) -> int:
-    if args.dim < 2 or args.dim % 2 != 0:
-        raise DomainError(f"--dim must be an even integer >= 2, got {args.dim}")
-    return args.dim // 2
+def _half_dim(dim: int) -> int:
+    if dim < 2 or dim % 2 != 0:
+        raise DomainError(f"--dim must be an even integer >= 2, got {dim}")
+    return dim // 2
 
 
 def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
@@ -161,7 +160,7 @@ def cmd_rdiag(args) -> CommandResult:
 def cmd_simulate(args) -> CommandResult:
     seed = _require_seed(args, "simulate")
     tag = OperatorTag(args.tag)
-    half_dim = _half_dim(args)
+    half_dim = _half_dim(args.dim)
     if args.seeds < 1:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
 
@@ -171,7 +170,7 @@ def cmd_simulate(args) -> CommandResult:
     seed_list = [_child_seed(seed, f"simulate-{idx}") for idx in range(args.seeds)]
     for idx, child in enumerate(seed_list):
         model = build_m2_free_m2(half_dim, child)
-        eigenvalues = catalog_spectrum(tag, model)
+        eigenvalues = catalog.spectrum(model)
         pairs = zip(eigenvalues.real.tolist(), eigenvalues.imag.tolist())
         outputs[f"eigenvalues_seed{idx}.csv"] = _csv_text("re,im", pairs)
         all_radii.append(pullback_radii(tag, eigenvalues))
@@ -200,41 +199,45 @@ def cmd_simulate(args) -> CommandResult:
     )
 
 
-def _refuse_large_gram(args, n: int, default_floor: float) -> None:
-    """Refuse, before any work, an epsilon > 0 field whose Gram pair passes
-    the size cap; default_floor is a lower bound on the default epsilon."""
-    if (default_floor if args.epsilon is None else args.epsilon) > 0.0:
-        require_gram_fits(n)
+def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
+    """The field's matrix and its label.  An epsilon > 0 field whose workers'
+    Gram buffers pass the size cap is refused before any expensive work."""
 
+    def refuse_large_gram(n: int, default_floor: float) -> None:
+        # default_floor is a lower bound on the default epsilon
+        if (default_floor if args.epsilon is None else args.epsilon) > 0.0:
+            require_gram_fits(n, nx, workers)
 
-def _field_matrix(args) -> tuple[np.ndarray, str]:
     if args.matrix is not None:
+        if args.dim is not None or args.seed is not None:
+            raise DomainError("field --matrix reads neither --dim nor --seed")
         matrix = load_matrix(args.matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
         # the default 1e-6 ||T||_2^2 is at least 1e-6 ||T||_F^2 / N
-        floor = SIZE.epsilon_scale * float(np.linalg.norm(matrix)) ** 2 / len(matrix)
-        _refuse_large_gram(args, len(matrix), floor)
+        refuse_large_gram(len(matrix), SIZE.epsilon_scale * float(np.linalg.norm(matrix)) ** 2 / len(matrix))
         return matrix, Path(args.matrix).name
-    if args.tag is None:
-        raise DomainError("field needs either --matrix FILE or --tag TAG")
     seed = _require_seed(args, "field with --tag")
     tag = OperatorTag(args.tag)
-    half_dim = _half_dim(args)
+    dim = 128 if args.dim is None else args.dim
+    half_dim = _half_dim(dim)
     # a catalog operator is never zero, so its default epsilon is positive
-    _refuse_large_gram(args, args.dim, 1.0)
+    refuse_large_gram(dim, 1.0)
     model = build_m2_free_m2(half_dim, _child_seed(seed, "field"))
     return realize(tag, model), tag.value
 
 
 def cmd_field(args) -> CommandResult:
-    matrix, label = _field_matrix(args)
+    if args.grid is not None:
+        *bounds, nx, ny = _parse_grid(args.grid)
+    else:
+        nx = ny = SIZE.grid_nx if args.grid_n is None else args.grid_n
+    matrix, label = _field_matrix(args, nx, min(args.threads, ny))
     epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
     if args.grid is not None:
-        grid = GridSpec(*_parse_grid(args.grid), epsilon=epsilon)
+        grid = GridSpec(*bounds, nx, ny, epsilon=epsilon)
     else:
-        eigs = np.linalg.eigvals(matrix)
-        grid = GridSpec.covering(eigs, n=args.grid_n, epsilon=epsilon)
+        grid = GridSpec.covering(np.linalg.eigvals(matrix), n=nx, epsilon=epsilon)
     field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))
     return CommandResult(
         {
@@ -249,13 +252,15 @@ def cmd_field(args) -> CommandResult:
 
 
 def cmd_algebra(args) -> CommandResult:
-    mats = [load_matrix(p) for p in args.matrix_files]
-    # refuse a bad --kfold before the closure, not after it
+    # refuse a misused --seed or --kfold before any file loads or the closure runs
     if args.kfold is not None:
         _require_seed(args, "algebra --kfold")
-        n = mats[0].shape[0]
-        if not 1 <= args.kfold <= n:
-            raise DomainError(f"--kfold must lie in [1, {n}], got {args.kfold}")
+    elif args.seed is not None:
+        raise DomainError("algebra reads --seed only with --kfold")
+    mats = [load_matrix(p) for p in args.matrix_files]
+    n = mats[0].shape[0]
+    if args.kfold is not None and not 1 <= args.kfold <= n:
+        raise DomainError(f"--kfold must lie in [1, {n}], got {args.kfold}")
     span = close_algebra(mats)
     report = find_invariant_subspace(span)
     payload = {
@@ -295,10 +300,11 @@ def cmd_verify(args) -> CommandResult:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (required for stochastic commands)")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    common.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), help="output directory")
+    # one parent per shared flag, so each command takes only the flags it reads
+    seed, threads, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=None, help="master seed (no silent entropy)")
+    threads.add_argument("--threads", type=int, default=1, help="worker threads for the field's grid rows (>= 1)")
+    out_dir.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="freeprob",
@@ -308,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rdiag = sub.add_parser(
-        "rdiag", parents=[common], help="radial law of a rotation-invariant spectral distribution from a scalar measure file"
+        "rdiag", parents=[out_dir], help="radial law of a rotation-invariant spectral distribution from a scalar measure file"
     )
     p_rdiag.add_argument("measure_file", help="scalar measure JSON file")
     p_rdiag.set_defaults(func=cmd_rdiag)
 
     tags = [t.value for t in OperatorTag]
     p_sim = sub.add_parser(
-        "simulate", parents=[common], help="sample catalog operators at finite dimension and compare with the limit law"
+        "simulate", parents=[seed, out_dir], help="sample catalog operators at finite dimension and compare with the limit law"
     )
     p_sim.add_argument("--tag", required=True, choices=tags)
     p_sim.add_argument("--dim", type=int, required=True, help="full matrix dimension (even)")
@@ -323,25 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_field = sub.add_parser(
-        "field", parents=[common], help="log-determinant field and cell masses on a grid"
+        "field", parents=[seed, threads, out_dir], help="log-determinant field and cell masses on a grid"
     )
-    p_field.add_argument("--matrix", default=None, help="matrix file (.json)")
-    p_field.add_argument("--tag", default=None, choices=tags, help="catalog operator instead of a file")
-    p_field.add_argument("--dim", type=int, default=128, help="dimension for --tag (even)")
-    p_field.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
-    p_field.add_argument("--grid-n", dest="grid_n", type=int, default=SIZE.grid_nx, help="nodes per axis for the automatic grid")
+    source = p_field.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", default=None, help="matrix file (.json)")
+    source.add_argument("--tag", default=None, choices=tags, help="catalog operator, realized with --seed")
+    p_field.add_argument("--dim", type=int, default=None, help="dimension for --tag (even, default 128)")
+    shape = p_field.add_mutually_exclusive_group()
+    shape.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
+    shape.add_argument("--grid-n", dest="grid_n", type=int, default=None, help=f"nodes per axis (default {SIZE.grid_nx})")
     p_field.add_argument("--epsilon", type=float, default=None, help="regularization (default 1e-6*||T||^2)")
     p_field.set_defaults(func=cmd_field)
 
     p_alg = sub.add_parser(
-        "algebra", parents=[common], help="closure, transitivity, and invariant-subspace report for generator matrices"
+        "algebra", parents=[seed, out_dir], help="closure, transitivity, and invariant-subspace report for generator matrices"
     )
     p_alg.add_argument("matrix_files", nargs="+", help="generator matrix files")
-    p_alg.add_argument("--kfold", type=int, default=None, help="also decide k-fold transitivity")
+    p_alg.add_argument("--kfold", type=int, default=None, help="also decide k-fold transitivity (needs --seed)")
     p_alg.set_defaults(func=cmd_algebra)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the acceptance criteria and report pass/fail per criterion"
+        "verify", parents=[threads, out_dir], help="run the acceptance criteria and report pass/fail per criterion"
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -354,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = ["freeprob", *argv]
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
         started = time.time()
         result = args.func(args)

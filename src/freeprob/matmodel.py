@@ -21,7 +21,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "realize",
     "exact_identity_residuals",
     "spectrum",
-    "catalog_spectrum",
     "ks_distance",
     "ntrace",
     "centered",
@@ -133,14 +132,15 @@ class MatrixModel:
     W_i = w_i (x) I_n act as the first copy and E_ij = e_ij (x) I_n are its
     matrix units; the second copy's units are F_ij = Q_i Q_j* and its
     generators V_k = Q W_k Q* = sum_ij (w_k)_ij F_ij.  factor() builds each
-    on first use and caches it read-only.
+    on first use and caches it read-only.  Since AB and BA share their
+    nonzero eigenvalues, every catalog spectrum is read from one of two n x n
+    block eigensolves, each a read-only property solved once per model.
     """
 
     half_dim: int
     seed: int
     rotation: np.ndarray
     _factors: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _eigenvalues: dict[Callable, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -178,16 +178,19 @@ class MatrixModel:
     def is_unitary_factor(self, name: str) -> bool:
         return name[0] in ("W", "V")
 
-    def eigenvalues_of(self, core: Callable[["MatrixModel"], np.ndarray]) -> np.ndarray:
-        """Eigenvalues of the n x n matrix core(self), solved once per model.
+    @cached_property
+    def reflected_eigenvalues(self) -> np.ndarray:
+        """eig(M), M = Q_12* Q_11 - Q_22* Q_21 = Q_2* W1 Q_1: det(z - W1 F12)
+        = z^n det(z - M) and det(z - W1 - F12) = det(z^2 - 1 - M)."""
+        core = self.block(1, 2).conj().T @ self.block(1, 1) - self.block(2, 2).conj().T @ self.block(2, 1)
+        return _freeze(_eigvals(core, f"the reflected core of seed {self.seed}"))
 
-        The catalog reads every operator's spectrum from two such cores of
-        the rotation's blocks, so the tags of one model share their solves.
-        """
-        if core not in self._eigenvalues:
-            vals = _eigvals(core(self), f"{core.__name__} of seed {self.seed}")
-            self._eigenvalues.setdefault(core, _freeze(vals))
-        return self._eigenvalues[core]
+    @cached_property
+    def nilpotent_eigenvalues(self) -> np.ndarray:
+        """eig(N), N = Q_21 Q_12*: E12 + F12 = A B* for A = [I_1 Q_1], B = [I_2 Q_2],
+        and B*A = [[0, Q_21], [Q_12*, 0]] has the eigenvalues +-sqrt(eig N)."""
+        core = self.block(2, 1) @ self.block(1, 2).conj().T
+        return _freeze(_eigvals(core, f"the nilpotent core of seed {self.seed}"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,15 +275,6 @@ def spectrum(matrix: np.ndarray, source: str = "") -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
     return _eigvals(matrix, source)
-
-
-def catalog_spectrum(tag: OperatorTag | str, model: MatrixModel) -> np.ndarray:
-    """All 2n eigenvalues of realize(tag, model), read from n x n block eigensolves.
-
-    The catalog entry maps the model's cores (model.eigenvalues_of) to the
-    eigenvalues; the 2n x 2n matrix is never formed.
-    """
-    return CATALOG[OperatorTag(tag)].spectrum(model)
 
 
 def ks_distance(radii: np.ndarray, cdf) -> float:

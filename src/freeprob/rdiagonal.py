@@ -161,14 +161,13 @@ class RadialPlanarMeasure:
 class Law:
     """A catalogued Brown measure and the operator it belongs to.
 
-    coordinate maps eigenvalues to the stored radius; ball is the closed-ball
-    mass on [0, support_outer] in that coordinate; realize builds the
-    operator from a matrix model's named factors (model.factor); spectrum
-    gives the realization's 2n eigenvalues, read from the model's n x n
-    eigensolves without forming the 2n x 2n matrix.
+    coordinate maps eigenvalues to the stored radius about the law's
+    center; ball is the closed-ball mass on [0, support_outer] in that
+    coordinate; realize builds the operator from a matrix model's named
+    factors (model.factor); spectrum gives the realization's 2n eigenvalues
+    from the model's n x n block eigensolves, never forming the 2n x 2n one.
     """
 
-    center: complex
     center_atom_mass: float
     support_outer: float
     coordinate: Callable[[np.ndarray], np.ndarray]
@@ -196,32 +195,6 @@ def _nilpotent_ball(r):
     return r**2 / (1.0 - r**2)
 
 
-# Block spectra.  Write Q = [Q_1 Q_2] in n-column blocks with n x n blocks
-# Q_ij, so that F12 = Q_1 Q_2*, E12 = I_1 I_2* and W1 = diag(I, -I).  AB and
-# BA share their nonzero eigenvalues, which reduces every catalog spectrum
-# to the eigenvalues of one of two n x n cores.
-
-
-def _reflected_core(m) -> np.ndarray:
-    """M = Q_2* W1 Q_1, so det(z - W1 F12) = z^n det(z - M) and
-    det(z - W1 - F12) = det(z^2 - 1 - M)."""
-    return m.block(1, 2).conj().T @ m.block(1, 1) - m.block(2, 2).conj().T @ m.block(2, 1)
-
-
-def _nilpotent_core(m) -> np.ndarray:
-    """N = Q_21 Q_12*: E12 + F12 = A B* for A = [I_1 Q_1], B = [I_2 Q_2], and
-    B*A = [[0, Q_21], [Q_12*, 0]] has the eigenvalues +-sqrt(eig N)."""
-    return m.block(2, 1) @ m.block(1, 2).conj().T
-
-
-def _mu(m) -> np.ndarray:
-    return m.eigenvalues_of(_reflected_core)
-
-
-def _nu(m) -> np.ndarray:
-    return m.eigenvalues_of(_nilpotent_core)
-
-
 def _plus_minus(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v, -v))
 
@@ -230,31 +203,31 @@ def _twice(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v, v))
 
 
-# center, center atom mass, outer radius, coordinate, ball mass, realization,
-# block spectrum
+# center atom mass, outer radius, coordinate, ball mass, realization, block
+# spectrum from the model's reflected (mu) and nilpotent (nu) eigenvalues
 CATALOG: dict[OperatorTag, Law] = {
     OperatorTag.W1F12: Law(
-        0j, 0.5, SQRT_HALF, _about(0j), lambda r: 1.0 / (2.0 * (1.0 - r**2)),
+        0.5, SQRT_HALF, _about(0j), lambda r: 1.0 / (2.0 * (1.0 - r**2)),
         # eig(M) and the kernel of rank-n F12 as n exact zeros
-        lambda m: m.factor("W1") @ m.factor("F12"), lambda m: np.pad(_mu(m), (0, m.half_dim)),
+        lambda m: m.factor("W1") @ m.factor("F12"), lambda m: np.pad(m.reflected_eigenvalues, (0, m.half_dim)),
     ),
     OperatorTag.E12_plus_F12: Law(
-        0j, 0.0, SQRT_HALF, _about(0j), _nilpotent_ball,
-        lambda m: m.factor("E12") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(_nu(m))),
+        0.0, SQRT_HALF, _about(0j), _nilpotent_ball,
+        lambda m: m.factor("E12") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(m.nilpotent_eigenvalues)),
     ),
     OperatorTag.E12_plus_F12_squared: Law(
-        0j, 0.0, 0.5, _about(0j), lambda r: r / (1.0 - r),
-        lambda m: _square(m.factor("E12") + m.factor("F12")), lambda m: _twice(_nu(m)),
+        0.0, 0.5, _about(0j), lambda r: r / (1.0 - r),
+        lambda m: _square(m.factor("E12") + m.factor("F12")), lambda m: _twice(m.nilpotent_eigenvalues),
     ),
     OperatorTag.W1_plus_F12_squared: Law(
-        1.0 + 0j, 0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball,
-        lambda m: _square(m.factor("W1") + m.factor("F12")), lambda m: _twice(1.0 + _mu(m)),
+        0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball,
+        lambda m: _square(m.factor("W1") + m.factor("F12")), lambda m: _twice(1.0 + m.reflected_eigenvalues),
     ),
     # not radial about any center: stored in the coordinate |z^2 - 1|, the
-    # pullback of the squared law, with center 0 the z -> -z symmetry point
+    # pullback of the squared law, which vanishes at +-1
     OperatorTag.W1_plus_F12: Law(
-        0j, 0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball,
-        lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + _mu(m))),
+        0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball,
+        lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + m.reflected_eigenvalues)),
     ),
 }
 

@@ -256,7 +256,8 @@ class TestLogdetField:
     def test_gram_pair_above_size_cap_refused(self):
         # a read-only broadcast view: the matrix itself takes no memory
         big = np.broadcast_to(np.complex128(1.0), (2897, 2897))
-        # 32 * 2897^2 bytes is just past 256 MiB; 2896 would fit
+        # one worker's Gram pair and one-node batch, 48 * 2897^2 bytes, pass
+        # 256 MiB
         with pytest.raises(DomainError, match="Gram pair of a 2897 x 2897 matrix"):
             logdet_field(big, GridSpec.square(1.0, 3, epsilon=1e-6))
 

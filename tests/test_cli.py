@@ -209,9 +209,62 @@ def test_unwritable_out_dir_exits_3(two_point_file, tmp_path, capsys, blocker):
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_exits_4(two_point_file, tmp_path, threads):
+def test_threads_below_one_exits_4(gen_file, tmp_path, threads):
+    # field and verify are the commands that take --threads
+    for argv in (["field", "--matrix", gen_file, "--grid-n", "8"], ["verify"]):
+        out = tmp_path / argv[0]
+        assert _run([*argv, "--threads", threads, "--out-dir", out]) == 4
+        assert not out.exists()
+
+
+@pytest.fixture()
+def gen_file(tmp_path):
+    path = tmp_path / "g.json"
+    save_matrix(path, np.eye(2, dtype=complex))
+    return path
+
+
+# each command takes only the shared flags it reads: --seed, --threads and
+# --out-dir
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rdiag", "{measure}", "--seed", "1"],
+        ["rdiag", "{measure}", "--threads", "2"],
+        ["simulate", "--tag", "W1F12", "--dim", "8", "--seed", "1", "--threads", "2"],
+        ["algebra", "{gen}", "--threads", "2"],
+        ["verify", "--seed", "7"],
+        ["field", "--matrix", "{gen}", "--tag", "W1F12"],
+        ["field", "--matrix", "{gen}", "--grid=-1,1,-1,1,8,8", "--grid-n", "64"],
+        # 256 is the automatic grid's size, refused all the same when given
+        ["field", "--matrix", "{gen}", "--grid=-1,1,-1,1,8,8", "--grid-n", "256"],
+    ],
+    ids=["rdiag-seed", "rdiag-threads", "simulate-threads", "algebra-threads", "verify-seed",
+         "field-matrix-tag", "field-grid-grid-n", "field-grid-grid-n-default"],
+)
+def test_unread_or_conflicting_flag_exits_2(two_point_file, gen_file, tmp_path, argv):
     out = tmp_path / "out"
-    assert _run(["rdiag", two_point_file, "--threads", threads, "--out-dir", out]) == 4
+    argv = [a.format(measure=two_point_file, gen=gen_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        _run([*argv, "--out-dir", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--matrix", "{gen}", "--dim", "16"],
+        ["field", "--matrix", "{gen}", "--seed", "1"],
+        ["algebra", "{gen}", "--seed", "1"],
+    ],
+    ids=["field-matrix-dim", "field-matrix-seed", "algebra-seed-without-kfold"],
+)
+def test_flag_of_another_mode_exits_4_before_loading(gen_file, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "load_matrix", _refuse_if_called)
+    out = tmp_path / "out"
+    assert _run([*(a.format(gen=gen_file) for a in argv), "--out-dir", out]) == 4
+    assert "reads" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -273,25 +326,28 @@ def test_run_record_digests(two_point_file, tmp_path, command):
     matrix = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
     gens = _write_gens(tmp_path, matrix, matrix.T)
     argv, seed, expected, settings = {
-        "rdiag": ([two_point_file], None, {"two_point_radial.json", "two_point_cdf.csv"}, {}),
+        "rdiag": ([two_point_file], None, {"two_point_radial.json", "two_point_cdf.csv"},
+                  {"threads": None}),
         "simulate": (
-            ["--tag", "W1F12", "--dim", "16", "--seeds", "2", "--seed", "4", "--threads", "2"],
+            ["--tag", "W1F12", "--dim", "16", "--seeds", "2", "--seed", "4"],
             4,
             {"eigenvalues_seed0.csv", "eigenvalues_seed1.csv", "empirical_cdf.csv",
              "simulation_summary.json"},
-            {"threads": 2},
+            {"threads": None},
         ),
         "field": (["--matrix", gens[0], "--grid=-40,40,-40,40,12,12", "--epsilon", "0.001"],
                   None, {"field.csv", "mass.csv", "field_meta.json"},
                   {"epsilon": 0.001, "grid": "-40,40,-40,40,12,12"}),
-        "algebra": ([*gens, "--kfold", "2", "--seed", "6"], 6, {"algebra_report.json"}, {}),
+        "algebra": ([*gens, "--kfold", "2", "--seed", "6"], 6, {"algebra_report.json"},
+                    {"threads": None}),
     }[command]
     out = tmp_path / "out"
     assert _run([command, *argv, "--out-dir", out]) == 0
     record = json.loads((out / "run_record.json").read_text())
     assert record["command"][:2] == ["freeprob", command]
     assert record["seed"] == seed
-    # the resolved flags, exactly these four, whether given or left at default
+    # the resolved flags, exactly these four, whether given or left at
+    # default, and null for a flag the command does not take
     assert record["config"] == {
         "threads": 1, "out_dir": str(out), "epsilon": None, "grid": None, **settings,
     }
@@ -489,8 +545,9 @@ def test_field_above_size_cap_exits_4_at_once(tmp_path, capsys, monkeypatch):
 
 
 def test_field_tag_gram_above_cap_refused_before_the_model(tmp_path, capsys):
-    # 2898 is the smallest even dimension whose Gram pair, 32 N^2 bytes,
-    # passes the 256 MiB cap; the refusal must come before the Haar build
+    # at N = 2898 one worker needs its Gram pair, 32 N^2 bytes, and a
+    # one-node batch, 16 N^2, past the 256 MiB cap; the refusal must come
+    # before the Haar build
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -523,6 +580,27 @@ def test_field_matrix_gram_above_cap_refused_after_load(tmp_path, capsys, monkey
     code = _run(["field", "--matrix", path, *epsilon, "--out-dir", out])
     assert code == 4
     assert "Gram pair of a 40 x 40 matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_field_worker_pool_above_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # an 8 x 8 matrix on an 8-node grid: each worker holds an 8-node batch
+    # and the Gram pair, (16 * 8 + 32) * 64 = 10240 bytes, so a 20000-byte
+    # cap admits one worker and refuses four
+    monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 20000)
+    rng = np.random.default_rng(6)
+    path = tmp_path / "m.json"
+    save_matrix(path, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    argv = ["field", "--matrix", path, "--grid-n", "8"]
+    assert _run([*argv, "--threads", "1", "--out-dir", tmp_path / "one"]) == 0
+
+    def evaluated(*args):
+        raise AssertionError("a grid row was evaluated")
+
+    monkeypatch.setattr(brownfield, "_svd_column", evaluated)
+    out = tmp_path / "four"
+    assert _run([*argv, "--threads", "4", "--out-dir", out]) == 4
+    assert "4 worker(s), each with the Gram pair of a 8 x 8 matrix" in capsys.readouterr().err
     assert not out.exists()
 
 

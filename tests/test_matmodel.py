@@ -20,7 +20,6 @@ from freeprob.matmodel import (
     MatrixModel,
     build_free_group,
     build_m2_free_m2,
-    catalog_spectrum,
     centered,
     derive_rng,
     exact_identity_residuals,
@@ -283,7 +282,7 @@ class TestCatalogSpectrum:
     @pytest.mark.parametrize("tag", list(OperatorTag))
     def test_matches_dense_oracle(self, tag, seed):
         model = build_m2_free_m2(128, seed)
-        block = catalog_spectrum(tag, model)
+        block = catalog_brown(tag).spectrum(model)
         dense = spectrum(realize(tag, model), source=tag.value)
         assert block.shape == (model.dim,)
         cost = np.abs(block[:, None] - dense[None, :])
@@ -298,8 +297,25 @@ class TestCatalogSpectrum:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
         for tag in OperatorTag:
-            catalog_spectrum(tag, model)
+            catalog_brown(tag).spectrum(model)
         assert shapes == [(16, 16), (16, 16)]
+
+    @pytest.mark.parametrize("name", ["reflected_eigenvalues", "nilpotent_eigenvalues"])
+    def test_block_eigenvalues_read_only_and_solved_once(self, monkeypatch, name):
+        model = build_m2_free_m2(8, seed=2)
+        solves = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a.shape) or eigvals(a))
+        first = getattr(model, name)
+        assert getattr(model, name) is first
+        assert solves == [(8, 8)]
+        assert first.shape == (8,)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(model, name, np.zeros(8, dtype=complex))
+        assert getattr(model, name) is first
 
     def test_eigensolve_failure_keeps_diagnostics(self, monkeypatch):
         def fail(a):
@@ -307,7 +323,7 @@ class TestCatalogSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(EigensolveError, match=r"dim=16, normalized Frobenius norm="):
-            catalog_spectrum(OperatorTag.W1F12, build_m2_free_m2(16, seed=5))
+            catalog_brown(OperatorTag.W1F12).spectrum(build_m2_free_m2(16, seed=5))
 
 
 class TestEmpiricalCdf:

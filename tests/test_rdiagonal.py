@@ -184,7 +184,7 @@ class TestCatalog:
         assert cat.cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert cat.cdf(0.0) == 0.5
         assert cat.cdf(SQRT_HALF) == 1.0
-        assert cat.center == 0j
+        assert cat.coordinate(0j) == 0.0
 
     def test_e12_plus_f12_values(self):
         cat = catalog_brown(OperatorTag.E12_plus_F12)
@@ -200,7 +200,7 @@ class TestCatalog:
 
     def test_shifted_square_is_centered_at_one(self):
         cat = catalog_brown(OperatorTag.W1_plus_F12_squared)
-        assert cat.center == 1.0 + 0j
+        assert cat.coordinate(1.0 + 0j) == 0.0
         assert cat.cdf(0.5) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_tags_accept_strings(self):
