@@ -494,8 +494,8 @@ def _criterion_8():
         n = int(rng.integers(2, 7))
         family = int(rng.integers(0, 5))
         span = close_algebra(_random_algebra_generators(n, family, rng))
-        # subspace re-verification, the dimension cross-check and the
-        # agreement of both 2-fold routes each raise when they fail
+        # subspace re-verification, the dimension cross-check and the orbit
+        # route's confirmation of a 2-fold lattice pass each raise when they fail
         try:
             report = find_invariant_subspace(span)
             two_fold = kfold_transitive(
@@ -515,8 +515,9 @@ def _criterion_8():
         transitive_count += int(transitive)
     verification = (
         ("every subspace report re-verified against the raw generators",
-         "2-fold transitivity decided by both routes (projection lattice "
-         "and orbit rank) on every instance with no disagreement")
+         "2-fold transitivity: the projection-lattice route runs on every "
+         "instance, and the orbit-rank route confirms every lattice pass "
+         "with no disagreement")
         if failed_verifications == 0
         else (f"{failed_verifications} instances failed subspace re-verification "
               "or disagreed between the 2-fold routes",)

@@ -8,16 +8,18 @@ is not semisimple, or an eigenspace of a non-scalar commutant element
 otherwise.  Both discovery routes re-verify their answer against the raw
 generators, and the "no subspace" branch cross-checks dim = N^2, so a wrong
 decision surfaces as a hard internal failure instead of a quiet wrong
-boolean.  The k-fold transitivity decision runs two independent routes
-(ampliation lattice and orbit sampling) and treats any certified
-disagreement the same way.
+boolean.  The k-fold transitivity decision reads the ampliation lattice
+and stops at the first subspace that answers False; a lattice pass is
+confirmed by an independent route (orbit sampling), and a certified
+disagreement is treated the same way.
 
-A span computes its commutant and radical once and both decisions read
-them.  A candidate subspace is accepted or refused from the Frobenius norm
-of its residual where that settles the spectral-norm test, so an SVD is
-taken only in the band between; the orbit route checks its sampled tuples
-in one batched SVD.  A tall matrix whose left singular vectors are not
-needed is decomposed through its QR factor, which gives the same bits.
+The closure multiplies only the directions each round added.  A span
+computes its commutant and radical once and both decisions read them.  A
+candidate subspace is accepted or refused from the Frobenius norm of its
+residual where that settles the spectral-norm test, so an SVD is taken
+only in the band between; the orbit route checks its sampled tuples in one
+batched SVD.  A tall matrix whose left singular vectors are not needed is
+decomposed through its QR factor, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ __all__ = [
 # -- span plumbing -----------------------------------------------------------
 
 
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from descending singular values, cut at rank_rtol * s[0]."""
-    if s.size == 0 or s[0] == 0.0:
+def _rank(s: np.ndarray, scale: float | None = None) -> int:
+    """Numerical rank from descending singular values, cut at rank_rtol * scale
+    (by default the largest singular value)."""
+    if s.size == 0:
         return 0
-    return int(np.sum(s > TOL.rank_rtol * s[0]))
+    return int(np.sum(s > TOL.rank_rtol * (s[0] if scale is None else scale)))
 
 
 def _reduce_tall(stack: np.ndarray) -> np.ndarray:
@@ -62,20 +65,28 @@ def _reduce_tall(stack: np.ndarray) -> np.ndarray:
     return np.linalg.qr(stack, mode="r") if rows >= int(cols * 17 / 9) else stack
 
 
-def _orthonormal_rows(stack: np.ndarray) -> tuple[np.ndarray, bool]:
+def _orthonormal_rows(
+    stack: np.ndarray, scale: float | None = None
+) -> tuple[np.ndarray, bool]:
     """Orthonormal row basis of the row space, with borderline-gap flag.
 
-    If the ratio between the smallest kept and largest dropped singular
-    value is below the configured gap ratio the rank cut is ambiguous and
-    gets flagged.
+    The rank cut is rank_rtol * scale, by default rank_rtol times the
+    largest singular value.  If the ratio between the smallest kept and
+    largest dropped singular value is below the configured gap ratio the
+    rank cut is ambiguous and gets flagged.
     """
     if stack.size == 0:
         return stack.reshape(0, stack.shape[-1]), False
     _, s, vh = np.linalg.svd(_reduce_tall(stack), full_matrices=False)
-    rank = _rank(s)
+    rank = _rank(s, scale)
     # compared by product: an exact zero s[rank] must not be divided by
     flagged = 0 < rank < s.size and s[rank - 1] < TOL.gap_flag_ratio * s[rank]
     return vh[:rank], bool(flagged)
+
+
+def _project_off(prows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """prows minus their components along the orthonormal rows."""
+    return prows - (prows @ rows.conj().T) @ rows
 
 
 def _read_only(matrices) -> tuple[np.ndarray, ...]:
@@ -143,11 +154,22 @@ def close_algebra(generators) -> AlgebraSpan:
     """Smallest unital algebra containing the generators.
 
     A unital span closed under left products g @ b, g in (I,) + generators,
-    holds every word in them, so it is the algebra.  The span grows by those
-    products with rank-revealing re-orthonormalization until its dimension
-    stabilizes; how far the final products stick out is the closure residual.
-    At least one generator is needed, since the first one fixes N; the
-    scalars of M_N are close_algebra([I]).
+    holds every word in them, so it is the algebra.  The span starts from an
+    orthonormal basis of (I,) + generators and grows in rounds.  The products
+    of older directions were taken in earlier rounds, and the identity maps
+    a direction to itself, so each round multiplies only the directions the
+    previous one added, by the generators.  It projects the products off the
+    current basis twice and adds the right singular vectors of that residual
+    whose singular values pass the rank cut, projected off the basis once
+    more, since a direction near the cut carries rounding from the larger
+    singular values.  The rank cut is rank_rtol * max(1, largest product
+    norm of the round): a product that sticks out of the span by less than
+    rank_rtol of its norm is rounding.  The gap flag compares the residual's
+    smallest kept and largest dropped singular values.  When a round adds
+    nothing, the closure residual is the largest relative residual over
+    every left product of the final basis by (I,) + generators.  At least
+    one generator is needed, since the first one fixes N; the scalars of
+    M_N are close_algebra([I]).
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     if not gens:
@@ -166,24 +188,33 @@ def close_algebra(generators) -> AlgebraSpan:
 
     left = np.stack((np.eye(n, dtype=complex),) + gens)
     rows, flagged = _orthonormal_rows(left.reshape(len(left), n * n))
-    # left products by the generators either grow the span or certify closure
+    fresh = rows
+    # each round either grows the span or certifies closure
     for _ in range(n * n + 1):
-        mats = rows.reshape(-1, n, n)
-        prows = (left[:, None] @ mats).reshape(-1, n * n)
-        new_rows, pflag = _orthonormal_rows(np.vstack([rows, prows]))
+        prows = (left[1:, None] @ fresh.reshape(-1, n, n)).reshape(-1, n * n)
+        scale = max(1.0, float(np.linalg.norm(prows, axis=1).max()))
+        resid = _project_off(_project_off(prows, rows), rows)
+        fresh, pflag = _orthonormal_rows(resid, scale)
         flagged = flagged or pflag
-        if new_rows.shape[0] == rows.shape[0]:
-            resid_mat = prows - (prows @ rows.conj().T) @ rows
-            norms = np.linalg.norm(prows, axis=1)
-            resid = np.linalg.norm(resid_mat, axis=1) / np.maximum(norms, 1.0)
+        if len(fresh) == 0:
+            mats = rows.reshape(-1, n, n)
+            worst = 0.0
+            # one multiplier at a time, so one block of products is held
+            for g in left:
+                p = (g @ mats).reshape(-1, n * n)
+                rel = np.linalg.norm(_project_off(p, rows), axis=1) / np.maximum(
+                    np.linalg.norm(p, axis=1), 1.0
+                )
+                worst = max(worst, float(rel.max()))
             return AlgebraSpan(
                 ambient_dim=n,
                 basis=tuple(mats),
                 generators=gens,
-                closure_residual=float(resid.max()),
+                closure_residual=worst,
                 gap_flagged=flagged,
             )
-        rows = new_rows
+        fresh = _project_off(fresh, rows)
+        rows = np.vstack([rows, fresh])
     raise InternalInconsistencyError(
         "algebra closure failed to stabilize within the dimension bound"
     )
@@ -414,16 +445,6 @@ def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= TOL.invariance_atol)
 
 
-def _discover_verified_subspaces(rad, comm, generators, ambient_dim: int, rng):
-    """All distinct verified proper invariant subspaces the sampler can see."""
-    scales = _generator_scales(generators)
-    return [
-        vectors
-        for _, vectors in _subspace_candidates(rad, comm, ambient_dim, rng)
-        if _is_invariant(generators, scales, vectors)
-    ]
-
-
 def _full_rank_tuples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """SIZE.orbit_tuples random complex n x k tuples of rank k.
 
@@ -449,16 +470,20 @@ def _orbits_full(basis: np.ndarray, tuples: np.ndarray) -> bool:
 def kfold_transitive(
     span: AlgebraSpan, k: int, rng: np.random.Generator | None = None
 ) -> bool:
-    """Decide k-fold transitivity by two independent routes.
+    """Decide k-fold transitivity on the ampliation lattice, and confirm a
+    pass by orbit sampling.
 
-    Route one inspects the lattice of the ampliation {I_k tensor B}, whose
+    The lattice route inspects the ampliation {I_k tensor B}, whose
     commutant M_k(A') and radical I_k tensor rad(A) come from the span's own:
     the span is k-fold transitive exactly when every discovered invariant
-    subspace has a projection whose N x N blocks are all scalar.  Route two
-    samples k-tuples of independent vectors (the standard-basis tuple plus
-    random draws) and checks the orbit span has full dimension kN; a single
-    deficient tuple is an exact certificate of failure.  A certified
-    failure combined with a route-one pass falsifies the implementation.
+    subspace has a projection whose N x N blocks are all scalar.  It walks
+    the verified subspaces as the sampler yields them and stops at the first
+    non-scalar block, since no later subspace can change that False.  The
+    lattice route runs on every call; the orbit route confirms every lattice
+    pass.  It samples k-tuples of independent vectors (the standard-basis
+    tuple plus random draws) and checks the orbit span has full dimension
+    kN; a single deficient tuple is an exact certificate of failure, so one
+    next to a lattice pass falsifies the implementation.
     """
     n = span.ambient_dim
     if not 1 <= k <= n:
@@ -470,29 +495,33 @@ def kfold_transitive(
     require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
     eye_k = np.eye(k, dtype=complex)
     units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-    subspaces = _discover_verified_subspaces(
+    gens = tuple(np.kron(eye_k, g) for g in span.generators)
+    scales = _generator_scales(gens)
+    candidates = _subspace_candidates(
         [np.kron(eye_k, r) for r in span.radical],
         [np.kron(e, c) for e in units for c in comm],
-        tuple(np.kron(eye_k, g) for g in span.generators),
         k * n,
         rng,
     )
-    if not subspaces and span.dim != (k * n) ** 2:
+    found_any = False
+    for _, vectors in candidates:
+        if _is_invariant(gens, scales, vectors):
+            if not _blocks_scalar(vectors @ vectors.conj().T, k, n):
+                return False
+            found_any = True
+    if not found_any and span.dim != (k * n) ** 2:
         # nothing found although the ampliation cannot be all of M_{kN}
         raise InternalInconsistencyError(
             "ampliation subspace discovery came back empty on a proper algebra"
         )
-    route_lattice = all(_blocks_scalar(v @ v.conj().T, k, n) for v in subspaces)
 
     draws = _full_rank_tuples(rng, n, k)
     basis = span.rows.reshape(span.dim, n, n)
     # the standard-basis tuple alone first: it certifies most failures
     standard = np.eye(n, k, dtype=complex)[None]
-    orbit_full = _orbits_full(basis, standard) and _orbits_full(basis, draws)
-
-    if not orbit_full and route_lattice:
+    if not (_orbits_full(basis, standard) and _orbits_full(basis, draws)):
         raise InternalInconsistencyError(
             "orbit sampling certified a deficient tuple but the ampliation "
             "lattice route judged the span k-fold transitive"
         )
-    return route_lattice and orbit_full
+    return True

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
 from typing import NamedTuple
@@ -231,11 +232,16 @@ def cmd_field(args) -> CommandResult:
     if args.grid is not None:
         *bounds, nx, ny = _parse_grid(args.grid)
     else:
+        # a covering grid's bounds come from the matrix; these stand in
+        bounds = [-1.0, 1.0, -1.0, 1.0]
         nx = ny = SIZE.grid_nx if args.grid_n is None else args.grid_n
+    # node counts, bounds and a given epsilon are checked before the matrix
+    # is loaded or built
+    grid = GridSpec(*bounds, nx, ny, epsilon=args.epsilon or 0.0)
     matrix, label = _field_matrix(args, nx, min(args.threads, ny))
     epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
     if args.grid is not None:
-        grid = GridSpec(*bounds, nx, ny, epsilon=epsilon)
+        grid = replace(grid, epsilon=epsilon)
     else:
         grid = GridSpec.covering(np.linalg.eigvals(matrix), n=nx, epsilon=epsilon)
     field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))

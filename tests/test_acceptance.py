@@ -57,6 +57,12 @@ def test_criterion_7_freeness_identities(results):
 
 def test_criterion_8_algebra_suite(results):
     _check(results, 8)
+    # the orbit route runs only after a lattice pass, and the detail says so
+    assert results.results[7].details[2] == (
+        "2-fold transitivity: the projection-lattice route runs on every "
+        "instance, and the orbit-rank route confirms every lattice pass "
+        "with no disagreement"
+    )
 
 
 def test_criterion_8_counts_failed_verification(monkeypatch):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from freeprob import algstruct
 from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
     AlgebraSpan,
@@ -122,6 +123,24 @@ class TestCloseAlgebra:
             )
             assert span.dim == 25
             assert find_invariant_subspace(span).kind == "none"
+
+    @pytest.mark.parametrize("delta, dim", [(1e-8, 4), (1e-11, 3)])
+    def test_product_sticking_out_by_delta(self, delta, dim):
+        # span(I, E12, E33 + delta E23) has no small direction, but the left
+        # product E12 (E33 + delta E23) = delta E13 leaves it by a relative
+        # delta: above the 1e-9 rank cut it is a new direction, below it
+        # rounding that only the closure residual shows.  The kept direction
+        # is taken from the residual, not from a stack with singular values
+        # near 1, so the closure is exact to rounding
+        e12, g = np.zeros((2, 3, 3), dtype=complex)
+        e12[0, 1] = 1.0
+        g[2, 2], g[1, 2] = 1.0, delta
+        span = close_algebra([e12, g])
+        assert span.dim == dim
+        if dim == 4:
+            assert span.closure_residual <= 1e-12
+        else:
+            assert delta <= span.closure_residual <= 2 * delta
 
 
 class TestCommutant:
@@ -370,10 +389,37 @@ class TestKfoldTransitive:
     def test_trivial_algebra_not_twofold(self, trivial3):
         assert not kfold_transitive(trivial3, 2, np.random.default_rng(6))
 
+    def test_orbit_route_only_confirms_a_lattice_pass(self, monkeypatch, m2, diag3, upper2):
+        class OrbitsCalled(Exception):
+            pass
+
+        def orbits_full(basis, tuples):
+            raise OrbitsCalled
+
+        monkeypatch.setattr(algstruct, "_orbits_full", orbits_full)
+        # a reducible algebra fails on the lattice, so no orbit is sampled
+        for span in (diag3, upper2):
+            assert not kfold_transitive(span, 2, np.random.default_rng(7))
+        with pytest.raises(OrbitsCalled):
+            kfold_transitive(m2, 2, np.random.default_rng(7))
+
 
 def prototype_generators(family, n):
-    """A seeded Ginibre pair, its upper triangles, or a rotated 3-block pair."""
+    """A seeded Ginibre pair, its upper triangles, a rotated 3-block pair, or,
+    for n = m^2, the tensor family I (x) shift, I (x) diag(1..m), b1 (x) I
+    and b2 (x) I, where b1 and b2 share a 2-dimensional invariant subspace.
+    The tensor family's algebra is C (x) M_m with C generated by b1 and b2,
+    so it contains I (x) M_m, and its invariant subspaces are V (x) C^m."""
     rng = np.random.default_rng([0, n])
+    if family == "tensor":
+        m = int(round(n**0.5))
+        eye = np.eye(m, dtype=complex)
+        q = haar_unitary(m, rng)
+        bs = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2)]
+        for b in bs:
+            b[2:, :2] = 0.0
+        return [np.kron(eye, np.roll(eye, 1, axis=0)), np.kron(eye, np.diag(np.arange(1.0, m + 1))),
+                *(np.kron(q @ b @ q.conj().T, eye) for b in bs)]
     gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
     if family == "triangular":
         return [np.triu(g) for g in gens]
@@ -399,12 +445,17 @@ def traced(call):
 class TestLargeAlgebras:
     @pytest.mark.parametrize(
         "family, dim, verdict",
-        [("ginibre", 256, True), ("triangular", 136, False), ("blocks", 9 + 13**2, False)],
+        [("ginibre", 256, True), ("triangular", 136, False), ("blocks", 9 + 13**2, False),
+         # dim C = 4 + 4 + 4 for 4 x 4 blocks upper triangular in one basis
+         ("tensor", 12 * 4**2, False)],
     )
     def test_twofold_at_sixteen(self, family, dim, verdict):
         span = close_algebra(prototype_generators(family, 16))
         assert span.dim == dim
-        assert (find_invariant_subspace(span).kind == "none") == verdict
+        report = find_invariant_subspace(span)
+        assert (report.kind == "none") == verdict
+        # the tensor family's only proper invariant subspace is V (x) C^4
+        assert family != "tensor" or report.dimension == 2 * 4
         result, peak = traced(lambda: kfold_transitive(span, 2, np.random.default_rng(0)))
         assert result == verdict
         assert peak < 200.0

@@ -628,6 +628,24 @@ def test_field_bad_grid_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [(["--grid-n", "2"], "at least 3 nodes"), (["--grid=1,0,0,1,8,8"], "min < max")],
+    ids=["two-nodes", "min-above-max"],
+)
+def test_field_tag_bad_grid_refused_before_the_model(tmp_path, capsys, monkeypatch, grid, message):
+    def built(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "build_m2_free_m2", built)
+    out = tmp_path / "out"
+    code = _run(["field", "--tag", "W1F12", "--dim", "1024", "--seed", "1", *grid,
+                 "--out-dir", out])
+    assert code == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- algebra ---------------------------------------------------------------
 
 
