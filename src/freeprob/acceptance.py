@@ -42,13 +42,7 @@ import scipy.interpolate  # noqa: F401
 import scipy.linalg
 
 from .algstruct import close_algebra, find_invariant_subspace, kfold_transitive
-from .brownfield import (
-    GridSpec,
-    brown_laplacian,
-    default_epsilon,
-    logdet_field,
-    mass_in_region,
-)
+from .brownfield import GridSpec, default_epsilon, logdet_field, mass_in_region
 from .errors import InternalInconsistencyError
 from .matio import save_matrix
 from .matmodel import (
@@ -360,7 +354,7 @@ def _criterion_5(spectra: Spectra):
 
 
 @_criterion(6, "Laplacian mass of the log-determinant field", bound_s=60.0)
-def _criterion_6(threads: int):
+def _criterion_6():
     n = 50
     rng = derive_rng(MASTER_SEED, "criterion-6")
     t = _gaussian(rng, n) / math.sqrt(2 * n)
@@ -369,9 +363,7 @@ def _criterion_6(threads: int):
     eps = default_epsilon(t)
 
     fields = {
-        nodes: brown_laplacian(
-            logdet_field(t, GridSpec.square(radius, nodes, epsilon=eps), threads=threads)
-        )
+        nodes: logdet_field(t, GridSpec.square(radius, nodes, epsilon=eps))
         for nodes in (128, 256)
     }
     errors = {nodes: abs(fld.total_mass() - 1.0) for nodes, fld in fields.items()}
@@ -602,7 +594,7 @@ def _criterion_9():
     )
 
 
-def run_all(threads: int = 1) -> AcceptanceResults:
+def run_all() -> AcceptanceResults:
     """Run the nine criteria in order and collect their results.
 
     Criteria 3-5 share one cached computation of the spectra, which runs,
@@ -615,7 +607,7 @@ def run_all(threads: int = 1) -> AcceptanceResults:
         _criterion_3(spectra),
         _criterion_4(spectra),
         _criterion_5(spectra),
-        _criterion_6(threads),
+        _criterion_6(),
         _criterion_7(),
         _criterion_8(),
         _criterion_9(),

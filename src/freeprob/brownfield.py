@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +62,7 @@ class GridSpec:
             raise DomainError("grid needs at least 3 nodes per axis")
         if self.epsilon < 0.0:
             raise DomainError("epsilon must be >= 0")
+        require_fits(8 * self.nx * self.ny, f"a {self.nx} x {self.ny} field")
 
     @classmethod
     def square(
@@ -122,27 +123,26 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class BrownField:
-    """Log-determinant field and, once differentiated, its cell masses.
+    """Log-determinant field and its cell masses.
 
-    values[ix, iy] holds L at node (x_ix, y_iy).  flagged lists nodes whose
-    lambda collided with an eigenvalue and was nudged by half a cell before
-    evaluation; sentinels lists nodes that stayed singular even after the
-    nudge (their values are -inf and they poison any stencil touching them).
-    laplacian_mass is (nx-2) x (ny-2) over interior nodes; noise_floor is an
-    a posteriori bound on the discretization error of a single cell mass.
+    values[ix, iy] holds L at node (x_ix, y_iy).  laplacian_mass is
+    (nx-2) x (ny-2) over interior nodes; noise_floor is an a posteriori
+    bound on the discretization error of a single cell mass, inf on a grid
+    too small to estimate it.  flagged lists nodes whose lambda collided
+    with an eigenvalue and was nudged by half a cell before evaluation;
+    sentinels lists corner nodes that stayed singular even after the nudge
+    (their values are -inf, and no stencil reads them).
     """
 
     grid: GridSpec
     values: np.ndarray
     path: str
+    laplacian_mass: np.ndarray
+    noise_floor: float
     flagged: tuple[tuple[int, int], ...] = ()
     sentinels: tuple[tuple[int, int], ...] = ()
-    laplacian_mass: np.ndarray | None = None
-    noise_floor: float = math.nan
 
     def total_mass(self) -> float:
-        if self.laplacian_mass is None:
-            raise DomainError("laplacian not computed; call brown_laplacian first")
         return float(self.laplacian_mass.sum())
 
 
@@ -234,7 +234,7 @@ def logdet_field(
     grid: GridSpec,
     threads: int = 1,
 ) -> BrownField:
-    """Evaluate the log-determinant field on the grid.
+    """Evaluate the log-determinant field on the grid and its cell masses.
 
     The kernel follows epsilon.  At epsilon = 0 the "schur" kernel
     triangularizes once and reads eigenvalue distances (exact, and
@@ -245,9 +245,10 @@ def logdet_field(
     Gram matrix's rounding leaves a factor undefined and raises DomainError.
     Grid rows are split into one contiguous share per thread, each thread
     reusing one buffer for its share, and written back by index, so the
-    result is identical for any thread count.  Before any evaluation, a
-    value array or, at epsilon > 0, the threads' Gram pairs and buffers
-    past the size cap are refused.
+    result is identical for any thread count.  Before any evaluation, at
+    epsilon > 0, the threads' Gram pairs and buffers past the size cap are
+    refused.  A node left singular where a stencil reads it raises
+    SentinelError.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -255,7 +256,6 @@ def logdet_field(
     path = "schur" if grid.epsilon == 0.0 else "svd"
     n = matrix.shape[0]
     workers = min(threads, grid.ny)
-    require_fits(8 * grid.nx * grid.ny, f"a {grid.nx} x {grid.ny} field")
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))
@@ -293,25 +293,30 @@ def logdet_field(
         flagged.extend((ix, iy) for ix in flags)
         sentinels.extend((ix, iy) for ix in dead)
 
+    mass, floor = brown_laplacian(grid, values, sentinels)
     return BrownField(
         grid=grid,
         values=values,
         path=path,
+        laplacian_mass=mass,
+        noise_floor=floor,
         flagged=tuple(flagged),
         sentinels=tuple(sentinels),
     )
 
 
-def brown_laplacian(field_in: BrownField) -> BrownField:
-    """Fill per-cell masses: (1/2pi) x five-point Laplacian x cell area.
+def brown_laplacian(
+    grid: GridSpec, values: np.ndarray, sentinels: list[tuple[int, int]]
+) -> tuple[np.ndarray, float]:
+    """Per-cell masses, (1/2pi) x five-point Laplacian x cell area, and
+    their noise floor.
 
     The noise floor is an a posteriori estimate of the discretization error
     of one cell mass, from fourth differences of the field.  Sentinel nodes
     poison every stencil they touch and are a hard error; nudged (flagged)
     nodes carry usable values and are merely reported.
     """
-    grid = field_in.grid
-    v = field_in.values
+    v = values
     # the four corner nodes are the only ones no interior stencil reads
     corners = {
         (0, 0),
@@ -319,7 +324,7 @@ def brown_laplacian(field_in: BrownField) -> BrownField:
         (grid.nx - 1, 0),
         (grid.nx - 1, grid.ny - 1),
     }
-    contaminated = sorted(set(field_in.sentinels) - corners)
+    contaminated = sorted(set(sentinels) - corners)
     if contaminated:
         raise SentinelError(
             f"field has singular nodes at {contaminated}; resample the grid"
@@ -358,7 +363,7 @@ def brown_laplacian(field_in: BrownField) -> BrownField:
         )
     else:
         floor = math.inf
-    return replace(field_in, laplacian_mass=mass, noise_floor=float(floor))
+    return mass, float(floor)
 
 
 def _interior_nodes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +372,6 @@ def _interior_nodes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def mass_in_region(field_in: BrownField, predicate) -> float:
     """Total cell mass at interior nodes (x, y) where predicate(x, y) holds."""
-    if field_in.laplacian_mass is None:
-        raise DomainError("laplacian not computed; call brown_laplacian first")
     xs, ys = _interior_nodes(field_in.grid)
     mask = np.broadcast_to(
         np.asarray(predicate(xs[:, None], ys[None, :]), dtype=bool),
@@ -385,11 +388,9 @@ def field_csv_text(field_in: BrownField) -> str:
     grid = field_in.grid
     xs = [repr(x) for x in grid.xs().tolist()]
     ys = [repr(y) for y in grid.ys().tolist()]
-    masses = field_in.laplacian_mass
-    tails = [[""] * grid.ny] * grid.nx
-    if masses is not None:
-        for ix, row in enumerate(masses.tolist(), start=1):
-            tails[ix] = ["", *map(repr, row), ""]
+    edge = [""] * grid.ny
+    inner = (["", *map(repr, row), ""] for row in field_in.laplacian_mass.tolist())
+    tails = [edge, *inner, edge]
     lines = ["x,y,value,mass"]
     for x, row, tail in zip(xs, field_in.values.tolist(), tails):
         lines.extend(f"{x},{y},{v!r},{m}" for y, v, m in zip(ys, row, tail))
@@ -397,8 +398,6 @@ def field_csv_text(field_in: BrownField) -> str:
 
 
 def mass_csv_text(field_in: BrownField) -> str:
-    if field_in.laplacian_mass is None:
-        raise DomainError("laplacian not computed; call brown_laplacian first")
     xs, ys = _interior_nodes(field_in.grid)
     ys = [repr(y) for y in ys.tolist()]
     lines = ["x,y,mass"]
@@ -415,12 +414,11 @@ def field_metadata(field_in: BrownField, **extra) -> dict:
         "path": field_in.path,
         "flagged_nodes": [list(t) for t in field_in.flagged],
         "sentinel_nodes": [list(t) for t in field_in.sentinels],
-        "noise_floor": None
-        if math.isnan(field_in.noise_floor)
-        else field_in.noise_floor,
-        "total_mass": None
-        if field_in.laplacian_mass is None
-        else float(field_in.laplacian_mass.sum()),
+        # JSON has no inf: a floor the grid is too small to estimate is null
+        "noise_floor": field_in.noise_floor
+        if math.isfinite(field_in.noise_floor)
+        else None,
+        "total_mass": field_in.total_mass(),
     }
     meta.update(extra)
     return meta

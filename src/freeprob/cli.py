@@ -30,7 +30,6 @@ from . import __version__
 from .config import SIZE
 from .brownfield import (
     GridSpec,
-    brown_laplacian,
     default_epsilon,
     field_csv_text,
     field_metadata,
@@ -229,6 +228,8 @@ def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
 
 
 def cmd_field(args) -> CommandResult:
+    if args.threads < 1:
+        raise DomainError(f"--threads must be >= 1, got {args.threads}")
     if args.grid is not None:
         *bounds, nx, ny = _parse_grid(args.grid)
     else:
@@ -244,7 +245,7 @@ def cmd_field(args) -> CommandResult:
         grid = replace(grid, epsilon=epsilon)
     else:
         grid = GridSpec.covering(np.linalg.eigvals(matrix), n=nx, epsilon=epsilon)
-    field = brown_laplacian(logdet_field(matrix, grid, threads=args.threads))
+    field = logdet_field(matrix, grid, threads=args.threads)
     return CommandResult(
         {
             "field.csv": field_csv_text(field),
@@ -292,7 +293,7 @@ def cmd_algebra(args) -> CommandResult:
 def cmd_verify(args) -> CommandResult:
     from . import acceptance
 
-    results = acceptance.run_all(threads=args.threads)
+    results = acceptance.run_all()
     tally = f"acceptance: {results.passed_count}/{results.total} criteria passed"
     return CommandResult(
         {"acceptance_report.json": _json_text(results.to_json())},
@@ -307,9 +308,8 @@ def cmd_verify(args) -> CommandResult:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # one parent per shared flag, so each command takes only the flags it reads
-    seed, threads, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     seed.add_argument("--seed", type=int, default=None, help="master seed (no silent entropy)")
-    threads.add_argument("--threads", type=int, default=1, help="worker threads for the field's grid rows (>= 1)")
     out_dir.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."), help="output directory")
 
     parser = argparse.ArgumentParser(
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_field = sub.add_parser(
-        "field", parents=[seed, threads, out_dir], help="log-determinant field and cell masses on a grid"
+        "field", parents=[seed, out_dir], help="log-determinant field and cell masses on a grid"
     )
+    p_field.add_argument("--threads", type=int, default=1, help="worker threads for the field's grid rows (>= 1)")
     source = p_field.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", default=None, help="matrix file (.json)")
     source.add_argument("--tag", default=None, choices=tags, help="catalog operator, realized with --seed")
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.set_defaults(func=cmd_algebra)
 
     p_verify = sub.add_parser(
-        "verify", parents=[threads, out_dir], help="run the acceptance criteria and report pass/fail per criterion"
+        "verify", parents=[out_dir], help="run the acceptance criteria and report pass/fail per criterion"
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -368,8 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = ["freeprob", *argv]
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         started = time.time()
         result = args.func(args)
         _write_outputs(args, result.outputs, started)

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from freeprob.brownfield import (
-    BrownField,
     GridSpec,
-    brown_laplacian,
     default_epsilon,
     field_csv_text,
     field_metadata,
@@ -67,6 +65,11 @@ class TestGridSpec:
                 GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, epsilon=bad)
         with pytest.raises(DomainError, match="finite"):
             GridSpec(x_min=0.0, x_max=math.inf, y_min=0.0, y_max=1.0)
+
+    def test_rejects_value_array_above_size_cap(self):
+        # 8 bytes per node: 6000^2 nodes need 274.7 MiB
+        with pytest.raises(DomainError, match="a 6000 x 6000 field needs 274.7 MiB"):
+            GridSpec.square(1.0, 6000)
 
     def test_square_and_covering(self):
         g = GridSpec.square(2.0, 11, center=1 + 1j)
@@ -180,11 +183,19 @@ class TestLogdetField:
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
         # second eigenvalue placed exactly at node + half-cell nudge
         t = np.diag([0.0, 0.5 * g.dx + 0.5j * g.dy])
+        with pytest.raises(SentinelError, match=r"singular nodes at \[\(2, 2\)\]"):
+            logdet_field(t, g)
+
+    def test_corner_sentinel_is_kept(self):
+        # a corner node no stencil reads may stay singular: the field comes
+        # back with it listed and a finite total mass
+        g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
+        corner = -1.0 - 1.0j
+        t = np.diag([corner, corner + 0.5 * g.dx + 0.5j * g.dy])
         f = logdet_field(t, g)
-        assert (2, 2) in f.sentinels
-        assert f.values[2, 2] == -math.inf
-        with pytest.raises(SentinelError):
-            brown_laplacian(f)
+        assert f.sentinels == ((0, 0),)
+        assert f.values[0, 0] == -math.inf
+        assert f.total_mass() == pytest.approx(0.147084, abs=1e-6)
 
     def test_thread_count_bitwise_identical(self):
         t = random_matrix(20, 9)
@@ -289,7 +300,7 @@ class TestBrownLaplacian:
         g = GridSpec(
             x_min=-0.7, x_max=1.7, y_min=-1.2, y_max=1.2, nx=193, ny=193, epsilon=1e-9
         )
-        fld = brown_laplacian(logdet_field(t, g))
+        fld = logdet_field(t, g)
         assert fld.total_mass() == pytest.approx(1.0, abs=0.02)
         left = mass_in_region(fld, lambda x, y: x < 0.5)
         right = mass_in_region(fld, lambda x, y: x >= 0.5)
@@ -304,7 +315,7 @@ class TestBrownLaplacian:
             129,
             epsilon=default_epsilon(t),
         )
-        fld = brown_laplacian(logdet_field(t, g))
+        fld = logdet_field(t, g)
         for qx, qy in [(1, 1), (-1, 1), (-1, -1), (1, -1)]:
             mass = mass_in_region(fld, lambda x, y: (qx * x > 0) & (qy * y > 0))
             count = np.mean((qx * eigs.real > 0) & (qy * eigs.imag > 0))
@@ -317,7 +328,7 @@ class TestBrownLaplacian:
         errors = []
         for n in (65, 129):
             g = GridSpec.covering(eigs, n=n, epsilon=eps)
-            fld = brown_laplacian(logdet_field(t, g))
+            fld = logdet_field(t, g)
             errors.append(abs(fld.total_mass() - 1.0))
         assert errors[1] <= 0.5 * errors[0]
 
@@ -326,14 +337,14 @@ class TestBrownLaplacian:
         g = GridSpec.covering(
             np.linalg.eigvals(t), n=65, epsilon=default_epsilon(t)
         )
-        fld = brown_laplacian(logdet_field(t, g))
+        fld = logdet_field(t, g)
         assert math.isfinite(fld.noise_floor)
         assert fld.laplacian_mass.min() >= -fld.noise_floor
 
     def test_catalog_disc_mass(self):
         # limit law for the nilpotent-sum operator puts mass 1/3 in |z| <= 1/2
         t = realize("E12_plus_F12", build_m2_free_m2(256, 7))
-        fld = brown_laplacian(logdet_field(t, GridSpec.square(0.85, 129)))
+        fld = logdet_field(t, GridSpec.square(0.85, 129))
         disc = mass_in_region(fld, lambda x, y: x**2 + y**2 <= 0.25)
         assert abs(disc - 1.0 / 3.0) <= 0.05
 
@@ -349,21 +360,12 @@ class TestBrownLaplacian:
         acc /= len(seeds)
         assert np.abs(acc - np.rot90(acc, -1)).max() <= 0.05
 
-    def test_requires_laplacian_before_mass_queries(self):
-        t = np.diag([0.3, 0.9])
-        g = GridSpec(x_min=-1.0, x_max=2.0, y_min=-1.0, y_max=1.0, nx=9, ny=9)
-        fld = logdet_field(t, g)
-        with pytest.raises(DomainError):
-            fld.total_mass()
-        with pytest.raises(DomainError):
-            mass_in_region(fld, lambda x, y: x**2 + y**2 <= 1.0)
-
     def test_predicate_on_single_axis_broadcasts(self):
         t = np.diag([0.0, 1.0])
         g = GridSpec(
             x_min=-0.7, x_max=1.7, y_min=-1.2, y_max=1.2, nx=65, ny=65, epsilon=1e-9
         )
-        fld = brown_laplacian(logdet_field(t, g))
+        fld = logdet_field(t, g)
         total = mass_in_region(fld, lambda x, y: x < 0.5) + mass_in_region(
             fld, lambda x, y: x >= 0.5
         )
@@ -376,7 +378,7 @@ def small_field():
     g = GridSpec(
         x_min=-0.5, x_max=1.0, y_min=-0.5, y_max=0.5, nx=7, ny=5, epsilon=1e-8
     )
-    return brown_laplacian(logdet_field(t, g))
+    return logdet_field(t, g)
 
 
 class TestExports:
@@ -396,12 +398,6 @@ class TestExports:
         assert lines[0] == "x,y,mass"
         assert len(lines) == 1 + 5 * 3
 
-    def test_mass_csv_requires_laplacian(self):
-        g = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=3)
-        bare = logdet_field(np.diag([0.3, 0.4]), g)
-        with pytest.raises(DomainError):
-            mass_csv_text(bare)
-
     def test_metadata_contents(self, small_field):
         meta = field_metadata(small_field, runtime_s=1.25)
         assert meta["grid"]["nx"] == 7
@@ -412,9 +408,12 @@ class TestExports:
         assert meta["runtime_s"] == 1.25
         assert meta["noise_floor"] == small_field.noise_floor
 
-    def test_metadata_before_laplacian(self):
-        g = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=3)
-        bare = logdet_field(np.diag([0.3, 0.4]), g)
-        meta = field_metadata(bare)
-        assert meta["total_mass"] is None
+    def test_metadata_floor_null_below_five_nodes(self):
+        # fourth differences need five nodes per axis, so the floor is inf
+        # and is written as JSON null
+        g = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=4, ny=4)
+        fld = logdet_field(np.diag([0.3, 0.4]), g)
+        assert fld.noise_floor == math.inf
+        meta = field_metadata(fld)
         assert meta["noise_floor"] is None
+        assert meta["total_mass"] == fld.total_mass()

@@ -210,11 +210,11 @@ def test_unwritable_out_dir_exits_3(two_point_file, tmp_path, capsys, blocker):
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_threads_below_one_exits_4(gen_file, tmp_path, threads):
-    # field and verify are the commands that take --threads
-    for argv in (["field", "--matrix", gen_file, "--grid-n", "8"], ["verify"]):
-        out = tmp_path / argv[0]
-        assert _run([*argv, "--threads", threads, "--out-dir", out]) == 4
-        assert not out.exists()
+    # field is the one command that takes --threads
+    out = tmp_path / "field"
+    argv = ["field", "--matrix", gen_file, "--grid-n", "8", "--threads", threads]
+    assert _run([*argv, "--out-dir", out]) == 4
+    assert not out.exists()
 
 
 @pytest.fixture()
@@ -224,8 +224,8 @@ def gen_file(tmp_path):
     return path
 
 
-# each command takes only the shared flags it reads: --seed, --threads and
-# --out-dir
+# each command takes only the flags it reads: --seed and --out-dir where it
+# reads them, and --threads on field alone
 @pytest.mark.parametrize(
     "argv",
     [
@@ -234,13 +234,14 @@ def gen_file(tmp_path):
         ["simulate", "--tag", "W1F12", "--dim", "8", "--seed", "1", "--threads", "2"],
         ["algebra", "{gen}", "--threads", "2"],
         ["verify", "--seed", "7"],
+        ["verify", "--threads", "2"],
         ["field", "--matrix", "{gen}", "--tag", "W1F12"],
         ["field", "--matrix", "{gen}", "--grid=-1,1,-1,1,8,8", "--grid-n", "64"],
         # 256 is the automatic grid's size, refused all the same when given
         ["field", "--matrix", "{gen}", "--grid=-1,1,-1,1,8,8", "--grid-n", "256"],
     ],
     ids=["rdiag-seed", "rdiag-threads", "simulate-threads", "algebra-threads", "verify-seed",
-         "field-matrix-tag", "field-grid-grid-n", "field-grid-grid-n-default"],
+         "verify-threads", "field-matrix-tag", "field-grid-grid-n", "field-grid-grid-n-default"],
 )
 def test_unread_or_conflicting_flag_exits_2(two_point_file, gen_file, tmp_path, argv):
     out = tmp_path / "out"
@@ -495,6 +496,25 @@ def test_field_outputs(tmp_path):
     assert len(mass_lines) == 1 + 22 * 22
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_field_small_grid_outputs_strict_json(tmp_path):
+    # below 5 nodes per axis the noise floor cannot be estimated; it is
+    # written as null, so every JSON output parses without Infinity or NaN
+    path = tmp_path / "m.json"
+    save_matrix(path, np.diag([0.3, 0.4 + 0.2j]))
+    out = tmp_path / "out"
+    assert _run(["field", "--matrix", path, "--grid-n", "4", "--out-dir", out]) == 0
+    parsed = {
+        p.name: json.loads(p.read_text(), parse_constant=_refuse_constant)
+        for p in out.glob("*.json")
+    }
+    assert set(parsed) == {"field_meta.json", "run_record.json"}
+    assert parsed["field_meta.json"]["noise_floor"] is None
+
+
 def test_field_tag_requires_seed(tmp_path):
     code = _run(["field", "--tag", "W1F12", "--out-dir", tmp_path / "out"])
     assert code == 4
@@ -568,8 +588,9 @@ def _refuse_if_called(*args, **kwargs):
 
 @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1e-3"]], ids=["default", "explicit"])
 def test_field_matrix_gram_above_cap_refused_after_load(tmp_path, capsys, monkeypatch, epsilon):
-    # under a 1536-byte cap the 40 x 40 Gram pair (51200 bytes) is refused
-    # before the default epsilon's 2-norm or the covering grid's eigensolve
+    # under a 1536-byte cap the 8 x 8 grid's values (512 bytes) fit, and the
+    # 40 x 40 Gram pair with an 8-node batch (256000 bytes) is refused before
+    # the default epsilon's 2-norm or the covering grid's eigensolve
     monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 1536)
     monkeypatch.setattr(cli, "default_epsilon", _refuse_if_called)
     monkeypatch.setattr(np.linalg, "eigvals", _refuse_if_called)
@@ -577,7 +598,7 @@ def test_field_matrix_gram_above_cap_refused_after_load(tmp_path, capsys, monkey
     path = tmp_path / "m.json"
     save_matrix(path, rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
     out = tmp_path / "out"
-    code = _run(["field", "--matrix", path, *epsilon, "--out-dir", out])
+    code = _run(["field", "--matrix", path, "--grid-n", "8", *epsilon, "--out-dir", out])
     assert code == 4
     assert "Gram pair of a 40 x 40 matrix" in capsys.readouterr().err
     assert not out.exists()
@@ -630,8 +651,12 @@ def test_field_bad_grid_exits_4(tmp_path):
 
 @pytest.mark.parametrize(
     "grid, message",
-    [(["--grid-n", "2"], "at least 3 nodes"), (["--grid=1,0,0,1,8,8"], "min < max")],
-    ids=["two-nodes", "min-above-max"],
+    [
+        (["--grid-n", "2"], "at least 3 nodes"),
+        (["--grid=1,0,0,1,8,8"], "min < max"),
+        (["--grid-n", "6000"], "6000 x 6000 field needs 274.7 MiB"),
+    ],
+    ids=["two-nodes", "min-above-max", "values-above-cap"],
 )
 def test_field_tag_bad_grid_refused_before_the_model(tmp_path, capsys, monkeypatch, grid, message):
     def built(*args):
@@ -757,7 +782,7 @@ def test_verify_exit_code_tracks_results(
     from freeprob import acceptance
 
     monkeypatch.setattr(
-        acceptance, "run_all", lambda threads=1: _FakeResults(all_passed)
+        acceptance, "run_all", lambda: _FakeResults(all_passed)
     )
     out = tmp_path / "out"
     assert _run(["verify", "--out-dir", out]) == expected
