@@ -2,7 +2,6 @@
 transitivity diagnostics for matrix algebras, cross-checked against a
 seeded random-matrix oracle."""
 
-from .config import SIZE, TOL
 from .errors import (
     DimensionMismatchError,
     DiracInputError,

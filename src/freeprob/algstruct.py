@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SIZE, TOL, require_fits
+from .config import require_fits
 from .errors import DimensionMismatchError, DomainError, InternalInconsistencyError
 
 __all__ = [
@@ -41,15 +41,31 @@ __all__ = [
     "kfold_transitive",
 ]
 
+# rank and membership decisions: a singular value at or below RANK_RTOL
+# times the scale counts as zero, and a kept-to-dropped ratio below
+# GAP_FLAG_RATIO flags the cut as borderline
+RANK_RTOL = 1e-9
+GAP_FLAG_RATIO = 10.0
+# residual ceiling for the structural identities: identity in the span,
+# invariant subspaces, scalar blocks of a projection
+INVARIANCE_ATOL = 1e-9
+# relative spread of the eigenvalues merged into one eigenspace of a
+# commutant element
+CLUSTER_RTOL = 1e-7
+# random commutant combinations fed to subspace discovery
+COMMUTANT_DRAWS = 3
+# orbit-sampling budget for the multi-vector transitivity test
+ORBIT_TUPLES = 32
+
 # -- span plumbing -----------------------------------------------------------
 
 
 def _rank(s: np.ndarray, scale: float | None = None) -> int:
-    """Numerical rank from descending singular values, cut at rank_rtol * scale
+    """Numerical rank from descending singular values, cut at RANK_RTOL * scale
     (by default the largest singular value)."""
     if s.size == 0:
         return 0
-    return int(np.sum(s > TOL.rank_rtol * (s[0] if scale is None else scale)))
+    return int(np.sum(s > RANK_RTOL * (s[0] if scale is None else scale)))
 
 
 def _reduce_tall(stack: np.ndarray) -> np.ndarray:
@@ -70,17 +86,17 @@ def _orthonormal_rows(
 ) -> tuple[np.ndarray, bool]:
     """Orthonormal row basis of the row space, with borderline-gap flag.
 
-    The rank cut is rank_rtol * scale, by default rank_rtol times the
+    The rank cut is RANK_RTOL * scale, by default RANK_RTOL times the
     largest singular value.  If the ratio between the smallest kept and
-    largest dropped singular value is below the configured gap ratio the
-    rank cut is ambiguous and gets flagged.
+    largest dropped singular value is below GAP_FLAG_RATIO the rank cut is
+    ambiguous and gets flagged.
     """
     if stack.size == 0:
         return stack.reshape(0, stack.shape[-1]), False
     _, s, vh = np.linalg.svd(_reduce_tall(stack), full_matrices=False)
     rank = _rank(s, scale)
     # compared by product: an exact zero s[rank] must not be divided by
-    flagged = 0 < rank < s.size and s[rank - 1] < TOL.gap_flag_ratio * s[rank]
+    flagged = 0 < rank < s.size and s[rank - 1] < GAP_FLAG_RATIO * s[rank]
     return vh[:rank], bool(flagged)
 
 
@@ -127,7 +143,7 @@ class AlgebraSpan:
             raise DomainError("basis is not trace-orthonormal")
         ident = np.eye(n, dtype=complex).ravel()
         resid = ident - rows.T @ (rows.conj() @ ident)
-        if np.linalg.norm(resid) > TOL.invariance_atol * np.sqrt(n):
+        if np.linalg.norm(resid) > INVARIANCE_ATOL * np.sqrt(n):
             raise DomainError("identity does not lie in the span")
 
     @property
@@ -162,9 +178,9 @@ def close_algebra(generators) -> AlgebraSpan:
     current basis twice and adds the right singular vectors of that residual
     whose singular values pass the rank cut, projected off the basis once
     more, since a direction near the cut carries rounding from the larger
-    singular values.  The rank cut is rank_rtol * max(1, largest product
+    singular values.  The rank cut is RANK_RTOL * max(1, largest product
     norm of the round): a product that sticks out of the span by less than
-    rank_rtol of its norm is rounding.  The gap flag compares the residual's
+    RANK_RTOL of its norm is rounding.  The gap flag compares the residual's
     smallest kept and largest dropped singular values.  When a round adds
     nothing, the closure residual is the largest relative residual over
     every left product of the final basis by (I,) + generators.  At least
@@ -317,20 +333,20 @@ _NORM_SLACK = 1e-12
 def _is_invariant(generators, scales, vectors: np.ndarray) -> bool:
     """Whether every generator maps span(V) into itself within tolerance.
 
-    The test is ||R||_2 <= invariance_atol * scale for each outside part R
+    The test is ||R||_2 <= INVARIANCE_ATOL * scale for each outside part R
     with m columns.  Since ||R||_2 <= ||R||_F <= sqrt(m) ||R||_2, the cheap
     Frobenius norm settles it outside the band between bound and sqrt(m)
     bound; only a norm inside the band takes an SVD.
     """
     root_m = np.sqrt(vectors.shape[1])
     for out, scale in zip(_outside_parts(generators, vectors), scales):
-        bound = TOL.invariance_atol * scale
+        bound = INVARIANCE_ATOL * scale
         fro = float(np.linalg.norm(out))
         if fro <= bound * (1.0 - _NORM_SLACK):
             continue
         if fro > root_m * bound * (1.0 + _NORM_SLACK):
             return False
-        if float(np.linalg.norm(out, 2)) / scale > TOL.invariance_atol:
+        if float(np.linalg.norm(out, 2)) / scale > INVARIANCE_ATOL:
             return False
     return True
 
@@ -345,7 +361,7 @@ def _is_scalar(matrix: np.ndarray) -> bool:
     c = np.trace(matrix) / n
     return bool(
         np.abs(matrix - c * np.eye(n)).max()
-        <= TOL.rank_rtol * max(1.0, float(np.abs(matrix).max()))
+        <= RANK_RTOL * max(1.0, float(np.abs(matrix).max()))
     )
 
 
@@ -363,7 +379,7 @@ def _eigenspace_candidates(x: np.ndarray):
     centers: list[complex] = []
     for idx in range(n):
         for pos, cluster in enumerate(clusters):
-            if np.abs(eigs[idx] - centers[pos]) <= TOL.cluster_rtol * scale:
+            if np.abs(eigs[idx] - centers[pos]) <= CLUSTER_RTOL * scale:
                 cluster.append(idx)
                 centers[pos] = eigs[cluster].mean()
                 break
@@ -376,7 +392,7 @@ def _eigenspace_candidates(x: np.ndarray):
         radius = float(np.abs(eigs[cluster] - lam).max()) if len(cluster) > 1 else 0.0
         shifted = x - lam * np.eye(n)
         _, s, vh = np.linalg.svd(shifted)
-        cut = max(TOL.rank_rtol * max(s[0], 1.0), 2.0 * radius)
+        cut = max(RANK_RTOL * max(s[0], 1.0), 2.0 * radius)
         null = vh[s <= cut].conj().T
         if 0 < null.shape[1] < n:
             yield null
@@ -390,7 +406,7 @@ def _subspace_candidates(rad, comm, ambient_dim: int, rng: np.random.Generator):
             yield "radical_image", image
     candidates = [x for x in comm if not _is_scalar(x)]
     if candidates:
-        for _ in range(SIZE.commutant_draws):
+        for _ in range(COMMUTANT_DRAWS):
             coef = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
             mix = sum(c * m for c, m in zip(coef, comm))
             if not _is_scalar(mix):
@@ -442,18 +458,18 @@ def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     """Whether every N x N block of the projection is a scalar multiple of I."""
     blocks = projection.reshape(k, n, k, n).swapaxes(1, 2)
     c = np.trace(blocks, axis1=2, axis2=3) / n
-    return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= TOL.invariance_atol)
+    return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= INVARIANCE_ATOL)
 
 
 def _full_rank_tuples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """SIZE.orbit_tuples random complex n x k tuples of rank k.
+    """ORBIT_TUPLES random complex n x k tuples of rank k.
 
     Each draw takes its real part, then its imaginary part; a rank-deficient
     draw is skipped and the next one taken, as if drawn one at a time.
     """
     tuples = np.empty((0, n, k), dtype=complex)
-    while len(tuples) < SIZE.orbit_tuples:
-        parts = rng.standard_normal((SIZE.orbit_tuples - len(tuples), 2, n, k))
+    while len(tuples) < ORBIT_TUPLES:
+        parts = rng.standard_normal((ORBIT_TUPLES - len(tuples), 2, n, k))
         xi = parts[:, 0] + 1j * parts[:, 1]
         tuples = np.concatenate([tuples, xi[np.linalg.matrix_rank(xi) == k]])
     return tuples

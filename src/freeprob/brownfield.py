@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import zpotrf
 
-from .config import SIZE, require_fits
+from .config import require_fits
 from .errors import DimensionMismatchError, DomainError, EigensolveError, SentinelError
 
 __all__ = [
@@ -39,6 +39,11 @@ __all__ = [
     "field_metadata",
 ]
 
+# nodes per axis of the default grid
+GRID_N = 256
+# the default regularization is EPSILON_SCALE * ||T||_2^2
+EPSILON_SCALE = 1e-6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -48,8 +53,8 @@ class GridSpec:
     x_max: float
     y_min: float
     y_max: float
-    nx: int = SIZE.grid_nx
-    ny: int = SIZE.grid_ny
+    nx: int = GRID_N
+    ny: int = GRID_N
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
@@ -148,7 +153,7 @@ class BrownField:
 
 def default_epsilon(matrix: np.ndarray) -> float:
     """The standard regularization scale, 1e-6 times the squared 2-norm."""
-    return SIZE.epsilon_scale * float(np.linalg.norm(matrix, 2)) ** 2
+    return EPSILON_SCALE * float(np.linalg.norm(matrix, 2)) ** 2
 
 
 def require_gram_fits(n: int, nx: int, workers: int) -> int:

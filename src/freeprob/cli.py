@@ -27,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import SIZE
 from .brownfield import (
+    EPSILON_SCALE,
+    GRID_N,
     GridSpec,
     default_epsilon,
     field_csv_text,
@@ -215,7 +216,7 @@ def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
         # the default 1e-6 ||T||_2^2 is at least 1e-6 ||T||_F^2 / N
-        refuse_large_gram(len(matrix), SIZE.epsilon_scale * float(np.linalg.norm(matrix)) ** 2 / len(matrix))
+        refuse_large_gram(len(matrix), EPSILON_SCALE * float(np.linalg.norm(matrix)) ** 2 / len(matrix))
         return matrix, Path(args.matrix).name
     seed = _require_seed(args, "field with --tag")
     tag = OperatorTag(args.tag)
@@ -235,7 +236,7 @@ def cmd_field(args) -> CommandResult:
     else:
         # a covering grid's bounds come from the matrix; these stand in
         bounds = [-1.0, 1.0, -1.0, 1.0]
-        nx = ny = SIZE.grid_nx if args.grid_n is None else args.grid_n
+        nx = ny = GRID_N if args.grid_n is None else args.grid_n
     # node counts, bounds and a given epsilon are checked before the matrix
     # is loaded or built
     grid = GridSpec(*bounds, nx, ny, epsilon=args.epsilon or 0.0)
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--dim", type=int, default=None, help="dimension for --tag (even, default 128)")
     shape = p_field.add_mutually_exclusive_group()
     shape.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
-    shape.add_argument("--grid-n", dest="grid_n", type=int, default=None, help=f"nodes per axis (default {SIZE.grid_nx})")
+    shape.add_argument("--grid-n", dest="grid_n", type=int, default=None, help=f"nodes per axis (default {GRID_N})")
     p_field.add_argument("--epsilon", type=float, default=None, help="regularization (default 1e-6*||T||^2)")
     p_field.set_defaults(func=cmd_field)
 

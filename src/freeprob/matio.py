@@ -44,10 +44,14 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 
 def matrix_from_json(payload: dict) -> np.ndarray:
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        data = payload["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+    except (KeyError, TypeError) as exc:
         raise MeasureFormatError(f"malformed matrix JSON: {exc}") from exc
+    # bool is a subclass of int, and a JSON true is no dimension
+    if type(rows) is not int or type(cols) is not int:
+        raise MeasureFormatError(f"matrix dimensions must be integers, got {rows!r} x {cols!r}")
+    if not isinstance(data, list):
+        raise MeasureFormatError(f"matrix data must be a list, got {type(data).__name__}")
     if rows <= 0 or cols <= 0:
         raise MeasureFormatError("matrix dimensions must be positive")
     if len(data) != rows * cols:

@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import TOL
 from .errors import DomainError, MeasureFormatError, PoleError
 
 __all__ = [
@@ -35,6 +34,9 @@ __all__ = [
     "s_transform",
 ]
 
+# how far from one a measure's total mass may be
+MASS_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScalarMeasure:
@@ -43,7 +45,7 @@ class ScalarMeasure:
     atoms: (location, mass) pairs, sorted strictly increasing on construction;
     equal locations are merged.  density: (x, f(x)) samples interpreted as a
     piecewise-linear density, integrated exactly on each linear piece.  Total
-    mass must equal one within Tolerances.mass_atol.
+    mass must equal one within MASS_ATOL.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -76,8 +78,8 @@ class ScalarMeasure:
         object.__setattr__(self, "density", dens)
 
         total = sum(m for _, m in self.atoms) + _density_moment(self, 0)
-        if not abs(total - 1.0) <= TOL.mass_atol:
-            raise MeasureFormatError(f"total mass is {total!r}, expected 1 within {TOL.mass_atol}")
+        if not abs(total - 1.0) <= MASS_ATOL:
+            raise MeasureFormatError(f"total mass is {total!r}, expected 1 within {MASS_ATOL}")
 
     # -- basic structure -------------------------------------------------
 
@@ -302,12 +304,16 @@ def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float
 # the subnormal spacing 2^-1074) to float spacing, with room to spare
 BISECTION_STEPS = 2200
 
+# a positive argument of chi is bracketed by [0, (1 - BRACKET_DELTA) / max
+# support], short of psi's pole at 1 / max support
+BRACKET_DELTA = 1e-9
+
 
 def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) -> np.ndarray:
     """Numeric chi on the principal branch, one bisection for all arguments.
 
     Each y must lie in (psi(-inf), 0) or (0, psi((1 - delta) / max_support)]
-    with delta = Tolerances.bracket_delta.  A negative y is bracketed by
+    with delta = BRACKET_DELTA.  A negative y is bracketed by
     [lo, 0], lo doubling from about -1/max_support (-1/max_support^2 when
     squared) until psi(lo) <= y; a positive y by
     [0, (1 - delta) / max_support].  Every bracket is bisected to float
@@ -332,7 +338,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
             raise DomainError("chi of the squared law is taken at negative arguments only")
         if support == 0.0:
             raise DomainError("psi of a measure concentrated at 0 never leaves 0")
-        top = (1.0 - TOL.bracket_delta) / support
+        top = (1.0 - BRACKET_DELTA) / support
         if float(_psi_raw(measure, np.array([top]))[0]) < ys.max():
             raise DomainError(f"y = {ys.max()} exceeds psi on the principal branch")
         hi[ys > 0.0] = top

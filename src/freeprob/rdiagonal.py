@@ -24,7 +24,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .config import SIZE, TOL
 from .errors import DiracInputError, DomainError, MeasureFormatError
 from .measures import ScalarMeasure, chi_vector, moment
 
@@ -41,6 +40,13 @@ __all__ = [
 ]
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# how far a radial CDF may step down or end away from one
+CDF_END_ATOL = 1e-12
+# radial CDF samples the radial recipe stores, and the quantile-map grid
+# it inverts to get them
+CDF_SAMPLES = 2049
+QUANTILE_GRID = 8192
 
 
 class OperatorTag(str, enum.Enum):
@@ -89,9 +95,9 @@ class RadialPlanarMeasure:
         object.__setattr__(self, "cumulative", cum)
         if radii.shape != cum.shape or radii.ndim != 1 or radii.size == 0:
             raise MeasureFormatError("radial CDF needs matching 1-d sample arrays")
-        if np.any(np.diff(radii) < 0) or np.any(np.diff(cum) < -TOL.cdf_end_atol):
+        if np.any(np.diff(radii) < 0) or np.any(np.diff(cum) < -CDF_END_ATOL):
             raise MeasureFormatError("radial CDF samples must be monotone")
-        if abs(cum[-1] - 1.0) > TOL.cdf_end_atol:
+        if abs(cum[-1] - 1.0) > CDF_END_ATOL:
             raise MeasureFormatError(f"radial CDF must end at 1, got {cum[-1]!r}")
         if (
             self.support_inner < self.support_outer
@@ -266,7 +272,7 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     """Brown measure of U H for U Haar unitary free from positive H ~ mu_h.
 
     The output is rotation invariant about 0: an atom mu_h({0}) at the
-    origin and the radial CDF, SIZE.cdf_samples samples of it, obtained by
+    origin and the radial CDF, CDF_SAMPLES samples of it, obtained by
     inverting the quantile map r(t) = S_{mu_{H^2}}(t - 1)^{-1/2}.  A point
     mass, where that map degenerates, is refused.
     """
@@ -281,7 +287,7 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     # quantile map on a grid strongly graded toward t = atom, where the
     # radius approaches the inner edge and the CDF starts out flat; the
     # offset floor keeps chi evaluation away from the psi(-inf) cancellation
-    u = np.linspace(0.0, 1.0, SIZE.quantile_grid + 1)[1:]
+    u = np.linspace(0.0, 1.0, QUANTILE_GRID + 1)[1:]
     t = atom + (1.0 - atom) * np.maximum(u**4, 1e-10)
     t[-1] = 1.0
     w = t[:-1] - 1.0
@@ -302,7 +308,7 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
 
     # sample radii clustered quadratically at both support edges: monotone
     # cubic reconstruction loses accuracy exactly where the CDF flattens out
-    v = np.linspace(0.0, 1.0, SIZE.cdf_samples)
+    v = np.linspace(0.0, 1.0, CDF_SAMPLES)
     rs = inner + (outer - inner) * 0.5 * (1.0 - np.cos(np.pi * v))
     fs = np.empty_like(rs)
     inside = (rs >= r_dense[0]) & (rs <= r_dense[-1])

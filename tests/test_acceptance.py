@@ -6,12 +6,15 @@ the recorded evidence if the criterion failed.  Run with -s to see the lines
 on a green suite.
 """
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 
-from freeprob import acceptance, algstruct
+from freeprob import acceptance, algstruct, rdiagonal
+from freeprob.matmodel import build_m2_free_m2
+from freeprob.rdiagonal import OperatorTag, catalog_brown
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,29 @@ def test_runner_ignores_the_clock_without_a_bound(monkeypatch):
     assert result.runtime_s >= 1e6
     assert result.passed
     assert result.details[-1] == f"runtime {result.runtime_s:.2f} s (no bound)"
+
+
+def test_ks_legs_fail_on_a_stretched_law(monkeypatch):
+    # one dim-1024 model of criteria 3-5's first seed passes both KS legs
+    # against the catalog laws, and fails both once each law is stretched by 2%
+    model = build_m2_free_m2(
+        acceptance.SPECTRA_DIM // 2, acceptance._child_seeds("criteria-3-4-5-spectra", 1)[0]
+    )
+    tags = (OperatorTag.W1F12, OperatorTag.E12_plus_F12)
+    eigenvalues = {tag: [catalog_brown(tag).spectrum(model)] for tag in tags}
+
+    def legs():
+        checks = (acceptance._criterion_3, acceptance._criterion_4)
+        return {leg.headline: leg.passed for leg in (check(lambda: eigenvalues) for check in checks)}
+
+    assert all((verdicts := legs()).values()), verdicts
+    for tag in tags:
+        law = rdiagonal.CATALOG[tag]
+        stretched = dataclasses.replace(
+            law, ball=lambda r, ball=law.ball: ball(r / 1.02), support_outer=law.support_outer * 1.02
+        )
+        monkeypatch.setitem(rdiagonal.CATALOG, tag, stretched)
+    assert not any((verdicts := legs()).values()), verdicts
 
 
 def test_report_shape(results):

@@ -293,6 +293,15 @@ def test_csv_matrix_exits_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_field_matrix_non_list_data_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "data": 5}))
+    out = tmp_path / "out"
+    assert _run(["field", "--matrix", path, "--grid-n", "8", "--out-dir", out]) == 3
+    assert "matrix data must be a list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unreachable_error_codes_still_mapped():
     # no subcommand evaluates psi at a pole, parses words or can disagree
     # with itself on purpose, so these entries are asserted on the mapping

@@ -39,8 +39,17 @@ def test_json_rejects_wrong_count():
 
 
 def test_json_rejects_bad_entries():
-    with pytest.raises(MeasureFormatError):
-        matrix_from_json({"rows": 1, "cols": 1, "data": [["x", 0.0]]})
+    for payload in (
+        {"rows": 1, "cols": 1, "data": [["x", 0.0]]},
+        {"rows": 1, "cols": 1, "data": 5},
+        {"rows": 1, "cols": 1, "data": None},
+        # a 1.5 x 2 file is not a 1 x 2 matrix
+        {"rows": 1.5, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]},
+        {"rows": 1, "cols": "2", "data": [[1.0, 0.0], [2.0, 0.0]]},
+        {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+    ):
+        with pytest.raises(MeasureFormatError):
+            matrix_from_json(payload)
 
 
 def test_json_rejects_nonpositive_dims():

@@ -16,7 +16,6 @@ from freeprob.errors import (
     WordSpecError,
 )
 from freeprob.matmodel import (
-    FreeGroupModel,
     MatrixModel,
     build_free_group,
     build_m2_free_m2,

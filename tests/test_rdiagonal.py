@@ -1,6 +1,5 @@
 """Radial Brown measures: the annulus recipe against its closed forms."""
 
-import dataclasses
 import json
 import math
 
@@ -87,9 +86,7 @@ class TestTwoAtomAnnulus:
 
     def test_sample_count_is_independent_of_values(self, monkeypatch):
         def recipe(samples):
-            monkeypatch.setattr(
-                rdiagonal, "SIZE", dataclasses.replace(rdiagonal.SIZE, cdf_samples=samples)
-            )
+            monkeypatch.setattr(rdiagonal, "CDF_SAMPLES", samples)
             return brown_rdiagonal(TWO_ATOM)
 
         coarse, fine = recipe(513), recipe(4097)
