@@ -14,11 +14,15 @@ confirmed by an independent route (orbit sampling), and a certified
 disagreement is treated the same way.
 
 The closure multiplies only the directions each round added.  A span
-computes its commutant and radical once and both decisions read them.  A
-candidate subspace is accepted or refused from the Frobenius norm of its
-residual where that settles the spectral-norm test, so an SVD is taken
-only in the band between; the orbit route checks its sampled tuples in one
-batched SVD.  A tall matrix whose left singular vectors are not needed is
+computes its commutant, radical, radical image and generator scales once
+each, when they are first read.  The subspace search offers the radical
+image before it asks for the commutant, so a non-semisimple algebra is
+answered without forming its commutant; the k-fold decision reads the
+ampliation's radical image and scales off the span's own.  A candidate
+subspace is accepted or refused from the Frobenius norm of its residual
+where that settles the spectral-norm test, so an SVD is taken only in the
+band between; the orbit route checks its sampled tuples in one batched
+SVD.  A tall matrix whose left singular vectors are not needed is
 decomposed through its QR factor, which gives the same bits.
 """
 
@@ -123,8 +127,9 @@ class AlgebraSpan:
     generators, not its basis.  closure_residual is the largest relative
     residual of close_algebra's final left products; gap_flagged marks a
     borderline singular-value cut.  The commutant and radical properties
-    hold the module functions' answers, computed once per span and read
-    only.
+    hold the module functions' answers, radical_image the column space of
+    the stacked radical and scales max(1, ||g||_2) per generator; each is
+    computed on first read, once per span, and read only.
     """
 
     ambient_dim: int
@@ -164,6 +169,19 @@ class AlgebraSpan:
     @cached_property
     def radical(self) -> tuple[np.ndarray, ...]:
         return _read_only(radical(self))
+
+    @cached_property
+    def radical_image(self) -> np.ndarray:
+        """Orthonormal columns spanning the images of the radical's elements."""
+        rad = self.radical
+        image = _column_space(np.hstack(rad)) if rad else np.zeros((self.ambient_dim, 0), complex)
+        image.flags.writeable = False
+        return image
+
+    @cached_property
+    def scales(self) -> tuple[float, ...]:
+        """max(1, ||g||_2) per generator, the scale of its invariance residual."""
+        return tuple(max(1.0, float(np.linalg.norm(g, 2))) for g in self.generators)
 
 
 def close_algebra(generators) -> AlgebraSpan:
@@ -307,11 +325,6 @@ class SubspaceReport:
         }
 
 
-def _generator_scales(generators) -> list[float]:
-    """max(1, ||g||_2) per generator, the scale of its invariance residual."""
-    return [max(1.0, float(np.linalg.norm(g, 2))) for g in generators]
-
-
 def _outside_parts(generators, vectors: np.ndarray):
     """(I - VV^*) g V per generator: the part of g*V sticking out of span(V)."""
     for g in generators:
@@ -398,12 +411,15 @@ def _eigenspace_candidates(x: np.ndarray):
             yield null
 
 
-def _subspace_candidates(rad, comm, ambient_dim: int, rng: np.random.Generator):
-    """Candidate proper invariant subspaces, strongest evidence first."""
-    if rad:
-        image = _column_space(np.hstack(rad))
-        if 0 < image.shape[1] < ambient_dim:
-            yield "radical_image", image
+def _subspace_candidates(image, commutant_basis, ambient_dim: int, rng: np.random.Generator):
+    """Candidate proper invariant subspaces, strongest evidence first.
+
+    The radical image comes first; commutant_basis() is called only after
+    it.
+    """
+    if 0 < image.shape[1] < ambient_dim:
+        yield "radical_image", image
+    comm = commutant_basis()
     candidates = [x for x in comm if not _is_scalar(x)]
     if candidates:
         for _ in range(COMMUTANT_DRAWS):
@@ -420,17 +436,19 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     """Produce a proper invariant subspace or certify there is none.
 
     Discovery order: image of the radical, then eigenspaces of non-scalar
-    commutant elements.  Any candidate is re-verified against the original
-    generators before being returned.  When nothing is found the span must
-    be all of M_N; that cross-check failing is an implementation bug, not
-    an input condition, and raises accordingly.
+    commutant elements; the commutant is formed only when the radical image
+    is not a verified proper invariant subspace, so a non-semisimple algebra
+    is answered without it.  Any candidate is re-verified against the
+    original generators before being returned.  When nothing is found the
+    span must be all of M_N; that cross-check failing is an implementation
+    bug, not an input condition, and raises accordingly.
     """
     rng = np.random.default_rng(0)
     found_any = False
     n = span.ambient_dim
-    gens = span.generators
-    scales = _generator_scales(gens)
-    for kind, vectors in _subspace_candidates(span.radical, span.commutant, n, rng):
+    gens, scales = span.generators, span.scales
+    candidates = _subspace_candidates(span.radical_image, lambda: span.commutant, n, rng)
+    for kind, vectors in candidates:
         found_any = True
         if _is_invariant(gens, scales, vectors):
             resid = _invariance_residual(gens, scales, vectors)
@@ -490,16 +508,19 @@ def kfold_transitive(
     pass by orbit sampling.
 
     The lattice route inspects the ampliation {I_k tensor B}, whose
-    commutant M_k(A') and radical I_k tensor rad(A) come from the span's own:
-    the span is k-fold transitive exactly when every discovered invariant
-    subspace has a projection whose N x N blocks are all scalar.  It walks
-    the verified subspaces as the sampler yields them and stops at the first
-    non-scalar block, since no later subspace can change that False.  The
-    lattice route runs on every call; the orbit route confirms every lattice
-    pass.  It samples k-tuples of independent vectors (the standard-basis
-    tuple plus random draws) and checks the orbit span has full dimension
-    kN; a single deficient tuple is an exact certificate of failure, so one
-    next to a lattice pass falsifies the implementation.
+    commutant M_k(A') and radical image C^k tensor im rad(A) come from the
+    span's own, as do its generator scales, since ||I_k tensor g||_2 =
+    ||g||_2: the span is k-fold transitive exactly when every discovered
+    invariant subspace has a projection whose N x N blocks are all scalar.
+    It walks the verified subspaces as the sampler yields them and stops at
+    the first non-scalar block, since no later subspace can change that
+    False.  The size cap on M_k(A') is checked before any work, but its
+    k^2 dim(A') elements are built only when the radical image leaves the
+    answer open.  The lattice route runs on every call; the orbit route
+    confirms every lattice pass.  It samples k-tuples of independent vectors
+    (the standard-basis tuple plus random draws) and checks the orbit span
+    has full dimension kN; a single deficient tuple is an exact certificate
+    of failure, so one next to a lattice pass falsifies the implementation.
     """
     n = span.ambient_dim
     if not 1 <= k <= n:
@@ -512,16 +533,15 @@ def kfold_transitive(
     eye_k = np.eye(k, dtype=complex)
     units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
     gens = tuple(np.kron(eye_k, g) for g in span.generators)
-    scales = _generator_scales(gens)
     candidates = _subspace_candidates(
-        [np.kron(eye_k, r) for r in span.radical],
-        [np.kron(e, c) for e in units for c in comm],
+        np.kron(eye_k, span.radical_image),
+        lambda: [np.kron(e, c) for e in units for c in comm],
         k * n,
         rng,
     )
     found_any = False
     for _, vectors in candidates:
-        if _is_invariant(gens, scales, vectors):
+        if _is_invariant(gens, span.scales, vectors):
             if not _blocks_scalar(vectors @ vectors.conj().T, k, n):
                 return False
             found_any = True

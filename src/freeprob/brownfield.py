@@ -152,7 +152,7 @@ class BrownField:
 
 
 def default_epsilon(matrix: np.ndarray) -> float:
-    """The standard regularization scale, 1e-6 times the squared 2-norm."""
+    """The standard regularization scale, EPSILON_SCALE times the squared 2-norm."""
     return EPSILON_SCALE * float(np.linalg.norm(matrix, 2)) ** 2
 
 

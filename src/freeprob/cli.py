@@ -215,7 +215,7 @@ def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
         matrix = load_matrix(args.matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
-        # the default 1e-6 ||T||_2^2 is at least 1e-6 ||T||_F^2 / N
+        # the default EPSILON_SCALE ||T||_2^2 is at least EPSILON_SCALE ||T||_F^2 / N
         refuse_large_gram(len(matrix), EPSILON_SCALE * float(np.linalg.norm(matrix)) ** 2 / len(matrix))
         return matrix, Path(args.matrix).name
     seed = _require_seed(args, "field with --tag")
@@ -281,8 +281,11 @@ def cmd_algebra(args) -> CommandResult:
     }
     verdict = "transitive" if payload["transitive"] else "reducible"
     if args.kfold is not None:
-        rng = derive_rng(args.seed, f"kfold-{args.kfold}")
-        result = kfold_transitive(span, args.kfold, rng)
+        # k-fold transitivity implies transitivity, so a verified proper
+        # invariant subspace already answers False
+        result = payload["transitive"] and kfold_transitive(
+            span, args.kfold, derive_rng(args.seed, f"kfold-{args.kfold}")
+        )
         payload["kfold"] = {"k": args.kfold, "result": result}
         verdict += f", {args.kfold}-fold: {result}"
     return CommandResult(
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape = p_field.add_mutually_exclusive_group()
     shape.add_argument("--grid", default=None, help="XMIN,XMAX,YMIN,YMAX,NX,NY (default: cover the spectrum)")
     shape.add_argument("--grid-n", dest="grid_n", type=int, default=None, help=f"nodes per axis (default {GRID_N})")
-    p_field.add_argument("--epsilon", type=float, default=None, help="regularization (default 1e-6*||T||^2)")
+    p_field.add_argument("--epsilon", type=float, default=None, help=f"regularization (default {EPSILON_SCALE:g}*||T||^2)")
     p_field.set_defaults(func=cmd_field)
 
     p_alg = sub.add_parser(

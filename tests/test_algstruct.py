@@ -478,6 +478,13 @@ class TestLargeAlgebras:
         _, peak = traced(refuse)
         assert peak < 1.0
 
+    def test_radical_image_answers_without_the_commutant_at_seventeen(self):
+        span = close_algebra(prototype_generators("triangular", 17))
+        report, peak = traced(lambda: find_invariant_subspace(span))
+        assert report.kind == "radical_image"
+        assert "commutant" not in span.__dict__
+        assert peak < 32.0
+
     def test_kfold_size_cap_refuses_large_k(self):
         # M_9 of the trivial algebra's 81-dimensional commutant, in M_81
         span = close_algebra([np.eye(9, dtype=complex)])

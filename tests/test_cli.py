@@ -650,6 +650,19 @@ def test_field_without_epsilon_skips_the_gram_check(tmp_path, monkeypatch, sourc
     assert json.loads((out / "field_meta.json").read_text())["path"] == "schur"
 
 
+def test_field_epsilon_help_reads_the_scale(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "EPSILON_SCALE", 2.5e-4)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            _run(["field", "--help"])
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+    assert exc.value.code == 0
+    assert "0.00025*||T||^2" in capsys.readouterr().out
+
+
 def test_field_bad_grid_exits_4(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(path, np.eye(2, dtype=complex))
@@ -751,7 +764,15 @@ def test_algebra_bad_kfold_refused_before_closure(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_algebra_kfold_computes_commutant_and_radical_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "shape, result, expected",
+    [(np.asarray, True, {"commutant": 1, "radical": 1}),
+     # the radical image answers the subspace search, so the k-fold decision
+     # never runs and the commutant is never formed
+     (np.triu, False, {"commutant": 0, "radical": 1})],
+    ids=["ginibre", "triangular"],
+)
+def test_algebra_kfold_computes_commutant_and_radical_once(tmp_path, monkeypatch, shape, result, expected):
     calls = {"commutant": 0, "radical": 0}
     for name in calls:
         original = getattr(algstruct, name)
@@ -762,12 +783,23 @@ def test_algebra_kfold_computes_commutant_and_radical_once(tmp_path, monkeypatch
 
         monkeypatch.setattr(algstruct, name, counted)
     rng = np.random.default_rng(8)
-    gens = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2)]
+    gens = [shape(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) for _ in range(2)]
     paths = _write_gens(tmp_path, *gens)
     out = tmp_path / "out"
     assert _run(["algebra", *paths, "--kfold", "2", "--seed", "3", "--out-dir", out]) == 0
-    assert json.loads((out / "algebra_report.json").read_text())["kfold"]["result"] is True
-    assert calls == {"commutant": 1, "radical": 1}
+    assert json.loads((out / "algebra_report.json").read_text())["kfold"]["result"] is result
+    assert calls == expected
+
+
+def test_algebra_kfold_on_a_reducible_pair_passes_the_size_cap(tmp_path):
+    # M_17 of the 1-dimensional commutant would need 368.4 MiB, but the
+    # radical image is a proper invariant subspace, so the answer is False
+    rng = np.random.default_rng(17)
+    gens = [np.triu(rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))) for _ in range(2)]
+    paths = _write_gens(tmp_path, *gens)
+    out = tmp_path / "out"
+    assert _run(["algebra", *paths, "--kfold", "17", "--seed", "1", "--out-dir", out]) == 0
+    assert json.loads((out / "algebra_report.json").read_text())["kfold"] == {"k": 17, "result": False}
 
 
 # -- verify ----------------------------------------------------------------
