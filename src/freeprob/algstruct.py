@@ -21,7 +21,8 @@ answered without forming its commutant; the k-fold decision reads the
 ampliation's radical image and scales off the span's own.  A candidate
 subspace is accepted or refused from the Frobenius norm of its residual
 where that settles the spectral-norm test, so an SVD is taken only in the
-band between; the orbit route checks its sampled tuples in one batched
+band between.  The commutant is solved from the generators alone; the
+orbit route draws its tuples in one call and checks them in one batched
 SVD.  A tall matrix whose left singular vectors are not needed is
 decomposed through its QR factor, which gives the same bits.
 """
@@ -122,14 +123,15 @@ class AlgebraSpan:
     close_algebra is the only supported constructor: it makes the basis
     span exactly the algebra the generators generate.  The constructor
     itself checks only that the basis is trace-orthonormal (trace(b_i^* b_j)
-    = delta_ij) and holds the identity, and commutant and invariance checks
-    read only the generators, so a span built by hand answers for its
-    generators, not its basis.  closure_residual is the largest relative
-    residual of close_algebra's final left products; gap_flagged marks a
-    borderline singular-value cut.  The commutant and radical properties
-    hold the module functions' answers, radical_image the column space of
-    the stacked radical and scales max(1, ||g||_2) per generator; each is
-    computed on first read, once per span, and read only.
+    = delta_ij) and holds the identity, and that there is a generator.
+    Commutant and invariance checks read only the generators, so a span
+    built by hand answers for its generators, not its basis.
+    closure_residual is the largest relative residual of close_algebra's
+    final left products; gap_flagged marks a borderline singular-value cut.
+    The commutant and radical properties hold the module functions'
+    answers, radical_image the column space of the stacked radical and
+    scales max(1, ||g||_2) per generator; each is computed on first read,
+    once per span, and read only.
     """
 
     ambient_dim: int
@@ -150,6 +152,8 @@ class AlgebraSpan:
         resid = ident - rows.T @ (rows.conj() @ ident)
         if np.linalg.norm(resid) > INVARIANCE_ATOL * np.sqrt(n):
             raise DomainError("identity does not lie in the span")
+        if not self.generators:
+            raise DomainError("algebra span needs at least one generator")
 
     @property
     def dim(self) -> int:
@@ -203,7 +207,9 @@ def close_algebra(generators) -> AlgebraSpan:
     nothing, the closure residual is the largest relative residual over
     every left product of the final basis by (I,) + generators.  At least
     one generator is needed, since the first one fixes N; the scalars of
-    M_N are close_algebra([I]).
+    M_N are close_algebra([I]).  Before any work, the span's commutant
+    system, one N^2 x N^2 block per generator, and its SVD factor must fit
+    the size cap.
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     if not gens:
@@ -217,8 +223,8 @@ def close_algebra(generators) -> AlgebraSpan:
     n = gens[0].shape[0]
     if n < 1:
         raise DomainError("ambient dimension must be positive")
-    # commutant system (len(gens) + 1) N^2 x N^2 complex, plus its SVD factor
-    require_fits(16 * (len(gens) + 2) * n**4, f"commutant of {len(gens)} generators in M_{n}")
+    # commutant system len(gens) N^2 x N^2 complex, plus its SVD factor
+    require_fits(16 * (len(gens) + 1) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
     left = np.stack((np.eye(n, dtype=complex),) + gens)
     rows, flagged = _orthonormal_rows(left.reshape(len(left), n * n))
@@ -260,14 +266,14 @@ def close_algebra(generators) -> AlgebraSpan:
 def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     """Trace-orthonormal basis of {X : XB = BX for every B in the span}.
 
-    A unital algebra has its generators' commutant.  Row-major vectorization
-    turns X -> Xg - gX into kron(I, g^T) - kron(g, I); the commutant is the
-    nullspace stacked over g in (I,) + generators.
+    A unital algebra has its generators' commutant: the identity commutes
+    with every X, so its block would be zero.  Row-major vectorization turns
+    X -> Xg - gX into kron(I, g^T) - kron(g, I); the commutant is the
+    nullspace stacked over the generators.
     """
     n = span.ambient_dim
     eye = np.eye(n, dtype=complex)
-    blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in (eye,) + span.generators]
-    system = np.vstack(blocks)
+    system = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in span.generators])
     # rows >= cols always holds here, so the reduced SVD still returns the
     # complete right-singular set
     _, s, vh = np.linalg.svd(_reduce_tall(system), full_matrices=False)
@@ -411,22 +417,20 @@ def _eigenspace_candidates(x: np.ndarray):
             yield null
 
 
-def _subspace_candidates(image, commutant_basis, ambient_dim: int, rng: np.random.Generator):
+def _subspace_candidates(image, commutant_basis, rng: np.random.Generator):
     """Candidate proper invariant subspaces, strongest evidence first.
 
     The radical image comes first; commutant_basis() is called only after
-    it.
+    it.  A random commutant mix is kept as drawn: a scalar one yields none.
     """
-    if 0 < image.shape[1] < ambient_dim:
+    if 0 < image.shape[1] < image.shape[0]:
         yield "radical_image", image
     comm = commutant_basis()
     candidates = [x for x in comm if not _is_scalar(x)]
     if candidates:
         for _ in range(COMMUTANT_DRAWS):
             coef = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-            mix = sum(c * m for c, m in zip(coef, comm))
-            if not _is_scalar(mix):
-                candidates.append(mix)
+            candidates.append(sum(c * m for c, m in zip(coef, comm)))
         for x in candidates:
             for vectors in _eigenspace_candidates(x):
                 yield "commutant_eigenspace", vectors
@@ -447,7 +451,7 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     found_any = False
     n = span.ambient_dim
     gens, scales = span.generators, span.scales
-    candidates = _subspace_candidates(span.radical_image, lambda: span.commutant, n, rng)
+    candidates = _subspace_candidates(span.radical_image, lambda: span.commutant, rng)
     for kind, vectors in candidates:
         found_any = True
         if _is_invariant(gens, scales, vectors):
@@ -479,20 +483,6 @@ def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
     return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= INVARIANCE_ATOL)
 
 
-def _full_rank_tuples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """ORBIT_TUPLES random complex n x k tuples of rank k.
-
-    Each draw takes its real part, then its imaginary part; a rank-deficient
-    draw is skipped and the next one taken, as if drawn one at a time.
-    """
-    tuples = np.empty((0, n, k), dtype=complex)
-    while len(tuples) < ORBIT_TUPLES:
-        parts = rng.standard_normal((ORBIT_TUPLES - len(tuples), 2, n, k))
-        xi = parts[:, 0] + 1j * parts[:, 1]
-        tuples = np.concatenate([tuples, xi[np.linalg.matrix_rank(xi) == k]])
-    return tuples
-
-
 def _orbits_full(basis: np.ndarray, tuples: np.ndarray) -> bool:
     """Whether {B xi : B in the basis} spans all of C^{N x k} for every tuple xi."""
     _, n, k = tuples.shape
@@ -517,10 +507,12 @@ def kfold_transitive(
     False.  The size cap on M_k(A') is checked before any work, but its
     k^2 dim(A') elements are built only when the radical image leaves the
     answer open.  The lattice route runs on every call; the orbit route
-    confirms every lattice pass.  It samples k-tuples of independent vectors
-    (the standard-basis tuple plus random draws) and checks the orbit span
-    has full dimension kN; a single deficient tuple is an exact certificate
-    of failure, so one next to a lattice pass falsifies the implementation.
+    confirms every lattice pass.  It checks, in one batched SVD, that the
+    orbits of the standard-basis k-tuple and of ORBIT_TUPLES complex
+    Gaussian k-tuples, drawn in one call and independent with probability
+    one, span all of C^{N x k}.  A single deficient tuple is an exact
+    certificate of failure, so one next to a lattice pass falsifies the
+    implementation.
     """
     n = span.ambient_dim
     if not 1 <= k <= n:
@@ -536,7 +528,6 @@ def kfold_transitive(
     candidates = _subspace_candidates(
         np.kron(eye_k, span.radical_image),
         lambda: [np.kron(e, c) for e in units for c in comm],
-        k * n,
         rng,
     )
     found_any = False
@@ -551,11 +542,10 @@ def kfold_transitive(
             "ampliation subspace discovery came back empty on a proper algebra"
         )
 
-    draws = _full_rank_tuples(rng, n, k)
-    basis = span.rows.reshape(span.dim, n, n)
-    # the standard-basis tuple alone first: it certifies most failures
-    standard = np.eye(n, k, dtype=complex)[None]
-    if not (_orbits_full(basis, standard) and _orbits_full(basis, draws)):
+    # each draw takes its real part, then its imaginary part
+    parts = rng.standard_normal((ORBIT_TUPLES, 2, n, k))
+    tuples = np.concatenate([np.eye(n, k, dtype=complex)[None], parts[:, 0] + 1j * parts[:, 1]])
+    if not _orbits_full(span.rows.reshape(span.dim, n, n), tuples):
         raise InternalInconsistencyError(
             "orbit sampling certified a deficient tuple but the ampliation "
             "lattice route judged the span k-fold transitive"

@@ -65,6 +65,11 @@ class GridSpec:
             raise DomainError("grid bounds must satisfy min < max on both axes")
         if self.nx < 3 or self.ny < 3:
             raise DomainError("grid needs at least 3 nodes per axis")
+        # the Laplacian divides by the squared cell sides
+        if not math.isfinite(self.dx * self.dx + self.dy * self.dy):
+            raise DomainError(
+                f"grid cells of {self.dx:.3g} x {self.dy:.3g} square past the double range"
+            )
         if self.epsilon < 0.0:
             raise DomainError("epsilon must be >= 0")
         require_fits(8 * self.nx * self.ny, f"a {self.nx} x {self.ny} field")
@@ -152,8 +157,13 @@ class BrownField:
 
 
 def default_epsilon(matrix: np.ndarray) -> float:
-    """The standard regularization scale, EPSILON_SCALE times the squared 2-norm."""
-    return EPSILON_SCALE * float(np.linalg.norm(matrix, 2)) ** 2
+    """The standard regularization scale, EPSILON_SCALE times the squared
+    2-norm; a norm whose square passes the double range is refused."""
+    norm = float(np.linalg.norm(matrix, 2))
+    try:
+        return EPSILON_SCALE * norm**2
+    except OverflowError:
+        raise DomainError(f"||T||_2 = {norm:.3g} squares past the double range") from None
 
 
 def require_gram_fits(n: int, nx: int, workers: int) -> int:

@@ -215,8 +215,11 @@ def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
         matrix = load_matrix(args.matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
-        # the default EPSILON_SCALE ||T||_2^2 is at least EPSILON_SCALE ||T||_F^2 / N
-        refuse_large_gram(len(matrix), EPSILON_SCALE * float(np.linalg.norm(matrix)) ** 2 / len(matrix))
+        # the default EPSILON_SCALE ||T||_2^2 is at least EPSILON_SCALE ||T||_F^2 / N;
+        # only its sign is read, so an overflow to inf does no harm
+        with np.errstate(over="ignore"):
+            floor = EPSILON_SCALE * np.linalg.norm(matrix) ** 2 / len(matrix)
+        refuse_large_gram(len(matrix), floor)
         return matrix, Path(args.matrix).name
     seed = _require_seed(args, "field with --tag")
     tag = OperatorTag(args.tag)

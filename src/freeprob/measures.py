@@ -112,14 +112,22 @@ class ScalarMeasure:
         return not self.density and len(self.atoms) == 1
 
     def inverse_square_moment(self) -> float:
-        """int t^-2 dmu(t); inf when there is mass at (or touching) zero."""
+        """int t^-2 dmu(t); inf when there is mass at (or touching) zero.  An
+        atom so near zero that its t^-2 passes the double range is refused."""
         if self.mass_at(0.0) > 0.0:
             return math.inf
-        total = sum(m / t**2 for t, m in self.atoms)
         x0, x1, alpha, beta = self.segments
         # diverges on a nonzero piece from 0, even one that vanishes linearly
         if np.any((x0 == 0.0) & ((alpha != 0.0) | (beta != 0.0))):
             return math.inf
+        try:
+            total = sum(m / t**2 for t, m in self.atoms)
+        except ZeroDivisionError:
+            total = math.inf
+        if total == math.inf:
+            raise DomainError(
+                f"an atom at {self.atoms[0][0]:.3g} puts int t^-2 dmu past the double range"
+            )
         x0, x1, alpha, beta = (a[x0 > 0.0] for a in (x0, x1, alpha, beta))
         pieces = alpha * (x1 - x0) / (x0 * x1) + beta * np.log(x1 / x0)
         return total + float(pieces.sum())
@@ -164,12 +172,19 @@ def _density_moment(measure: ScalarMeasure, k: int, scale: float = 1.0) -> float
 
 
 def moment(measure: ScalarMeasure, k: int) -> float:
-    """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1."""
+    """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1.  An atom so
+    far out that its t^k passes the double range is refused."""
     if k < 0:
         raise DomainError("moment order must be a nonnegative integer")
     if k == 0:
         return 1.0
-    return sum(m * t**k for t, m in measure.atoms) + _density_moment(measure, k)
+    try:
+        atoms = sum(m * t**k for t, m in measure.atoms)
+    except OverflowError:
+        raise DomainError(
+            f"an atom at {measure.atoms[-1][0]:.3g} puts moment {k} past the double range"
+        ) from None
+    return atoms + _density_moment(measure, k)
 
 
 # -- psi ------------------------------------------------------------------

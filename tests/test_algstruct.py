@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freeprob import algstruct
+from freeprob import algstruct, config
 from freeprob.acceptance import _random_algebra_generators
 from freeprob.algstruct import (
     AlgebraSpan,
@@ -307,11 +307,15 @@ class TestFindInvariantSubspace:
             assert rep.residual == pytest.approx(a, rel=1e-12)
             assert np.allclose(rep.basis @ rep.basis.conj().T, np.diag([1, 1, 0, 0]))
         else:
-            # V is refused, and a commutant eigenspace inside span(e3, e4) is
-            # found instead
+            # V is refused, and another proper invariant subspace is found
+            # among the commutant's eigenspaces: span(e3, e4) and span(e1, e3)
+            # are both invariant, since g e1 = a e3 and g e3 = 0
+            v = rep.basis
             assert rep.kind == "commutant_eigenspace"
-            assert rep.residual <= 1e-9
-            assert np.allclose(rep.basis[:2], 0.0)
+            assert 0 < rep.dimension < 4
+            assert not np.allclose(v @ v.conj().T, np.diag([1, 1, 0, 0]))
+            gv = g @ v
+            assert np.linalg.norm(gv - v @ (v.conj().T @ gv), 2) <= 1e-9
 
     def test_report_json_round_trip(self, upper2):
         payload = find_invariant_subspace(upper2).to_json()
@@ -478,6 +482,15 @@ class TestLargeAlgebras:
         _, peak = traced(refuse)
         assert peak < 1.0
 
+    def test_size_cap_counts_one_commutant_block_per_generator(self, monkeypatch):
+        # two generator blocks and the SVD factor, 16 * 3 * 4^4 bytes, fit
+        monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 16 * 3 * 4**4)
+        rng = np.random.default_rng(5)
+        gens = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+        span = close_algebra(gens)
+        assert span.dim == 16
+        assert len(span.commutant) == 1
+
     def test_radical_image_answers_without_the_commutant_at_seventeen(self):
         span = close_algebra(prototype_generators("triangular", 17))
         report, peak = traced(lambda: find_invariant_subspace(span))
@@ -501,6 +514,10 @@ class TestSpanValidation:
                 basis=(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
                 generators=(),
             )
+
+    def test_rejects_span_without_generators(self):
+        with pytest.raises(DomainError, match="generator"):
+            AlgebraSpan(ambient_dim=2, basis=(np.eye(2) / np.sqrt(2),), generators=())
 
     def test_rejects_span_without_identity(self):
         with pytest.raises(DomainError):

@@ -438,6 +438,21 @@ def test_simulate_every_tag(tmp_path, tag):
     assert len(lines) == 65
 
 
+@pytest.mark.parametrize(
+    "atom, message",
+    [(1e-300, "an atom at 1e-300 puts int t^-2 dmu past the double range"),
+     (1e160, "an atom at 1e+160 puts moment 2 past the double range")],
+    ids=["t-squared-underflows", "t-squared-overflows"],
+)
+def test_rdiag_atom_past_the_double_range_exits_4(tmp_path, capsys, atom, message):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"atoms": [[atom, 0.5], [1.0, 0.5]]}))
+    out = tmp_path / "out"
+    assert _run(["rdiag", path, "--out-dir", out]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -689,6 +704,22 @@ def test_field_tag_bad_grid_refused_before_the_model(tmp_path, capsys, monkeypat
     code = _run(["field", "--tag", "W1F12", "--dim", "1024", "--seed", "1", *grid,
                  "--out-dir", out])
     assert code == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [([], "||T||_2 = 1e+155 squares past the double range"),
+     (["--epsilon", "0", "--grid-n", "8"],
+      "grid cells of 2.14e+154 x 7.14e+153 square past the double range")],
+    ids=["default-epsilon", "laplacian-cells"],
+)
+def test_field_matrix_past_the_double_range_exits_4(tmp_path, capsys, flags, message):
+    path = tmp_path / "vast.json"
+    save_matrix(path, np.diag([1e155, 1.0]).astype(complex))
+    out = tmp_path / "out"
+    assert _run(["field", "--matrix", path, *flags, "--out-dir", out]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()
 
