@@ -10,7 +10,6 @@ from .errors import (
     FreeprobError,
     InternalInconsistencyError,
     MeasureFormatError,
-    PoleError,
     SentinelError,
     WordSpecError,
 )

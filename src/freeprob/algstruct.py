@@ -105,6 +105,13 @@ def _orthonormal_rows(
     return vh[:rank], bool(flagged)
 
 
+def _unit(g: np.ndarray) -> np.ndarray:
+    """g over its 2-norm, or the zero g itself: either generates what g does,
+    and no rank cut reads its scale."""
+    norm = float(np.linalg.norm(g, 2))
+    return g / norm if norm > 0.0 else g
+
+
 def _project_off(prows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """prows minus their components along the orthonormal rows."""
     return prows - (prows @ rows.conj().T) @ rows
@@ -193,20 +200,21 @@ def close_algebra(generators) -> AlgebraSpan:
 
     A unital span closed under left products g @ b, g in (I,) + generators,
     holds every word in them, so it is the algebra.  The span starts from an
-    orthonormal basis of (I,) + generators and grows in rounds.  The products
-    of older directions were taken in earlier rounds, and the identity maps
-    a direction to itself, so each round multiplies only the directions the
-    previous one added, by the generators.  It projects the products off the
-    current basis twice and adds the right singular vectors of that residual
-    whose singular values pass the rank cut, projected off the basis once
-    more, since a direction near the cut carries rounding from the larger
-    singular values.  The rank cut is RANK_RTOL * max(1, largest product
-    norm of the round): a product that sticks out of the span by less than
-    RANK_RTOL of its norm is rounding.  The gap flag compares the residual's
-    smallest kept and largest dropped singular values.  When a round adds
-    nothing, the closure residual is the largest relative residual over
-    every left product of the final basis by (I,) + generators.  At least
-    one generator is needed, since the first one fixes N; the scalars of
+    orthonormal basis of (I,) + generators, each nonzero one scaled to unit
+    2-norm, and grows in rounds.  The products of older directions were
+    taken in earlier rounds, and the identity maps a direction to itself, so
+    each round multiplies only the directions the previous one added, by the
+    scaled generators.  It projects the products off the current basis
+    twice and adds the right singular vectors of that residual whose
+    singular values pass the rank cut, projected off the basis once more,
+    since a direction near the cut carries rounding from the larger singular
+    values.  The rank cut is RANK_RTOL * max(1, largest product norm of the
+    round): a product that sticks out of the span by less than RANK_RTOL of
+    its norm is rounding.  The gap flag compares the residual's smallest
+    kept and largest dropped singular values.  When a round adds nothing,
+    the closure residual is the largest relative residual over every left
+    product of the final basis by (I,) + scaled generators.  At least one
+    generator is needed, since the first one fixes N; the scalars of
     M_N are close_algebra([I]).  Before any work, the span's commutant
     system, one N^2 x N^2 block per generator, and its SVD factor must fit
     the size cap.
@@ -226,7 +234,8 @@ def close_algebra(generators) -> AlgebraSpan:
     # commutant system len(gens) N^2 x N^2 complex, plus its SVD factor
     require_fits(16 * (len(gens) + 1) * n**4, f"commutant of {len(gens)} generators in M_{n}")
 
-    left = np.stack((np.eye(n, dtype=complex),) + gens)
+    # the span keeps the generators as given, for the invariance checks
+    left = np.stack((np.eye(n, dtype=complex), *map(_unit, gens)))
     rows, flagged = _orthonormal_rows(left.reshape(len(left), n * n))
     fresh = rows
     # each round either grows the span or certifies closure
@@ -269,11 +278,13 @@ def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     A unital algebra has its generators' commutant: the identity commutes
     with every X, so its block would be zero.  Row-major vectorization turns
     X -> Xg - gX into kron(I, g^T) - kron(g, I); the commutant is the
-    nullspace stacked over the generators.
+    nullspace stacked over the generators, each scaled to unit 2-norm so
+    that no block drowns another.
     """
     n = span.ambient_dim
     eye = np.eye(n, dtype=complex)
-    system = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in span.generators])
+    units = map(_unit, span.generators)
+    system = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in units])
     # rows >= cols always holds here, so the reduced SVD still returns the
     # complete right-singular set
     _, s, vh = np.linalg.svd(_reduce_tall(system), full_matrices=False)
@@ -352,20 +363,21 @@ _NORM_SLACK = 1e-12
 def _is_invariant(generators, scales, vectors: np.ndarray) -> bool:
     """Whether every generator maps span(V) into itself within tolerance.
 
-    The test is ||R||_2 <= INVARIANCE_ATOL * scale for each outside part R
-    with m columns.  Since ||R||_2 <= ||R||_F <= sqrt(m) ||R||_2, the cheap
-    Frobenius norm settles it outside the band between bound and sqrt(m)
-    bound; only a norm inside the band takes an SVD.
+    The test is ||R||_2 <= INVARIANCE_ATOL for each outside part R over its
+    generator's scale, with m columns.  Since ||R||_2 <= ||R||_F <= sqrt(m)
+    ||R||_2, the cheap Frobenius norm settles it outside the band between
+    bound and sqrt(m) bound; only a norm inside the band takes an SVD.  R is
+    divided before any norm, which would overflow for a generator near 1e200.
     """
     root_m = np.sqrt(vectors.shape[1])
     for out, scale in zip(_outside_parts(generators, vectors), scales):
-        bound = INVARIANCE_ATOL * scale
+        out = out / scale
         fro = float(np.linalg.norm(out))
-        if fro <= bound * (1.0 - _NORM_SLACK):
+        if fro <= INVARIANCE_ATOL * (1.0 - _NORM_SLACK):
             continue
-        if fro > root_m * bound * (1.0 + _NORM_SLACK):
+        if fro > root_m * INVARIANCE_ATOL * (1.0 + _NORM_SLACK):
             return False
-        if float(np.linalg.norm(out, 2)) / scale > INVARIANCE_ATOL:
+        if float(np.linalg.norm(out, 2)) > INVARIANCE_ATOL:
             return False
     return True
 

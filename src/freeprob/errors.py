@@ -1,10 +1,10 @@
 """Exception taxonomy and the exit-code table used by the command line.
 
 Each error class maps to one documented process exit code.  No command
-raises PoleError (5, raised only by psi_transform) or WordSpecError (10,
-raised only by the word API), and InternalInconsistencyError (70) marks a
-defect, so the tests check those entries on the table, not through a command.
-Code 2 is reserved for argparse usage errors and 1 for a failed verify run.
+raises WordSpecError (10, raised only by the word API), and
+InternalInconsistencyError (70) marks a defect, so the tests check those
+entries on the table, not through a command.  Code 2 is reserved for
+argparse usage errors and 1 for a failed verify run; code 5 is unused.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class MeasureFormatError(FreeprobError):
 
 class DomainError(FreeprobError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class PoleError(FreeprobError):
-    """The moment transform was evaluated exactly at a pole 1 - t*z = 0."""
 
 
 class DiracInputError(FreeprobError):
@@ -55,7 +51,6 @@ class InternalInconsistencyError(FreeprobError):
 EXIT_CODES: dict[type[FreeprobError], int] = {
     MeasureFormatError: 3,
     DomainError: 4,
-    PoleError: 5,
     DiracInputError: 6,
     EigensolveError: 7,
     SentinelError: 8,

@@ -6,12 +6,14 @@ moments, psi) is exact on its linear pieces.  The moment transform
 
     psi(z) = int t z / (1 - t z) dmu(t)
 
-is strictly increasing on the principal branch (-inf, 1/max_support); chi
-denotes its functional inverse there and the S-transform is
-S(w) = chi(w) (1 + w) / w, extended continuously by S(0) = 1/mean.  For a
-measure supported on {0, a} these have closed forms; the numeric path is
-one vectorized bisection, chi_vector, run to float spacing; with
-squared=True it inverts psi of the law of t^2, as the radial recipe needs.
+is taken on z <= 0 only, the half-line the S-transform reads: there it
+has no pole and increases from mu({0}) - 1 at -inf to psi(0) = 0.  chi
+denotes its inverse, from (mu({0}) - 1, 0] onto (-inf, 0], and the
+S-transform is S(w) = chi(w) (1 + w) / w, extended continuously by
+S(0) = 1/mean.  For a measure supported on {0, a} or on two atoms these
+have closed forms; the numeric path is one vectorized bisection,
+chi_vector, run to float spacing; with squared=True it inverts psi of the
+law of t^2, as the radial recipe needs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, MeasureFormatError, PoleError
+from .errors import DomainError, MeasureFormatError
 
 __all__ = [
     "ScalarMeasure",
@@ -195,11 +197,11 @@ SERIES_CUT = 0.05
 
 
 def _psi_raw(measure: ScalarMeasure, z: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Vector psi with no domain policing; callers keep z on the branch.
+    """Vector psi with no domain policing; callers keep z <= 0.
 
-    squared=True gives psi of the law of t^2, for z <= 0.  The density's part
-    is exact on each piece f = alpha + beta t, and summed by parts it takes
-    one transcendental per node: sum_s alpha_s (F(x_s+1) - F(x_s)) equals
+    squared=True gives psi of the law of t^2.  The density's part is exact
+    on each piece f = alpha + beta t, and summed by parts it takes one
+    transcendental per node: sum_s alpha_s (F(x_s+1) - F(x_s)) equals
     sum_i F(x_i) (alpha_i-1 - alpha_i), with alpha = 0 off the support.
     """
     z = np.asarray(z, dtype=float)
@@ -235,14 +237,10 @@ def _psi_raw(measure: ScalarMeasure, z: np.ndarray, squared: bool = False) -> np
 
 
 def psi_transform(measure: ScalarMeasure, z: float) -> float:
-    """psi(z) = int t z / (1 - t z) dmu(t) on the principal branch."""
+    """psi(z) = int t z / (1 - t z) dmu(t) for z <= 0."""
     z = float(z)
-    for t, m in measure.atoms:
-        if t > 0.0 and 1.0 - t * z == 0.0:
-            raise PoleError(f"psi evaluated at pole z = 1/{t}")
-    hi = measure.max_support
-    if hi > 0.0 and z >= 1.0 / hi:
-        raise DomainError(f"z = {z} lies outside the principal branch (-inf, {1.0 / hi})")
+    if not z <= 0.0:
+        raise DomainError(f"psi is taken at z <= 0 only, got z = {z}")
     return float(_psi_raw(measure, np.array([z]))[0])
 
 
@@ -255,44 +253,25 @@ def _psi_lower_limit(measure: ScalarMeasure) -> float:
 
 
 def _chi_closed(measure: ScalarMeasure, y: float) -> float:
-    """Exact inverse for purely atomic measures with at most two atoms."""
+    """Exact inverse at y in (mu({0}) - 1, 0) for purely atomic measures
+    with at most two atoms."""
     atoms = measure.atoms
     if len(atoms) == 1:
         c, _ = atoms[0]
-        if c == 0.0:
-            raise DomainError("psi of the Dirac at zero is identically 0")
         return y / (c * (1.0 + y))
     (a, am), (b, bm) = atoms
     if a == 0.0:
         return y / (b * (y + bm))
-    # a b (y+1) z^2 - (y (a+b) + mean) z + y = 0 on the principal branch
+    # a b (y+1) z^2 - (y (a+b) + mean) z + y = 0; its roots multiply to
+    # y / (a b (y+1)) < 0, and chi(y) is the negative one
     a2 = a * b * (y + 1.0)
     a1 = -(y * (a + b) + (am * a + bm * b))
-    a0 = y
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        raise DomainError(f"y = {y} is not attained by psi on the principal branch")
-    sq = math.sqrt(disc)
-    q = -(a1 + math.copysign(sq, a1)) / 2.0
-    roots = []
-    if a2 != 0.0:
-        roots.append(q / a2)
-    if q != 0.0:
-        roots.append(a0 / q)
-    best = None
-    for z in roots:
-        if z >= 1.0 / b:
-            continue
-        resid = abs(float(_psi_raw(measure, np.array([z]))[0]) - y)
-        if best is None or resid < best[1]:
-            best = (z, resid)
-    if best is None or best[1] > 1e-6 * (1.0 + abs(y)):
-        raise DomainError(f"y = {y} is not attained by psi on the principal branch")
-    return best[0]
+    q = -(a1 + math.copysign(math.sqrt(a1 * a1 - 4.0 * a2 * y), a1)) / 2.0
+    return min(q / a2, y / q)
 
 
 def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float:
-    """Inverse of psi on the principal branch.
+    """Inverse of psi on z <= 0, at y in (mu({0}) - 1, 0].
 
     method 'auto' uses the closed form for purely atomic measures with at
     most two atoms and falls back to chi_vector's bisection; 'closed' and
@@ -304,12 +283,11 @@ def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float
     closed_ok = not measure.density and len(measure.atoms) <= 2
     if method == "closed" and not closed_ok:
         raise DomainError("closed-form chi needs at most two atoms and no density")
+    lower = _psi_lower_limit(measure)
+    if not lower < y <= 0.0:
+        raise DomainError(f"y = {y} lies outside ({lower}, 0], the range of psi on z <= 0")
     if y == 0.0:
         return 0.0
-    if not y > _psi_lower_limit(measure):
-        raise DomainError(
-            f"y = {y} is at or below the lower limit {_psi_lower_limit(measure)} of psi"
-        )
     if method == "closed" or (method == "auto" and closed_ok):
         return _chi_closed(measure, y)
     return float(chi_vector(measure, np.array([y]))[0])
@@ -319,51 +297,33 @@ def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float
 # the subnormal spacing 2^-1074) to float spacing, with room to spare
 BISECTION_STEPS = 2200
 
-# a positive argument of chi is bracketed by [0, (1 - BRACKET_DELTA) / max
-# support], short of psi's pole at 1 / max support
-BRACKET_DELTA = 1e-9
-
 
 def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Numeric chi on the principal branch, one bisection for all arguments.
+    """Numeric chi on z < 0, one bisection for all arguments.
 
-    Each y must lie in (psi(-inf), 0) or (0, psi((1 - delta) / max_support)]
-    with delta = BRACKET_DELTA.  A negative y is bracketed by
-    [lo, 0], lo doubling from about -1/max_support (-1/max_support^2 when
-    squared) until psi(lo) <= y; a positive y by
-    [0, (1 - delta) / max_support].  Every bracket is bisected to float
-    spacing.  The radial recipe inverts thousands of points in one call,
-    with squared=True for the law of t^2, which takes negative y only;
-    chi_inverse's numeric route is a one-element call.
+    Each y must lie in (mu({0}) - 1, 0).  It is bracketed by [lo, 0], lo
+    doubling from about -1/max_support (-1/max_support^2 when squared)
+    until psi(lo) <= y, and the bracket is bisected to float spacing.  The
+    radial recipe inverts thousands of points in one call, with
+    squared=True for the law of t^2; chi_inverse's numeric route is a
+    one-element call.
     """
     ys = np.asarray(ys, dtype=float)
     lower = _psi_lower_limit(measure)
-    for y in ys[~((lower < ys) & (ys != 0.0))]:
-        if y == 0.0:
-            raise DomainError("chi_vector needs nonzero arguments; chi(0) = 0")
-        raise DomainError(f"y = {y} is at or below the lower limit {lower} of psi")
-    support = measure.max_support
+    for y in ys[~((lower < ys) & (ys < 0.0))]:
+        raise DomainError(f"y = {y} lies outside ({lower}, 0), the range of psi on z < 0")
     # psi reads z as z t (z t^2 if squared): lo starts at -2^k, 2^k <= 1/scale
     # < 2^(k+1), a power of two so the bisection visits the points it does from -1
-    scale = support**2 if squared else support
-    lo = np.where(ys < 0.0, -(2.0 ** min(-math.frexp(scale)[1], 1000)), 0.0)
+    scale = measure.max_support**2 if squared else measure.max_support
+    lo = np.full_like(ys, -(2.0 ** min(-math.frexp(scale)[1], 1000)))
     hi = np.zeros_like(ys)
-    if np.any(ys > 0.0):
-        if squared:
-            raise DomainError("chi of the squared law is taken at negative arguments only")
-        if support == 0.0:
-            raise DomainError("psi of a measure concentrated at 0 never leaves 0")
-        top = (1.0 - BRACKET_DELTA) / support
-        if float(_psi_raw(measure, np.array([top]))[0]) < ys.max():
-            raise DomainError(f"y = {ys.max()} exceeds psi on the principal branch")
-        hi[ys > 0.0] = top
-    for _ in range(240):
-        mask = _psi_raw(measure, lo, squared) > ys
-        if not mask.any():
-            break
+    # double until psi(lo) <= y, or until lo, a power of two, would leave the
+    # doubles: an atom too near 0 for t^2 lo to come far from 0 keeps psi
+    # above mu({0}) - 1
+    while (mask := _psi_raw(measure, lo, squared) > ys).any():
+        if np.any(lo[mask] == -(2.0**1023)):
+            raise DomainError("psi stays above some arguments over the whole double range")
         lo[mask] *= 2.0
-    else:
-        raise DomainError("failed to bracket some arguments in chi_vector")
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)

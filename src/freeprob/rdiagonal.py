@@ -60,16 +60,16 @@ class OperatorTag(str, enum.Enum):
 
 
 def _pchip(r: np.ndarray, f: np.ndarray):
-    """Monotone cubic F(r), or its nu-th derivative, built on r over a power of
-    two: the division is exact, and keeps the divided differences of radii
-    near 1e-100 from overflowing.  scipy.interpolate is imported here, not at
-    module level: it is most of the package's import time, and only the radial
-    recipe reads it."""
+    """Monotone cubic F(r), built on r over a power of two: the division is
+    exact, and keeps the divided differences of radii near 1e-100 from
+    overflowing.  scipy.interpolate is imported here, not at module level: it
+    is most of the package's import time, and only the radial recipe reads
+    it."""
     from scipy.interpolate import PchipInterpolator
 
     unit = math.ldexp(1.0, math.frexp(float(r[-1]))[1])
     spline = PchipInterpolator(r / unit, f, extrapolate=False)
-    return lambda x, nu=0: spline(x / unit, nu) / unit**nu
+    return lambda x: spline(x / unit)
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,11 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     # inner edge can reorder near-equal radii)
     running = np.maximum.accumulate(r_dense)
     keep = np.concatenate(([True], r_dense[1:] > running[:-1]))
+    r_dense, f_dense = r_dense[keep], f_dense[keep]
+    # of a run of radii within 2^-300 outer radii of the next, the last
+    # stands for the run: PCHIP's cubic coefficients grow as the inverse cube
+    # of a gap and pass the double range below about 2^-341 outer radii
+    keep = np.append(np.diff(r_dense) > outer * 2.0**-300, True)
     r_dense, f_dense = r_dense[keep], f_dense[keep]
 
     # sample radii clustered quadratically at both support edges: monotone

@@ -446,6 +446,24 @@ def traced(call):
         tracemalloc.stop()
 
 
+def test_generator_scale_leaves_the_answers():
+    # a nonzero multiple of a generator generates the same algebra; scaled
+    # by 1e200 its products once set the rank cut, and by 1e-200 they fell
+    # below it
+    def answers(gens):
+        span = close_algebra(gens)
+        report = find_invariant_subspace(span)
+        kfold = kfold_transitive(span, 2, np.random.default_rng(0))
+        return span.dim, report.kind, report.dimension, kfold
+
+    for family in ("ginibre", "triangular", "blocks"):
+        gens = prototype_generators(family, 6)
+        want = answers(gens)
+        for scale in (1e-200, 1e200):
+            assert answers([gens[0] * scale, gens[1]]) == want
+    assert answers([np.diag([1e200, 1.0])]) == (2, "commutant_eigenspace", 1, False)
+
+
 class TestLargeAlgebras:
     @pytest.mark.parametrize(
         "family, dim, verdict",

@@ -16,13 +16,12 @@ from freeprob.errors import (
     EXIT_CODES,
     InternalInconsistencyError,
     MeasureFormatError,
-    PoleError,
     WordSpecError,
     exit_code_for,
 )
 from freeprob.matio import save_matrix
-from freeprob.measures import ScalarMeasure
-from freeprob.rdiagonal import OperatorTag
+from freeprob.measures import ScalarMeasure, _chi_closed
+from freeprob.rdiagonal import OperatorTag, RadialPlanarMeasure
 
 
 @pytest.fixture()
@@ -303,9 +302,8 @@ def test_field_matrix_non_list_data_exits_3(tmp_path, capsys):
 
 
 def test_unreachable_error_codes_still_mapped():
-    # no subcommand evaluates psi at a pole, parses words or can disagree
-    # with itself on purpose, so these entries are asserted on the mapping
-    assert exit_code_for(PoleError("x")) == 5
+    # no subcommand parses words or can disagree with itself on purpose,
+    # so these entries are asserted on the mapping
     assert exit_code_for(WordSpecError("x")) == 10
     assert exit_code_for(InternalInconsistencyError("x")) == 70
     assert EXIT_CODES[MeasureFormatError] == 3
@@ -329,6 +327,27 @@ def test_rdiag_outputs(two_point_file, tmp_path, capsys):
     # F(1/2) = 1/(2(1 - 1/4)) = 2/3, the dyadic grid hits 0.5 exactly
     assert abs(table["0.5"] - 2.0 / 3.0) <= 1e-9
     assert abs(table["0.0"] - 0.5) <= 1e-9
+
+
+def test_rdiag_atom_near_zero(tmp_path):
+    # half the mass at 1e-100: the quantile map spends most of its samples on
+    # radii near 1e-100, so the bracket doubles some 700 times and the
+    # radii crowd closer than a cubic spline's coefficients can take
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"atoms": [[1e-100, 0.5], [1.0, 0.5]]}))
+    out = tmp_path / "out"
+    assert _run(["rdiag", path, "--out-dir", out]) == 0
+    payload = json.loads((out / "tiny_radial.json").read_text())
+    radii, cum = np.array(payload["cdf"]).T
+    assert np.all(np.isfinite(cum)) and np.all(np.diff(cum) >= 0.0)
+    radial = RadialPlanarMeasure(0.0, radii, cum, *payload["support"])
+    # the ball of radius r(t) = S(t - 1)^(-1/2) has mass t, with S of the
+    # squared law from the closed-form chi
+    squared = ScalarMeasure(((1e-200, 0.5), (1.0, 0.5)))
+    for t in (0.55, 0.75, 0.9):
+        w = t - 1.0
+        s = _chi_closed(squared, w) * (1.0 + w) / w
+        assert abs(radial.cdf(s**-0.5) - t) <= 1e-6
 
 
 @pytest.mark.parametrize("command", ["rdiag", "simulate", "field", "algebra"])

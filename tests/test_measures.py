@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from freeprob import measures
-from freeprob.errors import DomainError, MeasureFormatError, PoleError
+from freeprob.errors import DomainError, MeasureFormatError
 from freeprob.measures import (
     ScalarMeasure,
     _psi_raw,
@@ -26,9 +26,9 @@ BERNOULLI = ScalarMeasure(((0.0, 0.5), (1.0, 0.5)))
 DIRAC_ONE = ScalarMeasure(((1.0, 1.0),))
 TWO_ATOM = ScalarMeasure(((1.0, 0.5), (4.0, 0.5)))
 
-# Independent oracle: brentq on 0.5 z/(1-z) + 2 z/(1-4z) = 0.25 over (0, 1/4),
+# Independent oracle: brentq on 0.5 z/(1-z) + 2 z/(1-4z) = -0.25 over (-10, 0),
 # frozen from a run with xtol=1e-16.
-TWO_ATOM_CHI_AT_QUARTER = 0.07396013553019261
+TWO_ATOM_CHI_AT_MINUS_QUARTER = -0.14766682272156378
 
 
 def _normalized(xs, fs):
@@ -52,11 +52,11 @@ def _quad_psi(measure, z, power):
 
 
 def _oracle_arguments(measure, power):
-    # both sides of the series cut |z| x_max^power = 0.05, down to 1e-10
+    # negative z on both sides of the series cut |z| x_max^power = 0.05,
+    # down to 1e-10
     scale = measure.max_support**power
     near = 0.05 * np.array([0.999, 1.001])
-    mags = np.concatenate((np.geomspace(1e-10, 1e3, 27), near))
-    return np.concatenate((-mags, mags[mags < 0.99], [0.99])) / scale
+    return -np.concatenate((np.geomspace(1e-10, 1e3, 27), near)) / scale
 
 
 def corpus():
@@ -124,28 +124,39 @@ class TestMoment:
         assert moment(DIRAC_ONE, 3) == 1.0
 
     def test_mean_matches_psi_derivative_at_zero(self):
-        # central finite difference of psi at 0 equals the first moment
-        h = 1e-6
+        # one-sided finite difference of psi at 0 from the left equals the
+        # first moment, up to h times the second moment
+        h = 1e-8
         for m in corpus():
-            fd = (psi_transform(m, h) - psi_transform(m, -h)) / (2 * h)
+            fd = (psi_transform(m, 0.0) - psi_transform(m, -h)) / h
             assert fd == pytest.approx(moment(m, 1), abs=1e-6)
 
 
 class TestPsi:
     def test_half_atom_values(self):
-        assert psi_transform(BERNOULLI, 0.5) == pytest.approx(0.5, abs=1e-14)
+        # psi(z) = z / (2 (1 - z))
+        assert psi_transform(BERNOULLI, -1.0) == pytest.approx(-0.25, abs=1e-14)
         assert psi_transform(BERNOULLI, 0.0) == 0.0
 
     def test_dirac_value(self):
-        assert psi_transform(DIRAC_ONE, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert psi_transform(DIRAC_ONE, -1.0) == pytest.approx(-0.5, abs=1e-14)
 
     def test_pole_raises(self):
-        with pytest.raises(PoleError):
+        # the Dirac at 1 has its pole at z = 1, off the half-line z <= 0:
+        # psi stays finite as z runs down to -inf, and the pole is refused
+        assert psi_transform(DIRAC_ONE, -1e300) == pytest.approx(-1.0, abs=1e-14)
+        with pytest.raises(DomainError):
             psi_transform(DIRAC_ONE, 1.0)
 
     def test_out_of_branch_raises(self):
         with pytest.raises(DomainError):
             psi_transform(DIRAC_ONE, 1.5)
+
+    def test_positive_argument_raises(self):
+        # psi is taken on z <= 0 only, also short of the pole
+        for z in (5e-324, 0.5, math.nan):
+            with pytest.raises(DomainError):
+                psi_transform(DIRAC_ONE, z)
 
 
 class TestDensityOracle:
@@ -181,26 +192,23 @@ class TestDensityOracle:
 class TestChi:
     def test_bernoulli_closed_form(self):
         # chi(y) = 2y / (1 + 2y)
-        assert chi_inverse(BERNOULLI, 0.5) == pytest.approx(0.5, abs=1e-14)
+        assert chi_inverse(BERNOULLI, -0.25) == pytest.approx(-1.0, abs=1e-14)
 
     def test_dirac(self):
-        assert chi_inverse(DIRAC_ONE, 1.0) == pytest.approx(0.5, abs=1e-14)
+        # chi(y) = y / (1 + y)
+        assert chi_inverse(DIRAC_ONE, -0.5) == pytest.approx(-1.0, abs=1e-14)
 
     def test_two_atom_against_frozen_oracle(self):
-        got = chi_inverse(TWO_ATOM, 0.25)
-        assert got == pytest.approx(TWO_ATOM_CHI_AT_QUARTER, abs=1e-13)
+        got = chi_inverse(TWO_ATOM, -0.25)
+        assert got == pytest.approx(TWO_ATOM_CHI_AT_MINUS_QUARTER, abs=1e-13)
         # recompute the oracle in place to keep the frozen value honest
-        f = lambda z: 0.5 * z / (1 - z) + 2 * z / (1 - 4 * z) - 0.25
-        assert brentq(f, 0.0, 0.2499999999, xtol=1e-15) == pytest.approx(got, abs=1e-12)
+        f = lambda z: 0.5 * z / (1 - z) + 2 * z / (1 - 4 * z) + 0.25
+        assert brentq(f, -10.0, 0.0, xtol=1e-15) == pytest.approx(got, abs=1e-12)
 
     def test_round_trip_over_corpus(self):
         for m in corpus():
             lower = m.mass_at(0.0) - 1.0
-            for y in np.linspace(lower + 1e-3, 3.0, 17):
-                if y >= 0 and m.max_support > 0:
-                    cap = psi_transform(m, (1 - 1e-9) / m.max_support)
-                    if y > cap:
-                        continue
+            for y in np.linspace(lower + 1e-3, 0.0, 17):
                 z = chi_inverse(m, y, method="numeric")
                 assert abs(psi_transform(m, z) - y) <= 1e-10
 
@@ -218,11 +226,21 @@ class TestChi:
 
     def test_method_selects_the_route(self):
         # auto takes the closed form on two atoms; numeric is one bisection
-        assert chi_inverse(BERNOULLI, 0.5) == chi_inverse(BERNOULLI, 0.5, method="closed")
-        bisected = float(chi_vector(BERNOULLI, np.array([0.5]))[0])
-        assert chi_inverse(BERNOULLI, 0.5, method="numeric") == bisected
+        assert chi_inverse(BERNOULLI, -0.25) == chi_inverse(BERNOULLI, -0.25, method="closed")
+        bisected = float(chi_vector(BERNOULLI, np.array([-0.25]))[0])
+        assert chi_inverse(BERNOULLI, -0.25, method="numeric") == bisected
         for method in ("auto", "closed", "numeric"):
             assert chi_inverse(BERNOULLI, 0.0, method=method) == 0.0
+
+    def test_positive_argument_raises(self):
+        # chi is the inverse of psi on z <= 0, whose values are <= 0
+        for method in ("auto", "closed", "numeric"):
+            with pytest.raises(DomainError):
+                chi_inverse(BERNOULLI, 0.25, method=method)
+        for squared in (False, True):
+            for ys in ([0.25], [-0.25, 0.25], [-0.25, 5e-324]):
+                with pytest.raises(DomainError):
+                    chi_vector(TWO_ATOM, np.array(ys), squared=squared)
 
     def test_squared_chi_matches_squared_atoms(self):
         ys = np.linspace(-0.99, -0.01, 25)
@@ -299,13 +317,12 @@ class TestSTransform:
     )
 )
 def test_round_trip_property(raw):
-    # random atomic measures: psi(chi(y)) = y on both sides of the branch
+    # random atomic measures: psi(chi(y)) = y across (-1, 0)
     weight = sum(w for _, w in raw)
     m = ScalarMeasure(tuple((loc, w / weight) for loc, w in raw))
-    cap = psi_transform(m, (1 - 1e-9) / m.max_support)
-    ys = np.array([y for y in (-0.6, -0.25, 0.4, 2.0) if y <= cap])
+    ys = np.array([-0.99, -0.6, -0.25, -1e-3])
     singles = np.array([chi_inverse(m, y, method="numeric") for y in ys])
-    # one call on arguments of both signs gives the one-element results
+    # one call on all the arguments gives the one-element results
     zs = chi_vector(m, ys)
     assert np.array_equal(zs, singles)
     for y, z in zip(ys, zs):
