@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
@@ -51,7 +50,6 @@ __all__ = [
     "ks_distance",
     "ntrace",
     "centered",
-    "parse_word",
     "word_trace",
     "trace_factorization_check",
 ]
@@ -108,7 +106,10 @@ def _lapack_call(routine: Callable, a: np.ndarray, *args: np.ndarray) -> list:
 
 
 def m2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four self-adjoint 2x2 generators: identity, sign flip, rotation, swap."""
+    """The four unitary 2x2 generators: identity, sign flip, rotation, swap.
+
+    All but the rotation w2 are self-adjoint; w2 squares to -I.
+    """
     w0 = np.eye(2, dtype=complex)
     w1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     w2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -175,9 +176,6 @@ class MatrixModel:
             raise WordSpecError(f"unknown factor {name!r} for a matrix model")
         return self._factors.setdefault(name, _freeze(mat))
 
-    def is_unitary_factor(self, name: str) -> bool:
-        return name[0] in ("W", "V")
-
     @cached_property
     def reflected_eigenvalues(self) -> np.ndarray:
         """eig(M), M = Q_12* Q_11 - Q_22* Q_21 = Q_2* W1 Q_1: det(z - W1 F12)
@@ -201,16 +199,6 @@ class FreeGroupModel:
     seed: int
     u_a: np.ndarray
     u_b: np.ndarray
-
-    def factor(self, name: str) -> np.ndarray:
-        if name == "Ua":
-            return self.u_a
-        if name == "Ub":
-            return self.u_b
-        raise WordSpecError(f"unknown factor {name!r} for a free-group model")
-
-    def is_unitary_factor(self, name: str) -> bool:
-        return True
 
 
 def build_m2_free_m2(n: int, seed: int) -> MatrixModel:
@@ -320,57 +308,21 @@ def centered(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-_TOKEN_RE = re.compile(
-    r"^(?:c\((?P<cname>[A-Za-z]\w*)(?:\^(?P<cexp>-?\d+))?\)"
-    r"|(?P<name>[A-Za-z]\w*)(?:\^(?P<exp>-?\d+))?)$"
-)
+def word_trace(model: MatrixModel, word: str) -> complex:
+    """Normalized trace of a word in the model's named factors.
 
-
-@dataclass(frozen=True)
-class WordFactor:
-    name: str
-    power: int = 1
-    center: bool = False
-
-
-def parse_word(text: str) -> tuple[WordFactor, ...]:
-    """Parse a whitespace-separated word like "c(W1) V1^2 c(F12)".
-
-    Each token is NAME, NAME^k, or c(NAME[^k]); c() centers the factor by
-    subtracting its normalized trace.  Negative powers are only meaningful
-    for unitary factors and are validated at evaluation time.
+    A word is whitespace-separated tokens, each NAME or c(NAME), multiplied
+    left to right; c() subtracts the factor's normalized trace times the
+    identity.  An empty word raises WordSpecError, and so does any other
+    token, through MatrixModel.factor, which knows no such name.
     """
-    tokens = text.split()
+    tokens = word.split()
     if not tokens:
         raise WordSpecError("empty word")
-    factors = []
-    for token in tokens:
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise WordSpecError(f"cannot parse word token {token!r}")
-        name = m.group("cname") or m.group("name")
-        exp_text = m.group("cexp") if m.group("cname") else m.group("exp")
-        power = int(exp_text) if exp_text is not None else 1
-        if power == 0:
-            raise WordSpecError(f"zero power in token {token!r}")
-        factors.append(
-            WordFactor(name=name, power=power, center=m.group("cname") is not None)
-        )
-    return tuple(factors)
-
-
-def word_trace(model: MatrixModel | FreeGroupModel, word: str) -> complex:
-    """Normalized trace of a word in the model's named factors."""
-    mats = []
-    for factor in parse_word(word):
-        base = model.factor(factor.name)
-        if factor.power < 0 and not model.is_unitary_factor(factor.name):
-            raise WordSpecError(
-                f"negative power of non-unitary factor {factor.name!r}"
-            )
-        mat = base if factor.power >= 0 else base.conj().T
-        mat = np.linalg.matrix_power(mat, abs(factor.power))
-        mats.append(centered(mat) if factor.center else mat)
+    mats = [
+        centered(model.factor(t[2:-1])) if t.startswith("c(") and t.endswith(")") else model.factor(t)
+        for t in tokens
+    ]
     return ntrace(reduce(np.matmul, mats))
 
 

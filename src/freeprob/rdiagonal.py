@@ -126,6 +126,7 @@ class RadialPlanarMeasure:
         mid = (r >= self.radii[0]) & (r < self.radii[-1])
         out[below] = self.center_atom_mass
         out[above] = self.cumulative[-1]
+        out[r < 0.0] = 0.0
         # NaN lies in no range and stays NaN
         out[mid] = np.clip(self._interpolant(r[mid]), 0.0, 1.0)
         return float(out[0]) if scalar else out
@@ -260,7 +261,8 @@ def conditional_cdf(measure: RadialPlanarMeasure | Law):
         raise DomainError("conditional law undefined: all mass sits in the atom")
 
     def cdf(r):
-        return (np.asarray(measure.cdf(r), dtype=float) - a) / (1.0 - a)
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 0.0, 0.0, (np.asarray(measure.cdf(r), dtype=float) - a) / (1.0 - a))
 
     return cdf
 

@@ -58,6 +58,15 @@ class TestWorkedExample:
         # a NaN radius lies in no range of the CDF
         assert math.isnan(m.cdf(math.nan))
 
+    def test_negative_radius_has_no_mass(self):
+        # the ball of negative radius is empty, whatever the center atom
+        m = brown_rdiagonal(BERNOULLI)
+        assert m.cdf(-1.0) == 0.0
+        assert np.array_equal(m.cdf([-1.0, -5e-324, 0.0]), [0.0, 0.0, 0.5])
+        for law in (m, catalog_brown(OperatorTag.W1F12)):
+            assert conditional_cdf(law)(-1.0) == 0.0
+            assert np.array_equal(conditional_cdf(law)([-1.0, 0.0]), [0.0, 0.0])
+
     def test_matches_catalog_entry(self):
         m = brown_rdiagonal(BERNOULLI)
         cat = catalog_brown(OperatorTag.W1F12)
