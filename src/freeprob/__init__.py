@@ -15,7 +15,6 @@ from .errors import (
 )
 from .measures import (
     ScalarMeasure,
-    chi_inverse,
     chi_vector,
     moment,
     psi_transform,

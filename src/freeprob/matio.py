@@ -17,24 +17,23 @@ from .errors import MeasureFormatError
 __all__ = ["matrix_to_json", "matrix_from_json", "save_matrix", "load_matrix", "read_text"]
 
 
-def _re_im(matrix: np.ndarray) -> np.ndarray:
-    """(rows, cols, 2) float array of a 2-d matrix's real and imaginary parts."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2:
-        raise MeasureFormatError(f"expected a 2-d array, got ndim={matrix.ndim}")
-    return np.stack((matrix.real, matrix.imag), axis=-1)
+def _finite(parts: np.ndarray) -> np.ndarray:
+    """parts, refused unless every entry is finite: JSON has no NaN or inf."""
+    if not np.all(np.isfinite(parts)):
+        raise MeasureFormatError("matrix entries must be finite")
+    return parts
 
 
 def _complex(parts: list) -> np.ndarray:
     """Complex array from reals in alternating re, im order, each finite."""
-    parts = np.array(parts, dtype=float)
-    if not np.all(np.isfinite(parts)):
-        raise MeasureFormatError("matrix entries must be finite")
-    return parts.view(complex)
+    return _finite(np.array(parts, dtype=float)).view(complex)
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:
-    parts = _re_im(matrix)
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2:
+        raise MeasureFormatError(f"expected a 2-d array, got ndim={matrix.ndim}")
+    parts = _finite(np.stack((matrix.real, matrix.imag), axis=-1))
     return {
         "rows": parts.shape[0],
         "cols": parts.shape[1],

@@ -10,10 +10,9 @@ is taken on z <= 0 only, the half-line the S-transform reads: there it
 has no pole and increases from mu({0}) - 1 at -inf to psi(0) = 0.  chi
 denotes its inverse, from (mu({0}) - 1, 0] onto (-inf, 0], and the
 S-transform is S(w) = chi(w) (1 + w) / w, extended continuously by
-S(0) = 1/mean.  For a measure supported on {0, a} or on two atoms these
-have closed forms; the numeric path is one vectorized bisection,
-chi_vector, run to float spacing; with squared=True it inverts psi of the
-law of t^2, as the radial recipe needs.
+S(0) = 1/mean.  chi is one vectorized bisection, chi_vector, run to float
+spacing; with squared=True it inverts psi of the law of t^2, as the radial
+recipe needs.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "ScalarMeasure",
     "moment",
     "psi_transform",
-    "chi_inverse",
     "chi_vector",
     "s_transform",
 ]
@@ -237,10 +235,10 @@ def _psi_raw(measure: ScalarMeasure, z: np.ndarray, squared: bool = False) -> np
 
 
 def psi_transform(measure: ScalarMeasure, z: float) -> float:
-    """psi(z) = int t z / (1 - t z) dmu(t) for z <= 0."""
+    """psi(z) = int t z / (1 - t z) dmu(t) for finite z <= 0."""
     z = float(z)
-    if not z <= 0.0:
-        raise DomainError(f"psi is taken at z <= 0 only, got z = {z}")
+    if not -math.inf < z <= 0.0:
+        raise DomainError(f"psi is taken at finite z <= 0 only, got z = {z}")
     return float(_psi_raw(measure, np.array([z]))[0])
 
 
@@ -250,47 +248,6 @@ def psi_transform(measure: ScalarMeasure, z: float) -> float:
 def _psi_lower_limit(measure: ScalarMeasure) -> float:
     """lim_{z -> -inf} psi(z) = mu({0}) - 1."""
     return measure.mass_at(0.0) - 1.0
-
-
-def _chi_closed(measure: ScalarMeasure, y: float) -> float:
-    """Exact inverse at y in (mu({0}) - 1, 0) for purely atomic measures
-    with at most two atoms."""
-    atoms = measure.atoms
-    if len(atoms) == 1:
-        c, _ = atoms[0]
-        return y / (c * (1.0 + y))
-    (a, am), (b, bm) = atoms
-    if a == 0.0:
-        return y / (b * (y + bm))
-    # a b (y+1) z^2 - (y (a+b) + mean) z + y = 0; its roots multiply to
-    # y / (a b (y+1)) < 0, and chi(y) is the negative one
-    a2 = a * b * (y + 1.0)
-    a1 = -(y * (a + b) + (am * a + bm * b))
-    q = -(a1 + math.copysign(math.sqrt(a1 * a1 - 4.0 * a2 * y), a1)) / 2.0
-    return min(q / a2, y / q)
-
-
-def chi_inverse(measure: ScalarMeasure, y: float, method: str = "auto") -> float:
-    """Inverse of psi on z <= 0, at y in (mu({0}) - 1, 0].
-
-    method 'auto' uses the closed form for purely atomic measures with at
-    most two atoms and falls back to chi_vector's bisection; 'closed' and
-    'numeric' force one path (criterion 1 compares the two).
-    """
-    y = float(y)
-    if method not in ("auto", "closed", "numeric"):
-        raise DomainError(f"unknown chi method {method!r}")
-    closed_ok = not measure.density and len(measure.atoms) <= 2
-    if method == "closed" and not closed_ok:
-        raise DomainError("closed-form chi needs at most two atoms and no density")
-    lower = _psi_lower_limit(measure)
-    if not lower < y <= 0.0:
-        raise DomainError(f"y = {y} lies outside ({lower}, 0], the range of psi on z <= 0")
-    if y == 0.0:
-        return 0.0
-    if method == "closed" or (method == "auto" and closed_ok):
-        return _chi_closed(measure, y)
-    return float(chi_vector(measure, np.array([y]))[0])
 
 
 # halvings that take any bracket within the doubles (widths 2^1024 down to
@@ -305,8 +262,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
     doubling from about -1/max_support (-1/max_support^2 when squared)
     until psi(lo) <= y, and the bracket is bisected to float spacing.  The
     radial recipe inverts thousands of points in one call, with
-    squared=True for the law of t^2; chi_inverse's numeric route is a
-    one-element call.
+    squared=True for the law of t^2.
     """
     ys = np.asarray(ys, dtype=float)
     lower = _psi_lower_limit(measure)
@@ -342,19 +298,22 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
 # -- S-transform ----------------------------------------------------------
 
 
-def s_transform(measure: ScalarMeasure, w: float, method: str = "auto") -> float:
-    """S(w) = chi(w) (1 + w) / w on (mu({0}) - 1, 0), with S(0) = 1/mean.
+def s_transform(measure: ScalarMeasure, ws: np.ndarray, squared: bool = False) -> np.ndarray:
+    """S(w) = chi(w) (1 + w) / w on (mu({0}) - 1, 0], one chi_vector call.
 
+    At w in (-tiny, 0], where chi(w) and w are both a few subnormal ulps,
+    S takes its continuous extension S(0) = 1/mean (1/int t^2 dmu when
+    squared); S'(0) is finite, so that is S(w) to double precision.
     Strictly decreasing on its domain for every non-Dirac measure.
     """
-    w = float(w)
-    if w == 0.0:
-        mean = moment(measure, 1)
-        if mean <= 0.0:
-            raise DomainError("S(0) = 1/mean needs a measure with positive mean")
-        return 1.0 / mean
+    ws = np.asarray(ws, dtype=float)
     lower = _psi_lower_limit(measure)
-    if not lower < w < 0.0:
+    for w in ws[~((lower < ws) & (ws <= 0.0))]:
         raise DomainError(f"S-transform argument {w} outside ({lower}, 0]")
-    z = chi_inverse(measure, w, method)
-    return z * (1.0 + w) / w
+    near = ws > -np.finfo(float).tiny
+    out = np.empty_like(ws)
+    if near.any():
+        out[near] = 1.0 / moment(measure, 2 if squared else 1)
+    w = ws[~near]
+    out[~near] = chi_vector(measure, w, squared) * (1.0 + w) / w
+    return out

@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DiracInputError, DomainError, MeasureFormatError
-from .measures import ScalarMeasure, chi_vector, moment
+from .measures import ScalarMeasure, moment, s_transform
 
 __all__ = [
     "CATALOG",
@@ -292,9 +292,7 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     u = np.linspace(0.0, 1.0, QUANTILE_GRID + 1)[1:]
     t = atom + (1.0 - atom) * np.maximum(u**4, 1e-10)
     t[-1] = 1.0
-    w = t[:-1] - 1.0
-    z = chi_vector(mu_h, w, squared=True)
-    s_vals = z * (1.0 + w) / w
+    s_vals = s_transform(mu_h, t[:-1] - 1.0, squared=True)
     if np.any(s_vals <= 0.0):
         raise DomainError("S-transform came out nonpositive; measure outside scope")
     r_dense = np.empty_like(t)

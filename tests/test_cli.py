@@ -20,7 +20,7 @@ from freeprob.errors import (
     exit_code_for,
 )
 from freeprob.matio import save_matrix
-from freeprob.measures import ScalarMeasure, _chi_closed
+from freeprob.measures import ScalarMeasure
 from freeprob.rdiagonal import OperatorTag, RadialPlanarMeasure
 
 
@@ -188,8 +188,11 @@ def test_mixed_generator_sizes_exits_9(tmp_path):
 @pytest.mark.parametrize("suffix", [".json"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, command, suffix, bad):
+    # save_matrix refuses such a matrix; json.dumps writes its NaN or
+    # Infinity, which Python's json.loads reads back
     path = tmp_path / f"bad{suffix}"
-    save_matrix(path, np.array([[1.0, 0.0], [bad, 0.5j]]))
+    data = [[1.0, 0.0], [0.0, 0.0], [bad, 0.0], [0.0, 0.5]]
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "data": data}))
     argv = ["--matrix", path, "--grid-n", "8"] if command == "field" else [path]
     assert _run([command, *argv, "--out-dir", tmp_path / "out"]) == 3
     assert "must be finite" in capsys.readouterr().err
@@ -341,12 +344,12 @@ def test_rdiag_atom_near_zero(tmp_path):
     radii, cum = np.array(payload["cdf"]).T
     assert np.all(np.isfinite(cum)) and np.all(np.diff(cum) >= 0.0)
     radial = RadialPlanarMeasure(0.0, radii, cum, *payload["support"])
-    # the ball of radius r(t) = S(t - 1)^(-1/2) has mass t, with S of the
-    # squared law from the closed-form chi
-    squared = ScalarMeasure(((1e-200, 0.5), (1.0, 0.5)))
+    # the ball of radius r(t) = S(t - 1)^(-1/2) has mass t; the squared law
+    # (d_1e-200 + d_1)/2 has, to within 1e-200, the S of (d0 + d1)/2 on
+    # w > -1/2: S(w) = 2 (1 + w) / (1 + 2 w)
     for t in (0.55, 0.75, 0.9):
         w = t - 1.0
-        s = _chi_closed(squared, w) * (1.0 + w) / w
+        s = 2.0 * (1.0 + w) / (1.0 + 2.0 * w)
         assert abs(radial.cdf(s**-0.5) - t) <= 1e-6
 
 

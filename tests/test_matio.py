@@ -69,3 +69,19 @@ def test_unknown_extension(tmp_path):
         save_matrix(tmp_path / "m.txt", SAMPLE)
     with pytest.raises(MeasureFormatError):
         load_matrix(tmp_path / "m.txt")
+
+
+def test_save_refuses_non_finite_entries(tmp_path):
+    # JSON has no NaN or Infinity: such a file would not load back
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        matrix = SAMPLE.copy()
+        matrix[1, 0] = bad
+        path = tmp_path / "bad.json"
+        with pytest.raises(MeasureFormatError, match="finite"):
+            save_matrix(path, matrix)
+        assert not path.exists()
+    # finite entries, subnormals and signed zeros included, come back bit for bit
+    finite = np.array([[0.1 + 1j / 3, 5e-324 - 0.0j], [-0.0 + 1e308j, np.pi]])
+    path = tmp_path / "good.json"
+    save_matrix(path, finite)
+    assert load_matrix(path).tobytes() == finite.tobytes()

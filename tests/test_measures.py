@@ -1,5 +1,5 @@
-"""Transforms of scalar measures: frozen values, route selection,
-closed-form versus numeric agreement, and serialization."""
+"""Transforms of scalar measures: frozen values, closed forms and quadrature
+as oracles for the one numeric route, and serialization."""
 
 import math
 
@@ -15,7 +15,6 @@ from freeprob.errors import DomainError, MeasureFormatError
 from freeprob.measures import (
     ScalarMeasure,
     _psi_raw,
-    chi_inverse,
     chi_vector,
     moment,
     psi_transform,
@@ -153,10 +152,12 @@ class TestPsi:
             psi_transform(DIRAC_ONE, 1.5)
 
     def test_positive_argument_raises(self):
-        # psi is taken on z <= 0 only, also short of the pole
-        for z in (5e-324, 0.5, math.nan):
-            with pytest.raises(DomainError):
-                psi_transform(DIRAC_ONE, z)
+        # psi is taken on finite z <= 0 only, also short of the pole; at -inf
+        # both the atomic and the density branch would make inf / inf
+        for m in (DIRAC_ONE, DENSITIES["away"]):
+            for z in (5e-324, 0.5, math.nan, -math.inf):
+                with pytest.raises(DomainError):
+                    psi_transform(m, z)
 
 
 class TestDensityOracle:
@@ -192,14 +193,14 @@ class TestDensityOracle:
 class TestChi:
     def test_bernoulli_closed_form(self):
         # chi(y) = 2y / (1 + 2y)
-        assert chi_inverse(BERNOULLI, -0.25) == pytest.approx(-1.0, abs=1e-14)
+        assert chi_vector(BERNOULLI, [-0.25])[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_dirac(self):
         # chi(y) = y / (1 + y)
-        assert chi_inverse(DIRAC_ONE, -0.5) == pytest.approx(-1.0, abs=1e-14)
+        assert chi_vector(DIRAC_ONE, [-0.5])[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_two_atom_against_frozen_oracle(self):
-        got = chi_inverse(TWO_ATOM, -0.25)
+        got = chi_vector(TWO_ATOM, [-0.25])[0]
         assert got == pytest.approx(TWO_ATOM_CHI_AT_MINUS_QUARTER, abs=1e-13)
         # recompute the oracle in place to keep the frozen value honest
         f = lambda z: 0.5 * z / (1 - z) + 2 * z / (1 - 4 * z) + 0.25
@@ -208,39 +209,30 @@ class TestChi:
     def test_round_trip_over_corpus(self):
         for m in corpus():
             lower = m.mass_at(0.0) - 1.0
-            for y in np.linspace(lower + 1e-3, 0.0, 17):
-                z = chi_inverse(m, y, method="numeric")
+            ys = np.linspace(lower + 1e-3, 0.0, 17)[:-1]
+            for y, z in zip(ys, chi_vector(m, ys)):
                 assert abs(psi_transform(m, z) - y) <= 1e-10
 
     def test_out_of_range_raises(self):
-        with pytest.raises(DomainError):
-            chi_inverse(BERNOULLI, -0.75)
-        for method in ("closed", "numeric"):
+        for bad in (-0.75, math.nan):
             with pytest.raises(DomainError):
-                chi_inverse(BERNOULLI, math.nan, method=method)
+                chi_vector(BERNOULLI, [bad])
+            with pytest.raises(DomainError):
+                s_transform(BERNOULLI, [bad])
         # no atom at the top of the support, so psi stays bounded above
         xs = tuple(np.linspace(0.5, 1.5, 101))
         flat = ScalarMeasure(((0.25, 0.5),), tuple(zip(xs, [0.5] * 101)))
         with pytest.raises(DomainError):
-            chi_inverse(flat, 1e9, method="numeric")
-
-    def test_method_selects_the_route(self):
-        # auto takes the closed form on two atoms; numeric is one bisection
-        assert chi_inverse(BERNOULLI, -0.25) == chi_inverse(BERNOULLI, -0.25, method="closed")
-        bisected = float(chi_vector(BERNOULLI, np.array([-0.25]))[0])
-        assert chi_inverse(BERNOULLI, -0.25, method="numeric") == bisected
-        for method in ("auto", "closed", "numeric"):
-            assert chi_inverse(BERNOULLI, 0.0, method=method) == 0.0
+            chi_vector(flat, [1e9])
 
     def test_positive_argument_raises(self):
         # chi is the inverse of psi on z <= 0, whose values are <= 0
-        for method in ("auto", "closed", "numeric"):
-            with pytest.raises(DomainError):
-                chi_inverse(BERNOULLI, 0.25, method=method)
         for squared in (False, True):
             for ys in ([0.25], [-0.25, 0.25], [-0.25, 5e-324]):
                 with pytest.raises(DomainError):
                     chi_vector(TWO_ATOM, np.array(ys), squared=squared)
+                with pytest.raises(DomainError):
+                    s_transform(TWO_ATOM, np.array(ys), squared=squared)
 
     def test_squared_chi_matches_squared_atoms(self):
         ys = np.linspace(-0.99, -0.01, 25)
@@ -255,10 +247,12 @@ class TestChi:
             chi_vector(BERNOULLI, np.array([-0.25]))
 
     def test_vectorized_chi_matches_scalar(self):
+        # one call on all the arguments gives the one-element results, and
+        # both meet the closed form 2y / (1 + 2y)
         ys = np.linspace(-0.49, -0.01, 25)
         zs = chi_vector(BERNOULLI, ys)
-        for y, z in zip(ys, zs):
-            assert z == pytest.approx(chi_inverse(BERNOULLI, y), abs=1e-12)
+        assert np.array_equal(zs, [chi_vector(BERNOULLI, [y])[0] for y in ys])
+        assert np.max(np.abs(zs - 2 * ys / (1 + 2 * ys))) <= 1e-12
 
 
 class TestSTransform:
@@ -267,35 +261,51 @@ class TestSTransform:
         assert s_transform(BERNOULLI, -0.25) == pytest.approx(3.0, abs=1e-12)
 
     def test_dirac_is_constant_one(self):
-        for w in (-0.9, -0.5, -0.1, 0.0):
-            assert s_transform(DIRAC_ONE, w) == pytest.approx(1.0, abs=1e-12)
+        got = s_transform(DIRAC_ONE, [-0.9, -0.5, -0.1, 0.0])
+        assert np.max(np.abs(got - 1.0)) <= 1e-12
 
     def test_zero_extension_is_reciprocal_mean(self):
         assert s_transform(TWO_ATOM, 0.0) == pytest.approx(1.0 / 2.5, abs=1e-14)
+        # of the law of t^2: 1 / int t^2 dmu
+        for m in corpus():
+            assert s_transform(m, [0.0], squared=True)[0] == 1.0 / moment(m, 2)
+
+    def test_subnormal_arguments_take_the_zero_extension(self):
+        # chi(w) and w are then both a few subnormal ulps, and their ratio is
+        # noise; S'(0) is finite, so S(w) = S(0) to double precision
+        density = ScalarMeasure(((0.5, 0.25),), ((0.5, 0.75), (1.0, 0.75), (1.5, 0.75)))
+        for m in (TWO_ATOM, density):
+            got = s_transform(m, [-5e-324, -1e-310])
+            assert np.array_equal(got, [1.0 / moment(m, 1)] * 2)
+        assert 1.0 / moment(density, 1) == pytest.approx(8.0 / 7.0, abs=1e-15)
+
+    def test_vector_call_matches_one_element_calls(self):
+        for m in corpus():
+            lower = m.mass_at(0.0) - 1.0
+            ws = np.linspace(lower + 1e-3, 0.0, 17)
+            for squared in (False, True):
+                vals = s_transform(m, ws, squared=squared)
+                singles = [s_transform(m, [w], squared=squared)[0] for w in ws]
+                assert np.array_equal(vals, singles)
+
+    def test_squared_matches_squared_atoms(self):
+        ws = np.linspace(-0.99, 0.0, 25)
+        squared = ScalarMeasure(((1.0, 0.5), (16.0, 0.5)))
+        assert np.array_equal(s_transform(TWO_ATOM, ws, squared=True), s_transform(squared, ws))
 
     def test_projection_family_closed_form(self):
         # alpha at 1, rest at 0: S(w) = (1 + w) / (alpha + w)
         for alpha in (0.25, 0.5, 0.9):
             m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
             ws = np.linspace(-alpha, 0.0, 52)[1:-1]
-            for w in ws:
-                want = (1 + w) / (alpha + w)
-                assert s_transform(m, w) == pytest.approx(want, abs=1e-10)
-                assert s_transform(m, w, method="numeric") == pytest.approx(want, abs=1e-10)
-
-    def test_closed_and_numeric_paths_agree(self):
-        ws = np.linspace(-0.5, 0.0, 52)[1:-1]
-        for w in ws:
-            a = s_transform(BERNOULLI, w, method="closed")
-            b = s_transform(BERNOULLI, w, method="numeric")
-            assert abs(a - b) <= 1e-10
+            want = (1 + ws) / (alpha + ws)
+            assert np.max(np.abs(s_transform(m, ws) - want)) <= 1e-10
 
     def test_strictly_decreasing_for_non_dirac(self):
         for m in corpus():
             lower = m.mass_at(0.0) - 1.0
-            ws = np.linspace(lower + 1e-4, -1e-4, 60)
-            vals = [s_transform(m, w, method="numeric") for w in ws]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
+            vals = s_transform(m, np.linspace(lower + 1e-4, -1e-4, 60))
+            assert np.all(np.diff(vals) < 0.0)
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
@@ -321,7 +331,7 @@ def test_round_trip_property(raw):
     weight = sum(w for _, w in raw)
     m = ScalarMeasure(tuple((loc, w / weight) for loc, w in raw))
     ys = np.array([-0.99, -0.6, -0.25, -1e-3])
-    singles = np.array([chi_inverse(m, y, method="numeric") for y in ys])
+    singles = np.array([chi_vector(m, [y])[0] for y in ys])
     # one call on all the arguments gives the one-element results
     zs = chi_vector(m, ys)
     assert np.array_equal(zs, singles)
