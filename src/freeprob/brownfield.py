@@ -416,8 +416,8 @@ def mass_csv_text(field_in: BrownField) -> str:
     xs, ys = _interior_nodes(field_in.grid)
     ys = [repr(y) for y in ys.tolist()]
     lines = ["x,y,mass"]
-    for x, row in zip(xs.tolist(), field_in.laplacian_mass.tolist()):
-        lines.extend(f"{x!r},{y},{m!r}" for y, m in zip(ys, row))
+    for x, row in zip(map(repr, xs.tolist()), field_in.laplacian_mass.tolist()):
+        lines.extend(f"{x},{y},{m!r}" for y, m in zip(ys, row))
     return "\n".join(lines) + "\n"
 
 

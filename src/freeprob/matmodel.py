@@ -319,11 +319,11 @@ def word_trace(model: MatrixModel, word: str) -> complex:
     tokens = word.split()
     if not tokens:
         raise WordSpecError("empty word")
-    mats = [
-        centered(model.factor(t[2:-1])) if t.startswith("c(") and t.endswith(")") else model.factor(t)
-        for t in tokens
-    ]
-    return ntrace(reduce(np.matmul, mats))
+    mats = {
+        t: centered(model.factor(t[2:-1])) if t.startswith("c(") and t.endswith(")") else model.factor(t)
+        for t in dict.fromkeys(tokens)
+    }
+    return ntrace(reduce(np.matmul, [mats[t] for t in tokens]))
 
 
 # -- the trace factorization identity ----------------------------------------

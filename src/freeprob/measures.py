@@ -11,8 +11,8 @@ has no pole and increases from mu({0}) - 1 at -inf to psi(0) = 0.  chi
 denotes its inverse, from (mu({0}) - 1, 0] onto (-inf, 0], and the
 S-transform is S(w) = chi(w) (1 + w) / w, extended continuously by
 S(0) = 1/mean.  chi is one vectorized bisection, chi_vector, run to float
-spacing; with squared=True it inverts psi of the law of t^2, as the radial
-recipe needs.
+spacing.  _psi_raw(..., squared=True) gives psi of the law of t^2, which
+the radial recipe reads directly, with no inversion.
 """
 
 from __future__ import annotations
@@ -255,28 +255,25 @@ def _psi_lower_limit(measure: ScalarMeasure) -> float:
 BISECTION_STEPS = 2200
 
 
-def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) -> np.ndarray:
+def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
     """Numeric chi on z < 0, one bisection for all arguments.
 
     Each y must lie in (mu({0}) - 1, 0).  It is bracketed by [lo, 0], lo
-    doubling from about -1/max_support (-1/max_support^2 when squared)
-    until psi(lo) <= y, and the bracket is bisected to float spacing.  The
-    radial recipe inverts thousands of points in one call, with
-    squared=True for the law of t^2.
+    doubling from about -1/max_support until psi(lo) <= y, and the bracket
+    is bisected to float spacing.
     """
     ys = np.asarray(ys, dtype=float)
     lower = _psi_lower_limit(measure)
     for y in ys[~((lower < ys) & (ys < 0.0))]:
         raise DomainError(f"y = {y} lies outside ({lower}, 0), the range of psi on z < 0")
-    # psi reads z as z t (z t^2 if squared): lo starts at -2^k, 2^k <= 1/scale
-    # < 2^(k+1), a power of two so the bisection visits the points it does from -1
-    scale = measure.max_support**2 if squared else measure.max_support
-    lo = np.full_like(ys, -(2.0 ** min(-math.frexp(scale)[1], 1000)))
+    # psi reads z as z t: lo starts at -2^k, 2^k <= 1/max_support < 2^(k+1),
+    # a power of two so the bisection visits the points it does from -1
+    lo = np.full_like(ys, -(2.0 ** min(-math.frexp(measure.max_support)[1], 1000)))
     hi = np.zeros_like(ys)
     # double until psi(lo) <= y, or until lo, a power of two, would leave the
-    # doubles: an atom too near 0 for t^2 lo to come far from 0 keeps psi
+    # doubles: an atom too near 0 for t lo to come far from 0 keeps psi
     # above mu({0}) - 1
-    while (mask := _psi_raw(measure, lo, squared) > ys).any():
+    while (mask := _psi_raw(measure, lo) > ys).any():
         if np.any(lo[mask] == -(2.0**1023)):
             raise DomainError("psi stays above some arguments over the whole double range")
         lo[mask] *= 2.0
@@ -285,7 +282,7 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
         done = (mid == lo) | (mid == hi)
         if done.all():
             break
-        below = _psi_raw(measure, mid, squared) < ys
+        below = _psi_raw(measure, mid) < ys
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     else:
@@ -298,12 +295,12 @@ def chi_vector(measure: ScalarMeasure, ys: np.ndarray, squared: bool = False) ->
 # -- S-transform ----------------------------------------------------------
 
 
-def s_transform(measure: ScalarMeasure, ws: np.ndarray, squared: bool = False) -> np.ndarray:
+def s_transform(measure: ScalarMeasure, ws: np.ndarray) -> np.ndarray:
     """S(w) = chi(w) (1 + w) / w on (mu({0}) - 1, 0], one chi_vector call.
 
     At w in (-tiny, 0], where chi(w) and w are both a few subnormal ulps,
-    S takes its continuous extension S(0) = 1/mean (1/int t^2 dmu when
-    squared); S'(0) is finite, so that is S(w) to double precision.
+    S takes its continuous extension S(0) = 1/mean; S'(0) is finite, so
+    that is S(w) to double precision.
     Strictly decreasing on its domain for every non-Dirac measure.
     """
     ws = np.asarray(ws, dtype=float)
@@ -313,7 +310,7 @@ def s_transform(measure: ScalarMeasure, ws: np.ndarray, squared: bool = False) -
     near = ws > -np.finfo(float).tiny
     out = np.empty_like(ws)
     if near.any():
-        out[near] = 1.0 / moment(measure, 2 if squared else 1)
+        out[near] = 1.0 / moment(measure, 1)
     w = ws[~near]
-    out[~near] = chi_vector(measure, w, squared) * (1.0 + w) / w
+    out[~near] = chi_vector(measure, w) * (1.0 + w) / w
     return out

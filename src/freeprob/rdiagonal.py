@@ -4,8 +4,9 @@ For U Haar unitary free from a positive H whose distribution mu_H is not a
 point mass, the Brown measure of UH is rotation invariant: it carries the
 atom mu_H({0}) at the origin, lives on the annulus between 1/||H^-1||_2 and
 ||H||_2, and the closed ball of radius S_{mu_{H^2}}(t - 1)^{-1/2} has mass
-exactly t for t in (mu_H({0}), 1].  brown_rdiagonal turns that quantile
-description into a sampled radial CDF.
+exactly t for t in (mu_H({0}), 1].  Put z = chi(t - 1) < 0 (psi and chi
+of mu_{H^2}): that radius is (psi(z) / ((1 + psi(z)) z))^(1/2) and t is
+1 + psi(z), so brown_rdiagonal reads the radial CDF off psi on a grid of z.
 
 The catalog lists the five operators built from two free copies of the 2x2
 matrix algebra that the rest of the package simulates.  Catalog ground truth
@@ -25,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DiracInputError, DomainError, MeasureFormatError
-from .measures import ScalarMeasure, moment, s_transform
+from .measures import ScalarMeasure, _psi_raw, moment
 
 __all__ = [
     "CATALOG",
@@ -43,10 +44,10 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # how far a radial CDF may step down or end away from one
 CDF_END_ATOL = 1e-12
-# radial CDF samples the radial recipe stores, and the quantile-map grid
-# it inverts to get them
+# radial CDF samples the radial recipe stores, and the nodes per decade of
+# |z| on the grid where it reads the curve off psi
 CDF_SAMPLES = 2049
-QUANTILE_GRID = 8192
+NODES_PER_DECADE = 1024
 
 
 class OperatorTag(str, enum.Enum):
@@ -274,36 +275,47 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     """Brown measure of U H for U Haar unitary free from positive H ~ mu_h.
 
     The output is rotation invariant about 0: an atom mu_h({0}) at the
-    origin and the radial CDF, CDF_SAMPLES samples of it, obtained by
-    inverting the quantile map r(t) = S_{mu_{H^2}}(t - 1)^{-1/2}.  A point
-    mass, where that map degenerates, is refused.
+    origin and the radial CDF, CDF_SAMPLES samples of a monotone cubic
+    through exact points of the curve, one per node z < 0 of a fixed grid:
+    the ball of radius (psi(z) / ((1 + psi(z)) z))^(1/2) holds mass
+    1 + psi(z), psi that of mu_{H^2}.  A point mass is refused.
     """
     if mu_h.is_dirac:
         raise DiracInputError("the radial recipe needs a non-degenerate distribution")
 
     atom = mu_h.mass_at(0.0)
-    outer = math.sqrt(moment(mu_h, 2))
+    m2 = moment(mu_h, 2)
+    outer = math.sqrt(m2)
     # int t^-2 dmu is inf, so the inner radius 0, when mass touches zero
     inner = 1.0 / math.sqrt(mu_h.inverse_square_moment())
 
-    # quantile map on a grid strongly graded toward t = atom, where the
-    # radius approaches the inner edge and the CDF starts out flat; the
-    # offset floor keeps chi evaluation away from the psi(-inf) cancellation
-    u = np.linspace(0.0, 1.0, QUANTILE_GRID + 1)[1:]
-    t = atom + (1.0 - atom) * np.maximum(u**4, 1e-10)
-    t[-1] = 1.0
-    s_vals = s_transform(mu_h, t[:-1] - 1.0, squared=True)
-    if np.any(s_vals <= 0.0):
-        raise DomainError("S-transform came out nonpositive; measure outside scope")
-    r_dense = np.empty_like(t)
-    r_dense[:-1] = s_vals**-0.5
-    r_dense[-1] = outer
-    f_dense = t
+    # The grid: NODES_PER_DECADE nodes per decade of |z| from 2^-60 / m2 (t
+    # rounds to 1) to 2^60 / a^2, a the least positive point of the support
+    # (t - mu({0}) < 2^-60), or to the end of the double range if the support
+    # reaches 0; |z| < 2^1023 / max_support^2 keeps every t^2 z finite.  As
+    # m2 >= a^2 mu((0, inf)), it is empty only if <= 2^-120 of mass is off 0,
+    # and all its t are mu({0}) when that rounds to 1.
+    least = min([t for t, _ in mu_h.atoms if t > 0.0] + [x for x, _ in mu_h.density[:1]])
+    if atom == 1.0 or not m2 > 2.0**-120 * least**2:
+        raise DomainError("too little mass sits off 0 for the radial recipe's grid")
+    top = 1023 - 2 * max(0, math.frexp(mu_h.max_support)[1])
+    hi = top if least == 0.0 else min(top, 60.0 - 2.0 * math.log2(least))
+    lo = max(-1074.0, -60.0 - math.log2(m2))
+    z = -np.exp2(np.linspace(hi, lo, math.ceil((hi - lo) * math.log10(2.0) * NODES_PER_DECADE)))
+    # in blocks, so that a density's node-by-sample tables hold ~2^18 values
+    parts = np.array_split(z, 1 + z.size * (1 + len(mu_h.density)) // 2**18)
+    psi = np.concatenate([_psi_raw(mu_h, part, squared=True) for part in parts])
+    # near the atom 1 + psi keeps only its absolute rounding, which can move
+    # r^2 by a relative 1e-6 at 1e-10 (1 - mu({0})) above it; the ramp
+    # below takes over there.  Past that floor -1 < psi < 0, so r^2 > 0
+    ok = psi + (1.0 - atom) >= 1e-10 * (1.0 - atom)
+    z, f_dense = z[ok], 1.0 + psi[ok]
+    r_dense = np.sqrt(psi[ok] / (f_dense * z))
 
-    # strictly increasing radii for interpolation (solver noise at the far
-    # inner edge can reorder near-equal radii)
-    running = np.maximum.accumulate(r_dense)
-    keep = np.concatenate(([True], r_dense[1:] > running[:-1]))
+    # strictly increasing radii for interpolation: the rounding in 1 + psi
+    # grows toward the floor, so a node stays only below every later one
+    running = np.minimum.accumulate(r_dense[::-1])[::-1]
+    keep = np.append(r_dense[:-1] < running[1:], True)
     r_dense, f_dense = r_dense[keep], f_dense[keep]
     # of a run of radii within 2^-300 outer radii of the next, the last
     # stands for the run: PCHIP's cubic coefficients grow as the inverse cube
@@ -315,24 +327,14 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     # cubic reconstruction loses accuracy exactly where the CDF flattens out
     v = np.linspace(0.0, 1.0, CDF_SAMPLES)
     rs = inner + (outer - inner) * 0.5 * (1.0 - np.cos(np.pi * v))
-    fs = np.empty_like(rs)
+    fs = np.ones_like(rs)
     inside = (rs >= r_dense[0]) & (rs <= r_dense[-1])
     fs[inside] = _pchip(r_dense, f_dense)(rs[inside])
-    # below the first dense sample the CDF runs linearly into the anchor
+    # below the first node (never below inner) the CDF runs linearly into the anchor
     low = rs < r_dense[0]
-    if low.any():
-        r0, f0 = r_dense[0], f_dense[0]
-        frac = (rs[low] - inner) / (r0 - inner) if r0 > inner else 0.0
-        fs[low] = atom + (f0 - atom) * frac
-    fs[rs > r_dense[-1]] = 1.0
+    fs[low] = atom + (f_dense[0] - atom) * ((rs[low] - inner) / (r_dense[0] - inner))
     fs = np.maximum.accumulate(np.clip(fs, atom, 1.0))
     fs[0] = atom
     fs[-1] = 1.0
 
-    return RadialPlanarMeasure(
-        center_atom_mass=atom,
-        radii=rs,
-        cumulative=fs,
-        support_inner=inner,
-        support_outer=outer,
-    )
+    return RadialPlanarMeasure(atom, rs, fs, inner, outer)

@@ -333,9 +333,9 @@ def test_rdiag_outputs(two_point_file, tmp_path, capsys):
 
 
 def test_rdiag_atom_near_zero(tmp_path):
-    # half the mass at 1e-100: the quantile map spends most of its samples on
-    # radii near 1e-100, so the bracket doubles some 700 times and the
-    # radii crowd closer than a cubic spline's coefficients can take
+    # half the mass at 1e-100: the z grid runs out to |z| = 2^60 / 1e-200,
+    # and the curve's radii near 1e-100 crowd closer than a cubic spline's
+    # coefficients can take
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"atoms": [[1e-100, 0.5], [1.0, 0.5]]}))
     out = tmp_path / "out"

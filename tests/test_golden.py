@@ -1,14 +1,14 @@
 """Pinned bytes of the radial recipe's files, of the numeric chi, of the
 catalog laws and of the field's CSV formatting.
 
-The rdiag outputs come from the S-transform inversion and a monotone cubic
-interpolant, chi_vector is a bisection run to float spacing, and the catalog
-laws are closed-form rational expressions, so a refactor that keeps the
-arithmetic keeps these digests.  On atoms psi is rational; on a density it
-is exact on each linear piece through numpy's log1p and arctan, whose SIMD
-builds may differ in the last bit between CPU dispatch targets, so the
-"with_density", "density" and "density_squared" digests also pin those
-builds.  The field CSV pins format a hand-built BrownField, so they test
+The rdiag outputs come from points of the radius map read off psi on a
+fixed grid and a monotone cubic through them, chi_vector is a bisection run
+to float spacing, and the catalog laws are closed-form rational expressions,
+so a refactor that keeps the arithmetic keeps these digests.  On atoms psi
+is rational; on a density it is exact on each linear piece through numpy's
+log1p and arctan, whose SIMD builds may differ in the last bit between CPU
+dispatch targets, so the "with_density" and "density" digests also pin
+those builds.  The field CSV pins format a hand-built BrownField, so they test
 the text and not the kernel.  Outputs that pass through a dense eigensolve
 or factorization (simulate, field values) depend on the LAPACK build and
 are compared between commits by hand instead of being pinned here.
@@ -28,12 +28,12 @@ from freeprob.rdiagonal import OperatorTag, catalog_brown
 
 RDIAG_DIGESTS = {
     "two_point": {
-        "two_point_radial.json": "28eb9f4a3021844210a6cfb2d315ada38a8c46c71004fd5f88c4a2f9e59dbaff",
-        "two_point_cdf.csv": "7f87423a7837db2299f23a917725f0ba0e76f6eb1f589e29f5644ce007128377",
+        "two_point_radial.json": "e209fc20140da6c0c506a1b99b6308611044a34c239dca604f7beae6a58ae3d3",
+        "two_point_cdf.csv": "4fecb080a7a6d8dc467853d06c7da1045ee6532664792dbb7ff96686ca3272c6",
     },
     "with_density": {
-        "with_density_radial.json": "24e36df4b127a14bf15a012593a0bba3cccadb20d44738098906280e929bdcdb",
-        "with_density_cdf.csv": "3c8eb741f7ffa22498da65bc4671842b5d27da3a0e48db7b2553c3a3709d2dbb",
+        "with_density_radial.json": "85313775b07b68be11719fe2a53fe1a77fc344d5b67b94cb74f0ed164ca1fb4f",
+        "with_density_cdf.csv": "14aa9d617b91b786b1050e45afefb434e38c7915571cdbba611137ec2db6674c",
     },
 }
 
@@ -66,13 +66,10 @@ MEASURES = {
 
 
 # sha256 of chi_vector on 65 negative arguments spanning (lower limit, 0),
-# both ends approached to within 1e-8 of the range; "_squared" inverts psi
-# of the law of t^2 (chi_vector(..., squared=True))
+# both ends approached to within 1e-8 of the range
 CHI_DIGESTS = {
     "atomic": "444a23ba125b5b17c33dab55cbcd4b008cea5d8ef2b2b5cc7d47f46d17368380",
-    "atomic_squared": "48fcc44fd45d7b6abcc4241ed9b1c988aa0d897d5e42e08b693903c5d7afefab",
     "density": "746c8bbbf5e682b9d06cba30fab12e9f2987dfd1359e9dee1247b6b0993862a1",
-    "density_squared": "6a3977c404d064fe351c195f3dd0718a7479ad813bee68bd39d6822ae3dd8be3",
 }
 
 CHI_MEASURES = {
@@ -106,10 +103,9 @@ def test_rdiag_output_digests(stem, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CHI_DIGESTS))
 def test_chi_vector_digests(name):
-    base, _, squared = name.partition("_")
-    measure = CHI_MEASURES[base]
+    measure = CHI_MEASURES[name]
     ys = (measure.mass_at(0.0) - 1.0) * CHI_FRACTIONS
-    zs = chi_vector(measure, ys, squared=bool(squared))
+    zs = chi_vector(measure, ys)
     assert _digest(zs.tobytes()) == CHI_DIGESTS[name]
 
 

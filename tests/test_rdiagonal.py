@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
 
 from freeprob import rdiagonal
-from freeprob.errors import DiracInputError, MeasureFormatError
+from freeprob.errors import DiracInputError, DomainError, MeasureFormatError
 from freeprob.measures import ScalarMeasure
 from freeprob.rdiagonal import (
     CATALOG,
@@ -67,6 +67,14 @@ class TestWorkedExample:
             assert conditional_cdf(law)(-1.0) == 0.0
             assert np.array_equal(conditional_cdf(law)([-1.0, 0.0]), [0.0, 0.0])
 
+    def test_thin_shell_near_zero_keeps_the_curve_past_it(self):
+        # half the mass at 1e-100 is a shell of mass 1/2 at radii near
+        # 1e-100; past it the radius map is that of the atom at 0 to within
+        # 1e-200, so F(r) = 1/(2(1 - r^2))
+        m = brown_rdiagonal(ScalarMeasure(((1e-100, 0.5), (1.0, 0.5))))
+        r = 2.0**-10
+        assert abs(m.cdf(r) - 1.0 / (2.0 * (1.0 - r * r))) <= 1e-9
+
     def test_matches_catalog_entry(self):
         m = brown_rdiagonal(BERNOULLI)
         cat = catalog_brown(OperatorTag.W1F12)
@@ -104,19 +112,26 @@ class TestTwoAtomAnnulus:
         gap = np.max(np.abs(np.asarray(coarse.cdf(probe)) - np.asarray(fine.cdf(probe))))
         assert gap <= 1e-7
 
+    def test_inner_edge_against_the_exact_curve(self):
+        # points of the curve at z = -a from sums free of cancellation near
+        # the inner edge: t = sum m / (1 + a s^2) and r^2 = (1 - t) / (t a)
+        a = np.geomspace(1e2, 1e12, 201)
+        t = np.sum(0.5 / (1.0 + np.outer(a, [0.25, 2.25])), axis=1)
+        r = np.sqrt((1.0 - t) / (t * a))
+        gap = np.max(np.abs(np.asarray(brown_rdiagonal(TWO_ATOM).cdf(r)) - t))
+        assert gap <= 1e-9
+
     def test_atom_order_invariance(self):
         flipped = brown_rdiagonal(ScalarMeasure(atoms=((1.5, 0.5), (0.5, 0.5))))
         base = brown_rdiagonal(TWO_ATOM)
         assert np.array_equal(flipped.radii, base.radii)
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100, 1e150])
     def test_cdf_is_scale_free(self, scale):
-        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; a
-        # large s makes chi tiny, and the bisection must still reach float
-        # spacing (with 200 steps, s = 1e30 gave 0.508 at r = 1, not 0.733);
-        # a small s makes chi huge, and the bracket must still reach it
-        # (doubling from -1, s = 1e-100 failed to bracket)
+        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; the
+        # z grid's ends move as 1/s^2, and for these s both stay inside the
+        # double range
         base = brown_rdiagonal(TWO_ATOM)
         scaled = brown_rdiagonal(ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5))))
         probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 101)
@@ -171,6 +186,13 @@ class TestDiracHandling:
         for loc in (2.0, 0.0):
             with pytest.raises(DiracInputError):
                 brown_rdiagonal(ScalarMeasure(atoms=((loc, 1.0),)))
+
+    def test_all_but_a_trace_of_mass_at_zero_refused(self):
+        # 1e-300 of the mass off 0 leaves the radius map no grid to run on;
+        # with 1e-13 off 0 the atom's mass still rounds to 1
+        for trace in (1e-300, 1e-13):
+            with pytest.raises(DomainError, match="too little mass"):
+                brown_rdiagonal(ScalarMeasure(((0.0, 1.0), (1.0, trace))))
 
 
 # F'(r) for each catalog ball mass F, written out apart from CATALOG; the
