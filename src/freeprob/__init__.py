@@ -13,13 +13,7 @@ from .errors import (
     SentinelError,
     WordSpecError,
 )
-from .measures import (
-    ScalarMeasure,
-    chi_vector,
-    moment,
-    psi_transform,
-    s_transform,
-)
+from .measures import ScalarMeasure, moment, psi_transform
 from .rdiagonal import (
     OperatorTag,
     RadialPlanarMeasure,

@@ -56,7 +56,7 @@ from .matmodel import (
     trace_factorization_check,
     word_trace,
 )
-from .measures import ScalarMeasure, s_transform
+from .measures import ScalarMeasure, psi_transform
 from .rdiagonal import (
     SUPPORT_MARGIN,
     OperatorTag,
@@ -217,15 +217,19 @@ def _fmt(x: float) -> str:
 
 @_criterion(1, "S-transform closed form on the two-point measure", bound_s=1.0)
 def _criterion_1():
+    # S is read off psi: at w = psi(z), S(w) = (1 + w) z / w.  Both sides
+    # equal 2 - z only where psi is right, so the check tests psi.
     mu = ScalarMeasure(((0.0, 0.5), (1.0, 0.5)))
-    ws = np.linspace(-0.5, 0.0, 52)[1:-1]
-    worst = float(np.max(np.abs(s_transform(mu, ws) - 2.0 * (ws + 1.0) / (2.0 * ws + 1.0))))
+    w0 = np.linspace(-0.5, 0.0, 52)[1:-1]
+    zs = 2.0 * w0 / (1.0 + 2.0 * w0)
+    ws = np.array([psi_transform(mu, z) for z in zs])
+    worst = float(np.max(np.abs((1.0 + ws) * zs / ws - 2.0 * (ws + 1.0) / (2.0 * ws + 1.0))))
     return (
         worst <= 1e-10,
         f"worst |S - 2(w+1)/(2w+1)| = {_fmt(worst)} over 50 points (bound 1e-10)",
         (
-            "inversion: chi_vector bisection to float spacing",
-            "grid: 50 interior points of (-1/2, 0)",
+            "route: S = (1 + w) z / w at w = psi(z), no inversion",
+            "grid: z = 2 w0 / (1 + 2 w0) at 50 interior points w0 of (-1/2, 0)",
         ),
     )
 

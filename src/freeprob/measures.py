@@ -1,4 +1,4 @@
-"""Probability measures on [0, inf) and their multiplicative transforms.
+"""Probability measures on [0, inf) and their moment transform.
 
 A measure is a finite list of atoms plus an optional piecewise-linear
 density, total mass one; every integral against the density (mass,
@@ -7,12 +7,10 @@ moments, psi) is exact on its linear pieces.  The moment transform
     psi(z) = int t z / (1 - t z) dmu(t)
 
 is taken on z <= 0 only, the half-line the S-transform reads: there it
-has no pole and increases from mu({0}) - 1 at -inf to psi(0) = 0.  chi
-denotes its inverse, from (mu({0}) - 1, 0] onto (-inf, 0], and the
-S-transform is S(w) = chi(w) (1 + w) / w, extended continuously by
-S(0) = 1/mean.  chi is one vectorized bisection, chi_vector, run to float
-spacing.  _psi_raw(..., squared=True) gives psi of the law of t^2, which
-the radial recipe reads directly, with no inversion.
+has no pole and increases from mu({0}) - 1 at -inf to psi(0) = 0.  Nothing
+inverts it: at w = psi(z) the S-transform is (1 + w) z / w, so a grid of z
+gives exact points of S.  _psi_raw(..., squared=True) gives psi of the law
+of t^2, which the radial recipe reads the same way.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ __all__ = [
     "ScalarMeasure",
     "moment",
     "psi_transform",
-    "chi_vector",
-    "s_transform",
 ]
 
 # how far from one a measure's total mass may be
@@ -241,76 +237,3 @@ def psi_transform(measure: ScalarMeasure, z: float) -> float:
         raise DomainError(f"psi is taken at finite z <= 0 only, got z = {z}")
     return float(_psi_raw(measure, np.array([z]))[0])
 
-
-# -- chi ------------------------------------------------------------------
-
-
-def _psi_lower_limit(measure: ScalarMeasure) -> float:
-    """lim_{z -> -inf} psi(z) = mu({0}) - 1."""
-    return measure.mass_at(0.0) - 1.0
-
-
-# halvings that take any bracket within the doubles (widths 2^1024 down to
-# the subnormal spacing 2^-1074) to float spacing, with room to spare
-BISECTION_STEPS = 2200
-
-
-def chi_vector(measure: ScalarMeasure, ys: np.ndarray) -> np.ndarray:
-    """Numeric chi on z < 0, one bisection for all arguments.
-
-    Each y must lie in (mu({0}) - 1, 0).  It is bracketed by [lo, 0], lo
-    doubling from about -1/max_support until psi(lo) <= y, and the bracket
-    is bisected to float spacing.
-    """
-    ys = np.asarray(ys, dtype=float)
-    lower = _psi_lower_limit(measure)
-    for y in ys[~((lower < ys) & (ys < 0.0))]:
-        raise DomainError(f"y = {y} lies outside ({lower}, 0), the range of psi on z < 0")
-    # psi reads z as z t: lo starts at -2^k, 2^k <= 1/max_support < 2^(k+1),
-    # a power of two so the bisection visits the points it does from -1
-    lo = np.full_like(ys, -(2.0 ** min(-math.frexp(measure.max_support)[1], 1000)))
-    hi = np.zeros_like(ys)
-    # double until psi(lo) <= y, or until lo, a power of two, would leave the
-    # doubles: an atom too near 0 for t lo to come far from 0 keeps psi
-    # above mu({0}) - 1
-    while (mask := _psi_raw(measure, lo) > ys).any():
-        if np.any(lo[mask] == -(2.0**1023)):
-            raise DomainError("psi stays above some arguments over the whole double range")
-        lo[mask] *= 2.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi)
-        if done.all():
-            break
-        below = _psi_raw(measure, mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    else:
-        raise DomainError(
-            f"chi_vector bisection did not reach float spacing in {BISECTION_STEPS} steps"
-        )
-    return 0.5 * (lo + hi)
-
-
-# -- S-transform ----------------------------------------------------------
-
-
-def s_transform(measure: ScalarMeasure, ws: np.ndarray) -> np.ndarray:
-    """S(w) = chi(w) (1 + w) / w on (mu({0}) - 1, 0], one chi_vector call.
-
-    At w in (-tiny, 0], where chi(w) and w are both a few subnormal ulps,
-    S takes its continuous extension S(0) = 1/mean; S'(0) is finite, so
-    that is S(w) to double precision.
-    Strictly decreasing on its domain for every non-Dirac measure.
-    """
-    ws = np.asarray(ws, dtype=float)
-    lower = _psi_lower_limit(measure)
-    for w in ws[~((lower < ws) & (ws <= 0.0))]:
-        raise DomainError(f"S-transform argument {w} outside ({lower}, 0]")
-    near = ws > -np.finfo(float).tiny
-    out = np.empty_like(ws)
-    if near.any():
-        out[near] = 1.0 / moment(measure, 1)
-    w = ws[~near]
-    out[~near] = chi_vector(measure, w) * (1.0 + w) / w
-    return out

@@ -4,9 +4,9 @@ For U Haar unitary free from a positive H whose distribution mu_H is not a
 point mass, the Brown measure of UH is rotation invariant: it carries the
 atom mu_H({0}) at the origin, lives on the annulus between 1/||H^-1||_2 and
 ||H||_2, and the closed ball of radius S_{mu_{H^2}}(t - 1)^{-1/2} has mass
-exactly t for t in (mu_H({0}), 1].  Put z = chi(t - 1) < 0 (psi and chi
-of mu_{H^2}): that radius is (psi(z) / ((1 + psi(z)) z))^(1/2) and t is
-1 + psi(z), so brown_rdiagonal reads the radial CDF off psi on a grid of z.
+exactly t for t in (mu_H({0}), 1].  At the z < 0 where psi(z) = t - 1
+(psi of mu_{H^2}) that radius is (psi(z) / ((1 + psi(z)) z))^(1/2), so
+brown_rdiagonal reads the radial CDF off psi on a grid of z.
 
 The catalog lists the five operators built from two free copies of the 2x2
 matrix algebra that the rest of the package simulates.  Catalog ground truth
@@ -291,26 +291,33 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
 
     # The grid: NODES_PER_DECADE nodes per decade of |z| from 2^-60 / m2 (t
     # rounds to 1) to 2^60 / a^2, a the least positive point of the support
-    # (t - mu({0}) < 2^-60), or to the end of the double range if the support
-    # reaches 0; |z| < 2^1023 / max_support^2 keeps every t^2 z finite.  As
+    # (t - mu({0}) < 2^-60), or to 2^1021 if the support reaches 0.  As
     # m2 >= a^2 mu((0, inf)), it is empty only if <= 2^-120 of mass is off 0,
     # and all its t are mu({0}) when that rounds to 1.
     least = min([t for t, _ in mu_h.atoms if t > 0.0] + [x for x, _ in mu_h.density[:1]])
     if atom == 1.0 or not m2 > 2.0**-120 * least**2:
         raise DomainError("too little mass sits off 0 for the radial recipe's grid")
-    top = 1023 - 2 * max(0, math.frexp(mu_h.max_support)[1])
-    hi = top if least == 0.0 else min(top, 60.0 - 2.0 * math.log2(least))
-    lo = max(-1074.0, -60.0 - math.log2(m2))
+    # psi is read on nu, mu_h scaled by 2^-e so that its support ends in
+    # [1, 2), and the grid takes nu's m2 and a: every t^2 z on it stays below
+    # 2^1023 and both its ends stay inside the double range at every scale of
+    # mu_h.  The scaling is exact above the subnormals; the radii scale back
+    e = math.frexp(mu_h.max_support)[1] - 1
+    nu = ScalarMeasure(
+        tuple((math.ldexp(t, -e), m) for t, m in mu_h.atoms),
+        tuple((math.ldexp(x, -e), math.ldexp(f, e)) for x, f in mu_h.density),
+    )
+    hi = 1021.0 if least == 0.0 else min(1021.0, 60.0 - 2.0 * math.log2(math.ldexp(least, -e)))
+    lo = -60.0 - math.log2(moment(nu, 2))
     z = -np.exp2(np.linspace(hi, lo, math.ceil((hi - lo) * math.log10(2.0) * NODES_PER_DECADE)))
     # in blocks, so that a density's node-by-sample tables hold ~2^18 values
-    parts = np.array_split(z, 1 + z.size * (1 + len(mu_h.density)) // 2**18)
-    psi = np.concatenate([_psi_raw(mu_h, part, squared=True) for part in parts])
+    parts = np.array_split(z, 1 + z.size * (1 + len(nu.density)) // 2**18)
+    psi = np.concatenate([_psi_raw(nu, part, squared=True) for part in parts])
     # near the atom 1 + psi keeps only its absolute rounding, which can move
     # r^2 by a relative 1e-6 at 1e-10 (1 - mu({0})) above it; the ramp
     # below takes over there.  Past that floor -1 < psi < 0, so r^2 > 0
     ok = psi + (1.0 - atom) >= 1e-10 * (1.0 - atom)
     z, f_dense = z[ok], 1.0 + psi[ok]
-    r_dense = np.sqrt(psi[ok] / (f_dense * z))
+    r_dense = np.ldexp(np.sqrt(psi[ok] / (f_dense * z)), e)
 
     # strictly increasing radii for interpolation: the rounding in 1 + psi
     # grows toward the floor, so a node stays only below every later one

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from freeprob import acceptance, algstruct, rdiagonal
+from freeprob import acceptance, algstruct, measures, rdiagonal
 from freeprob.matmodel import build_m2_free_m2
 from freeprob.rdiagonal import OperatorTag, catalog_brown
 
@@ -32,6 +32,15 @@ def _check(results, number: int) -> None:
 
 def test_criterion_1_s_transform_closed_form(results):
     _check(results, 1)
+
+
+def test_criterion_1_fails_on_a_wrong_psi(monkeypatch):
+    # a relative error of 1e-9 in psi moves S by about 3e-6, past the bound
+    exact = measures._psi_raw
+    monkeypatch.setattr(
+        measures, "_psi_raw", lambda m, z, squared=False: exact(m, z, squared) * (1.0 + 1e-9)
+    )
+    assert not acceptance._criterion_1().passed
 
 
 def test_criterion_2_radial_recipe_worked_example(results):

@@ -1,17 +1,18 @@
-"""Pinned bytes of the radial recipe's files, of the numeric chi, of the
-catalog laws and of the field's CSV formatting.
+"""Pinned bytes of the radial recipe's files, of psi, of the catalog laws
+and of the field's CSV formatting.
 
 The rdiag outputs come from points of the radius map read off psi on a
-fixed grid and a monotone cubic through them, chi_vector is a bisection run
-to float spacing, and the catalog laws are closed-form rational expressions,
-so a refactor that keeps the arithmetic keeps these digests.  On atoms psi
-is rational; on a density it is exact on each linear piece through numpy's
-log1p and arctan, whose SIMD builds may differ in the last bit between CPU
-dispatch targets, so the "with_density" and "density" digests also pin
-those builds.  The field CSV pins format a hand-built BrownField, so they test
-the text and not the kernel.  Outputs that pass through a dense eigensolve
-or factorization (simulate, field values) depend on the LAPACK build and
-are compared between commits by hand instead of being pinned here.
+fixed grid and a monotone cubic through them, psi is a closed form on each
+atom and linear density piece, and the catalog laws are closed-form
+rational expressions, so a refactor that keeps the arithmetic keeps these
+digests.  On atoms psi is rational; on a density it is exact on each linear
+piece through numpy's log1p and arctan, whose SIMD builds may differ in the
+last bit between CPU dispatch targets, so the "with_density" and "density"
+digests also pin those builds.  The field CSV pins format a hand-built
+BrownField, so they test the text and not the kernel.  Outputs that pass
+through a dense eigensolve or factorization (simulate, field values) depend
+on the LAPACK build and are compared between commits by hand instead of
+being pinned here.
 """
 
 import json
@@ -23,7 +24,7 @@ import pytest
 
 from freeprob import cli
 from freeprob.brownfield import BrownField, GridSpec, field_csv_text, mass_csv_text
-from freeprob.measures import ScalarMeasure, chi_vector
+from freeprob.measures import ScalarMeasure, psi_transform
 from freeprob.rdiagonal import OperatorTag, catalog_brown
 
 RDIAG_DIGESTS = {
@@ -65,26 +66,21 @@ MEASURES = {
 }
 
 
-# sha256 of chi_vector on 65 negative arguments spanning (lower limit, 0),
-# both ends approached to within 1e-8 of the range
-CHI_DIGESTS = {
-    "atomic": "444a23ba125b5b17c33dab55cbcd4b008cea5d8ef2b2b5cc7d47f46d17368380",
-    "density": "746c8bbbf5e682b9d06cba30fab12e9f2987dfd1359e9dee1247b6b0993862a1",
+# sha256 of psi_transform at 65 arguments z < 0, geometric from -1e-8 to
+# -1e8: both sides of the series cut and the closed forms.  Criterion 1
+# reads S off these bits of psi on its atoms.
+PSI_DIGESTS = {
+    "atomic": "e1c8e7f7c35252ca478e0fbf224d4405f135001f8ab157e6edce2432e51d5339",
+    "density": "2d5727c72db5758132f774a16a79996d7e94e8ca9f4d34e8882a9a84a5b35131",
 }
 
-CHI_MEASURES = {
+PSI_MEASURES = {
     "atomic": ScalarMeasure(((0.0, 0.25), (1.0, 0.25), (2.0, 0.5))),
     "density": ScalarMeasure(
         ((0.25, 0.5),), tuple(zip(np.linspace(0.5, 1.5, 11).tolist(), [0.5] * 11))
     ),
 }
-CHI_FRACTIONS = np.concatenate(
-    (
-        np.geomspace(1e-8, 1e-2, 8),
-        np.linspace(0.02, 0.98, 49),
-        1.0 - np.geomspace(1e-2, 1e-8, 8),
-    )
-)
+PSI_ARGUMENTS = -np.geomspace(1e-8, 1e8, 65)
 
 
 def _digest(data: bytes) -> str:
@@ -101,12 +97,10 @@ def test_rdiag_output_digests(stem, tmp_path):
     assert record["outputs"] == RDIAG_DIGESTS[stem]
 
 
-@pytest.mark.parametrize("name", sorted(CHI_DIGESTS))
-def test_chi_vector_digests(name):
-    measure = CHI_MEASURES[name]
-    ys = (measure.mass_at(0.0) - 1.0) * CHI_FRACTIONS
-    zs = chi_vector(measure, ys)
-    assert _digest(zs.tobytes()) == CHI_DIGESTS[name]
+@pytest.mark.parametrize("name", sorted(PSI_DIGESTS))
+def test_psi_digests(name):
+    psi = np.array([psi_transform(PSI_MEASURES[name], z) for z in PSI_ARGUMENTS])
+    assert _digest(psi.tobytes()) == PSI_DIGESTS[name]
 
 
 @pytest.mark.parametrize("tag", [t.value for t in OperatorTag])

@@ -1,33 +1,23 @@
-"""Transforms of scalar measures: frozen values, closed forms and quadrature
-as oracles for the one numeric route, and serialization."""
+"""The moment transform psi of scalar measures: frozen values, closed forms
+and quadrature as oracles for the one numeric route, and serialization."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from freeprob import measures
 from freeprob.errors import DomainError, MeasureFormatError
-from freeprob.measures import (
-    ScalarMeasure,
-    _psi_raw,
-    chi_vector,
-    moment,
-    psi_transform,
-    s_transform,
-)
+from freeprob.measures import ScalarMeasure, _psi_raw, moment, psi_transform
 
 BERNOULLI = ScalarMeasure(((0.0, 0.5), (1.0, 0.5)))
 DIRAC_ONE = ScalarMeasure(((1.0, 1.0),))
 TWO_ATOM = ScalarMeasure(((1.0, 0.5), (4.0, 0.5)))
 
-# Independent oracle: brentq on 0.5 z/(1-z) + 2 z/(1-4z) = -0.25 over (-10, 0),
-# frozen from a run with xtol=1e-16.
-TWO_ATOM_CHI_AT_MINUS_QUARTER = -0.14766682272156378
+# Independent oracle: the z where psi(z) = 0.5 z/(1-z) + 2 z/(1-4z) = -0.25,
+# by brentq over (-10, 0), frozen from a run with xtol=1e-16.
+TWO_ATOM_Z_AT_MINUS_QUARTER = -0.14766682272156378
 
 
 def _normalized(xs, fs):
@@ -136,6 +126,21 @@ class TestPsi:
         # psi(z) = z / (2 (1 - z))
         assert psi_transform(BERNOULLI, -1.0) == pytest.approx(-0.25, abs=1e-14)
         assert psi_transform(BERNOULLI, 0.0) == 0.0
+        # the projection family, alpha at 1 and the rest at 0:
+        # psi(z) = alpha z / (1 - z)
+        for alpha in (0.25, 0.5, 0.9):
+            m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
+            for z in -np.geomspace(1e-3, 1e3, 25):
+                assert psi_transform(m, z) == pytest.approx(alpha * z / (1 - z), abs=1e-14)
+
+    def test_two_atom_against_frozen_oracle(self):
+        got = psi_transform(TWO_ATOM, TWO_ATOM_Z_AT_MINUS_QUARTER)
+        assert got == pytest.approx(-0.25, abs=1e-14)
+        # recompute the oracle in place to keep the frozen value honest
+        f = lambda z: 0.5 * z / (1 - z) + 2 * z / (1 - 4 * z) + 0.25
+        assert brentq(f, -10.0, 0.0, xtol=1e-15) == pytest.approx(
+            TWO_ATOM_Z_AT_MINUS_QUARTER, abs=1e-12
+        )
 
     def test_dirac_value(self):
         assert psi_transform(DIRAC_ONE, -1.0) == pytest.approx(-0.5, abs=1e-14)
@@ -194,143 +199,3 @@ class TestDensityOracle:
                 t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
                 want += 0.5 * (b - a) * np.sum(weights * np.interp(t, xs, fs) * t**k)
             assert moment(m, k) == pytest.approx(want, abs=1e-14)
-
-
-class TestChi:
-    def test_bernoulli_closed_form(self):
-        # chi(y) = 2y / (1 + 2y)
-        assert chi_vector(BERNOULLI, [-0.25])[0] == pytest.approx(-1.0, abs=1e-14)
-
-    def test_dirac(self):
-        # chi(y) = y / (1 + y)
-        assert chi_vector(DIRAC_ONE, [-0.5])[0] == pytest.approx(-1.0, abs=1e-14)
-
-    def test_two_atom_against_frozen_oracle(self):
-        got = chi_vector(TWO_ATOM, [-0.25])[0]
-        assert got == pytest.approx(TWO_ATOM_CHI_AT_MINUS_QUARTER, abs=1e-13)
-        # recompute the oracle in place to keep the frozen value honest
-        f = lambda z: 0.5 * z / (1 - z) + 2 * z / (1 - 4 * z) + 0.25
-        assert brentq(f, -10.0, 0.0, xtol=1e-15) == pytest.approx(got, abs=1e-12)
-
-    def test_round_trip_over_corpus(self):
-        for m in corpus():
-            lower = m.mass_at(0.0) - 1.0
-            ys = np.linspace(lower + 1e-3, 0.0, 17)[:-1]
-            for y, z in zip(ys, chi_vector(m, ys)):
-                assert abs(psi_transform(m, z) - y) <= 1e-10
-
-    def test_out_of_range_raises(self):
-        for bad in (-0.75, math.nan):
-            with pytest.raises(DomainError):
-                chi_vector(BERNOULLI, [bad])
-            with pytest.raises(DomainError):
-                s_transform(BERNOULLI, [bad])
-        # no atom at the top of the support, so psi stays bounded above
-        xs = tuple(np.linspace(0.5, 1.5, 101))
-        flat = ScalarMeasure(((0.25, 0.5),), tuple(zip(xs, [0.5] * 101)))
-        with pytest.raises(DomainError):
-            chi_vector(flat, [1e9])
-
-    def test_positive_argument_raises(self):
-        # chi is the inverse of psi on z <= 0, whose values are <= 0
-        for ys in ([0.25], [-0.25, 0.25], [-0.25, 5e-324]):
-            with pytest.raises(DomainError):
-                chi_vector(TWO_ATOM, np.array(ys))
-            with pytest.raises(DomainError):
-                s_transform(TWO_ATOM, np.array(ys))
-
-    def test_unconverged_bisection_raises(self, monkeypatch):
-        monkeypatch.setattr(measures, "BISECTION_STEPS", 10)
-        with pytest.raises(DomainError, match="float spacing"):
-            chi_vector(BERNOULLI, np.array([-0.25]))
-
-    def test_vectorized_chi_matches_scalar(self):
-        # one call on all the arguments gives the one-element results, and
-        # both meet the closed form 2y / (1 + 2y)
-        ys = np.linspace(-0.49, -0.01, 25)
-        zs = chi_vector(BERNOULLI, ys)
-        assert np.array_equal(zs, [chi_vector(BERNOULLI, [y])[0] for y in ys])
-        assert np.max(np.abs(zs - 2 * ys / (1 + 2 * ys))) <= 1e-12
-
-
-class TestSTransform:
-    def test_bernoulli_value(self):
-        # S(w) = 2 (1 + w) / (1 + 2 w) for the half-half measure on {0, 1}
-        assert s_transform(BERNOULLI, -0.25) == pytest.approx(3.0, abs=1e-12)
-
-    def test_dirac_is_constant_one(self):
-        got = s_transform(DIRAC_ONE, [-0.9, -0.5, -0.1, 0.0])
-        assert np.max(np.abs(got - 1.0)) <= 1e-12
-
-    def test_zero_extension_is_reciprocal_mean(self):
-        assert s_transform(TWO_ATOM, 0.0) == pytest.approx(1.0 / 2.5, abs=1e-14)
-
-    def test_subnormal_arguments_take_the_zero_extension(self):
-        # chi(w) and w are then both a few subnormal ulps, and their ratio is
-        # noise; S'(0) is finite, so S(w) = S(0) to double precision
-        density = ScalarMeasure(((0.5, 0.25),), ((0.5, 0.75), (1.0, 0.75), (1.5, 0.75)))
-        for m in (TWO_ATOM, density):
-            got = s_transform(m, [-5e-324, -1e-310])
-            assert np.array_equal(got, [1.0 / moment(m, 1)] * 2)
-        assert 1.0 / moment(density, 1) == pytest.approx(8.0 / 7.0, abs=1e-15)
-
-    def test_vector_call_matches_one_element_calls(self):
-        for m in corpus():
-            lower = m.mass_at(0.0) - 1.0
-            ws = np.linspace(lower + 1e-3, 0.0, 17)
-            vals = s_transform(m, ws)
-            singles = [s_transform(m, [w])[0] for w in ws]
-            assert np.array_equal(vals, singles)
-
-    def test_projection_family_closed_form(self):
-        # alpha at 1, rest at 0: S(w) = (1 + w) / (alpha + w)
-        for alpha in (0.25, 0.5, 0.9):
-            m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
-            ws = np.linspace(-alpha, 0.0, 52)[1:-1]
-            want = (1 + ws) / (alpha + ws)
-            assert np.max(np.abs(s_transform(m, ws) - want)) <= 1e-10
-
-    def test_strictly_decreasing_for_non_dirac(self):
-        for m in corpus():
-            lower = m.mass_at(0.0) - 1.0
-            vals = s_transform(m, np.linspace(lower + 1e-4, -1e-4, 60))
-            assert np.all(np.diff(vals) < 0.0)
-
-    def test_domain_enforced(self):
-        with pytest.raises(DomainError):
-            s_transform(BERNOULLI, 0.25)
-        with pytest.raises(DomainError):
-            s_transform(BERNOULLI, -0.5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0.1, 8.0, allow_nan=False),
-            st.integers(1, 5),
-        ),
-        min_size=1,
-        max_size=4,
-        unique_by=lambda p: p[0],
-    )
-)
-def test_round_trip_property(raw):
-    # random atomic measures: psi(chi(y)) = y across (-1, 0)
-    weight = sum(w for _, w in raw)
-    m = ScalarMeasure(tuple((loc, w / weight) for loc, w in raw))
-    ys = np.array([-0.99, -0.6, -0.25, -1e-3])
-    singles = np.array([chi_vector(m, [y])[0] for y in ys])
-    # one call on all the arguments gives the one-element results
-    zs = chi_vector(m, ys)
-    assert np.array_equal(zs, singles)
-    for y, z in zip(ys, zs):
-        assert abs(psi_transform(m, z) - y) <= 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.05, 0.95))
-def test_projection_family_property(alpha):
-    m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
-    w = -alpha / 2
-    assert s_transform(m, w) == pytest.approx((1 + w) / (alpha + w), abs=1e-10)

@@ -127,11 +127,11 @@ class TestTwoAtomAnnulus:
         assert np.array_equal(flipped.radii, base.radii)
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-30, 1e30, 1e100, 1e150])
     def test_cdf_is_scale_free(self, scale):
-        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; the
-        # z grid's ends move as 1/s^2, and for these s both stay inside the
-        # double range
+        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; psi
+        # is read on the measure scaled to a support ending in [1, 2), so the
+        # z grid is the same at every s
         base = brown_rdiagonal(TWO_ATOM)
         scaled = brown_rdiagonal(ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5))))
         probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 101)
@@ -322,10 +322,11 @@ class TestSerialization:
         assert max(rows) == pytest.approx(SQRT_HALF)
         assert rows[max(rows)] == 1.0
 
-    @pytest.mark.parametrize("exponent", [-10, 10])
+    @pytest.mark.parametrize("exponent", [-500, -10, 10, 500])
     def test_csv_rows_scale_with_the_measure(self, exponent):
-        # the grid step follows the outer radius's power of two, so scaling
-        # H by 2^e scales every row's radius by 2^e and keeps its mass
+        # the grid step follows the outer radius's power of two and psi is
+        # read on the measure scaled back by a power of two, so scaling H by
+        # 2^e scales every row's radius by 2^e and keeps its mass
         scale = 2.0**exponent
         base = brown_rdiagonal(TWO_ATOM).cdf_csv_rows()
         scaled = brown_rdiagonal(
