@@ -126,12 +126,6 @@ class TestPsi:
         # psi(z) = z / (2 (1 - z))
         assert psi_transform(BERNOULLI, -1.0) == pytest.approx(-0.25, abs=1e-14)
         assert psi_transform(BERNOULLI, 0.0) == 0.0
-        # the projection family, alpha at 1 and the rest at 0:
-        # psi(z) = alpha z / (1 - z)
-        for alpha in (0.25, 0.5, 0.9):
-            m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
-            for z in -np.geomspace(1e-3, 1e3, 25):
-                assert psi_transform(m, z) == pytest.approx(alpha * z / (1 - z), abs=1e-14)
 
     def test_two_atom_against_frozen_oracle(self):
         got = psi_transform(TWO_ATOM, TWO_ATOM_Z_AT_MINUS_QUARTER)
@@ -169,6 +163,33 @@ class TestPsi:
         zs = -np.geomspace(1e-20, 1e20, 41)
         squared = ScalarMeasure(((1.0, 0.5), (16.0, 0.5)))
         assert np.array_equal(_psi_raw(TWO_ATOM, zs, squared=True), _psi_raw(squared, zs))
+
+
+class TestSTransform:
+    # S is read off psi as criterion 1 reads it: at w = psi(z),
+    # S(w) = (1 + w) z / w, with no inversion of psi
+
+    def test_projection_family_closed_form(self):
+        # alpha at 1, rest at 0: psi(z) = alpha z / (1 - z) and
+        # S(w) = (1 + w) / (alpha + w)
+        for alpha in (0.25, 0.5, 0.9):
+            m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
+            for z in -np.geomspace(1e-3, 1e3, 25):
+                assert psi_transform(m, z) == pytest.approx(alpha * z / (1 - z), abs=1e-14)
+            ws = np.linspace(-alpha, 0.0, 52)[1:-1]
+            zs = ws / (alpha + ws)
+            got = np.array([psi_transform(m, z) for z in zs])
+            want = (1 + ws) / (alpha + ws)
+            assert np.max(np.abs((1 + got) * zs / got - want)) <= 1e-10
+
+
+def test_projection_family_property():
+    # psi(-1) = -alpha / 2 across the family, where S = (1 + w) / (alpha + w)
+    for alpha in np.linspace(0.05, 0.95, 40):
+        m = ScalarMeasure(((0.0, 1 - alpha), (1.0, alpha)))
+        w = psi_transform(m, -1.0)
+        assert w == pytest.approx(-alpha / 2, abs=1e-14)
+        assert (1 + w) * -1.0 / w == pytest.approx((1 + w) / (alpha + w), abs=1e-10)
 
 
 class TestDensityOracle:
