@@ -561,32 +561,38 @@ def _criterion_9():
             "--seeds", "2", "--seed", "31337",
         ]
         field = ["field", "--matrix", str(matrix_path), "--grid-n", "40", "--threads"]
-        # each command's runs, which must write identical outputs
+        # each command's runs, which must write identical outputs, and how
+        # they differ
         runs = {
-            "rdiag": [["rdiag", str(measure_path)]] * 2,
-            "simulate": [simulate] * 2,
-            "field": [[*field, threads] for threads in ("1", "4", "1")],
+            "rdiag": ([["rdiag", str(measure_path)]] * 2, "repeated"),
+            "simulate": ([simulate] * 2, "repeated with one seed"),
+            "field": (
+                [[*field, threads] for threads in ("1", "4", "1")],
+                "at 1, 4 and again 1 worker threads; rows are assembled by index",
+            ),
         }
-        for name, argvs in runs.items():
-            seen = []
-            for run, argv in zip("abc", argvs):
+        details = []
+        for name, (argvs, how) in runs.items():
+            seen, labels = [], "abc"[: len(argvs)]
+            for run, argv in zip(labels, argvs):
                 out = base / f"{name}-{run}"
                 code = _run_cli([*argv, "--out-dir", str(out)])
                 if code != 0:
                     failures.append(f"{name} run {run} exited {code}")
-                seen.append(_output_digests(out))
-            if any(digests != seen[0] for digests in seen):
+                # a failed run may have written nothing, and matches no run
+                seen.append(_output_digests(out) if code == 0 else run)
+            matched = all(digests == seen[0] for digests in seen)
+            if not matched:
                 failures.append(f"{name}: repeated runs produced different digests")
+            details.append(
+                f"{name} runs {', '.join(labels)} ({how}): output digests "
+                + ("matched" if matched else "differed")
+            )
 
     return (
         not failures,
         "; ".join(failures) or "identical digests across repeated runs and thread counts",
-        (
-            "rdiag and seeded simulate repeated with identical outputs",
-            "field run at 1, 4, and again 1 worker threads with bitwise "
-            "identical outputs (rows are assembled by index, so the "
-            "reduction order never changes)",
-        ),
+        tuple(details),
     )
 
 

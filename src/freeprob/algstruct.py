@@ -19,12 +19,13 @@ each, when they are first read.  The subspace search offers the radical
 image before it asks for the commutant, so a non-semisimple algebra is
 answered without forming its commutant; the k-fold decision reads the
 ampliation's radical image and scales off the span's own.  A candidate
-subspace is accepted or refused from the Frobenius norm of its residual
-where that settles the spectral-norm test, so an SVD is taken only in the
-band between.  The commutant is solved from the generators alone; the
-orbit route draws its tuples in one call and checks them in one batched
-SVD.  A tall matrix whose left singular vectors are not needed is
-decomposed through its QR factor, which gives the same bits.
+subspace is accepted when its spectral invariance residual, the one the
+report gives, is within the bound.  A span holds its basis once, as one
+read-only array that its flattened rows view.  The commutant is solved
+from the generators alone; the orbit route draws its tuples in one call
+and checks them in one batched SVD.  A tall matrix whose left singular
+vectors are not needed is decomposed through its QR factor, which gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -129,31 +130,33 @@ class AlgebraSpan:
 
     close_algebra is the only supported constructor: it makes the basis
     span exactly the algebra the generators generate.  The constructor
-    itself checks only that the basis is trace-orthonormal (trace(b_i^* b_j)
-    = delta_ij) and holds the identity, and that there is a generator.
-    Commutant and invariance checks read only the generators, so a span
-    built by hand answers for its generators, not its basis.
-    closure_residual is the largest relative residual of close_algebra's
-    final left products; gap_flagged marks a borderline singular-value cut.
-    The commutant and radical properties hold the module functions'
-    answers, radical_image the column space of the stacked radical and
-    scales max(1, ||g||_2) per generator; each is computed on first read,
-    once per span, and read only.
+    itself checks only that the basis, a (dim, N, N) array it keeps as a
+    read-only view, is trace-orthonormal (trace(b_i^* b_j) = delta_ij) and
+    holds the identity, and that there is a generator.  Commutant and
+    invariance checks read only the generators, so a span built by hand
+    answers for its generators, not its basis.  closure_residual is the
+    largest relative residual of close_algebra's final left products;
+    gap_flagged marks a borderline singular-value cut.  The commutant and
+    radical properties hold the module functions' answers, radical_image
+    the column space of the stacked radical and scales max(1, ||g||_2) per
+    generator; each is computed on first read, once per span, and read only.
     """
 
-    ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     generators: tuple[np.ndarray, ...]
     closure_residual: float = 0.0
     gap_flagged: bool = False
 
     def __post_init__(self) -> None:
-        n = self.ambient_dim
-        if not self.basis:
+        # a view, so that marking it read-only leaves the caller's array alone
+        basis = np.ascontiguousarray(self.basis, dtype=complex).view()
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+        if len(basis) == 0:
             raise DomainError("algebra span needs at least one basis element")
-        rows = self.rows
+        n, rows = self.ambient_dim, self.rows
         gram = rows.conj() @ rows.T
-        if np.abs(gram - np.eye(len(self.basis))).max() > 1e-8:
+        if np.abs(gram - np.eye(self.dim)).max() > 1e-8:
             raise DomainError("basis is not trace-orthonormal")
         ident = np.eye(n, dtype=complex).ravel()
         resid = ident - rows.T @ (rows.conj() @ ident)
@@ -166,12 +169,14 @@ class AlgebraSpan:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[-1]
+
+    @property
     def rows(self) -> np.ndarray:
-        """The basis elements, row-major flattened, as read-only rows."""
-        rows = np.array([b.ravel() for b in self.basis])
-        rows.flags.writeable = False
-        return rows
+        """The basis elements, row-major flattened: a read-only view."""
+        return self.basis.reshape(self.dim, -1)
 
     @cached_property
     def commutant(self) -> tuple[np.ndarray, ...]:
@@ -256,8 +261,7 @@ def close_algebra(generators) -> AlgebraSpan:
                 )
                 worst = max(worst, float(rel.max()))
             return AlgebraSpan(
-                ambient_dim=n,
-                basis=tuple(mats),
+                basis=mats,
                 generators=gens,
                 closure_residual=worst,
                 gap_flagged=flagged,
@@ -300,7 +304,7 @@ def radical(span: AlgebraSpan) -> list[np.ndarray]:
     """
     rows = span.rows
     # bilinear trace(b_i b_j) = vec(b_i) . vec(b_j^T), not sesquilinear
-    gram = rows @ np.array([b.T.ravel() for b in span.basis]).T
+    gram = rows @ span.basis.transpose(0, 2, 1).reshape(span.dim, -1).T
     _, s, vh = np.linalg.svd(gram)
     coef, _ = _orthonormal_rows(vh[_rank(s) :].conj())
     n = span.ambient_dim
@@ -350,36 +354,14 @@ def _outside_parts(generators, vectors: np.ndarray):
 
 
 def _invariance_residual(generators, scales, vectors: np.ndarray) -> float:
-    """Worst relative spectral norm of the parts of g*V outside span(V)."""
+    """Worst relative spectral norm of the parts of g*V outside span(V).
+
+    span(V) counts as invariant when this is at most INVARIANCE_ATOL.  The
+    SVD behind the norm first scales a matrix whose entries pass LAPACK's
+    safe range, so a generator near 1e200 does not overflow it.
+    """
     parts = zip(_outside_parts(generators, vectors), scales)
     return max([0.0, *(float(np.linalg.norm(out, 2)) / scale for out, scale in parts)])
-
-
-# relative room for rounding in the Frobenius shortcuts, so that only a norm
-# far inside or outside the bound skips the spectral norm
-_NORM_SLACK = 1e-12
-
-
-def _is_invariant(generators, scales, vectors: np.ndarray) -> bool:
-    """Whether every generator maps span(V) into itself within tolerance.
-
-    The test is ||R||_2 <= INVARIANCE_ATOL for each outside part R over its
-    generator's scale, with m columns.  Since ||R||_2 <= ||R||_F <= sqrt(m)
-    ||R||_2, the cheap Frobenius norm settles it outside the band between
-    bound and sqrt(m) bound; only a norm inside the band takes an SVD.  R is
-    divided before any norm, which would overflow for a generator near 1e200.
-    """
-    root_m = np.sqrt(vectors.shape[1])
-    for out, scale in zip(_outside_parts(generators, vectors), scales):
-        out = out / scale
-        fro = float(np.linalg.norm(out))
-        if fro <= INVARIANCE_ATOL * (1.0 - _NORM_SLACK):
-            continue
-        if fro > root_m * INVARIANCE_ATOL * (1.0 + _NORM_SLACK):
-            return False
-        if float(np.linalg.norm(out, 2)) > INVARIANCE_ATOL:
-            return False
-    return True
 
 
 def _column_space(matrix: np.ndarray) -> np.ndarray:
@@ -466,8 +448,8 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     candidates = _subspace_candidates(span.radical_image, lambda: span.commutant, rng)
     for kind, vectors in candidates:
         found_any = True
-        if _is_invariant(gens, scales, vectors):
-            resid = _invariance_residual(gens, scales, vectors)
+        resid = _invariance_residual(gens, scales, vectors)
+        if resid <= INVARIANCE_ATOL:
             return SubspaceReport(kind=kind, basis=vectors, verified=True, residual=resid)
     if found_any:
         raise InternalInconsistencyError(
@@ -544,7 +526,7 @@ def kfold_transitive(
     )
     found_any = False
     for _, vectors in candidates:
-        if _is_invariant(gens, span.scales, vectors):
+        if _invariance_residual(gens, span.scales, vectors) <= INVARIANCE_ATOL:
             if not _blocks_scalar(vectors @ vectors.conj().T, k, n):
                 return False
             found_any = True
@@ -557,7 +539,7 @@ def kfold_transitive(
     # each draw takes its real part, then its imaginary part
     parts = rng.standard_normal((ORBIT_TUPLES, 2, n, k))
     tuples = np.concatenate([np.eye(n, k, dtype=complex)[None], parts[:, 0] + 1j * parts[:, 1]])
-    if not _orbits_full(span.rows.reshape(span.dim, n, n), tuples):
+    if not _orbits_full(span.basis, tuples):
         raise InternalInconsistencyError(
             "orbit sampling certified a deficient tuple but the ampliation "
             "lattice route judged the span k-fold transitive"

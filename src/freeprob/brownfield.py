@@ -139,18 +139,27 @@ class BrownField:
     (nx-2) x (ny-2) over interior nodes; noise_floor is an a posteriori
     bound on the discretization error of a single cell mass, inf on a grid
     too small to estimate it.  flagged lists nodes whose lambda collided
-    with an eigenvalue and was nudged by half a cell before evaluation;
-    sentinels lists corner nodes that stayed singular even after the nudge
-    (their values are -inf, and no stencil reads them).
+    with an eigenvalue and was nudged by half a cell before evaluation.  A
+    node that stayed singular even after the nudge holds -inf, and only a
+    corner node, which no stencil reads, may.
     """
 
     grid: GridSpec
     values: np.ndarray
-    path: str
     laplacian_mass: np.ndarray
     noise_floor: float
     flagged: tuple[tuple[int, int], ...] = ()
-    sentinels: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def path(self) -> str:
+        """The kernel that evaluated the field, which epsilon selects."""
+        return "schur" if self.grid.epsilon == 0.0 else "svd"
+
+    @property
+    def sentinels(self) -> tuple[tuple[int, int], ...]:
+        """The -inf nodes, grid row by grid row."""
+        iy, ix = np.nonzero(self.values.T == -math.inf)
+        return tuple(zip(ix.tolist(), iy.tolist()))
 
     def total_mass(self) -> float:
         return float(self.laplacian_mass.sum())
@@ -179,26 +188,23 @@ def require_gram_fits(n: int, nx: int, workers: int) -> int:
 
 def _schur_column(
     diag: np.ndarray, xs: np.ndarray, y: float, jitter: complex
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """One grid row of (1/N) sum ln|u_kk - lambda| with collision handling."""
+) -> tuple[np.ndarray, list[int]]:
+    """One grid row of (1/N) sum ln|u_kk - lambda| with collision handling:
+    a node on an eigenvalue is nudged by the jitter and flagged, and one
+    still on an eigenvalue after that holds -inf."""
     lam = xs + 1j * y
     dist = np.abs(diag[None, :] - lam[:, None])
     vals = np.empty(xs.size)
-    flagged: list[int] = []
-    dead: list[int] = []
     bad = np.any(dist == 0.0, axis=1)
     good = ~bad
     if good.any():
         vals[good] = np.log(dist[good]).sum(axis=1) / diag.size
-    for ix in np.nonzero(bad)[0]:
+    flagged = np.nonzero(bad)[0].tolist()
+    for ix in flagged:
         moved = np.abs(diag - (lam[ix] + jitter))
-        flagged.append(int(ix))
-        if np.any(moved == 0.0):
-            vals[ix] = -math.inf
-            dead.append(int(ix))
-        else:
+        with np.errstate(divide="ignore"):
             vals[ix] = float(np.log(moved).sum()) / diag.size
-    return vals, flagged, dead
+    return vals, flagged
 
 
 def _svd_column(
@@ -268,16 +274,14 @@ def logdet_field(
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-    path = "schur" if grid.epsilon == 0.0 else "svd"
     n = matrix.shape[0]
     workers = min(threads, grid.ny)
 
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.nx, grid.ny))
     flagged: list[tuple[int, int]] = []
-    sentinels: list[tuple[int, int]] = []
 
-    if path == "schur":
+    if grid.epsilon == 0.0:
         try:
             tri, _ = scipy.linalg.schur(matrix, output="complex")
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -293,67 +297,47 @@ def logdet_field(
 
         def run_rows(share: np.ndarray):
             buf = np.empty((chunk, n, n), dtype=complex)
-            return [
-                (_svd_column(matrix, xs, iy, ys[iy], grid.epsilon, buf), [], [])
-                for iy in share
-            ]
+            return [(_svd_column(matrix, xs, iy, ys[iy], grid.epsilon, buf), []) for iy in share]
 
     # contiguous shares keep the first failing row first in the results,
     # so an error names the same row for any thread count
     shares = np.array_split(np.arange(grid.ny), workers)
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         rows = [row for done in pool.map(run_rows, shares) for row in done]
-    for iy, (col, flags, dead) in enumerate(rows):
+    for iy, (col, flags) in enumerate(rows):
         values[:, iy] = col
         flagged.extend((ix, iy) for ix in flags)
-        sentinels.extend((ix, iy) for ix in dead)
 
-    mass, floor = brown_laplacian(grid, values, sentinels)
+    mass, floor = brown_laplacian(grid, values)
     return BrownField(
         grid=grid,
         values=values,
-        path=path,
         laplacian_mass=mass,
         noise_floor=floor,
         flagged=tuple(flagged),
-        sentinels=tuple(sentinels),
     )
 
 
-def brown_laplacian(
-    grid: GridSpec, values: np.ndarray, sentinels: list[tuple[int, int]]
-) -> tuple[np.ndarray, float]:
+def brown_laplacian(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-cell masses, (1/2pi) x five-point Laplacian x cell area, and
     their noise floor.
 
     The noise floor is an a posteriori estimate of the discretization error
-    of one cell mass, from fourth differences of the field.  Sentinel nodes
-    poison every stencil they touch and are a hard error; nudged (flagged)
-    nodes carry usable values and are merely reported.
+    of one cell mass, from fourth differences of the field.  A non-finite
+    node, such as a -inf sentinel left singular by the nudge, poisons every
+    stencil it touches and is a hard error unless it is a corner; nudged
+    (flagged) nodes carry usable values and are merely reported.
     """
-    v = values
+    finite = np.isfinite(values)
     # the four corner nodes are the only ones no interior stencil reads
-    corners = {
-        (0, 0),
-        (0, grid.ny - 1),
-        (grid.nx - 1, 0),
-        (grid.nx - 1, grid.ny - 1),
-    }
-    contaminated = sorted(set(sentinels) - corners)
-    if contaminated:
-        raise SentinelError(
-            f"field has singular nodes at {contaminated}; resample the grid"
-        )
-    finite = np.isfinite(v)
-    if not finite.all():
-        bad = {(int(i), int(j)) for i, j in zip(*np.nonzero(~finite))}
-        if bad - corners:
-            raise SentinelError(
-                f"field has non-finite values at {sorted(bad - corners)}"
-            )
-        # corner infinities never enter a stencil; mask them out of the
-        # fourth-difference scan only
-        v = np.where(finite, v, np.nan)
+    inner = ~finite
+    inner[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+    if inner.any():
+        singular = [(int(i), int(j)) for i, j in np.argwhere(inner)]
+        raise SentinelError(f"field has singular nodes at {singular}; resample the grid")
+    # corner infinities never enter a stencil; mask them out of the
+    # fourth-difference scan only
+    v = values if finite.all() else np.where(finite, values, np.nan)
     dx, dy = grid.dx, grid.dy
     lap = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 + (
         v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]

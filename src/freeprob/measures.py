@@ -169,7 +169,9 @@ def _density_moment(measure: ScalarMeasure, k: int, scale: float = 1.0) -> float
 
 def moment(measure: ScalarMeasure, k: int) -> float:
     """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1.  An atom so
-    far out that its t^k passes the double range is refused."""
+    far out that its t^k passes the double range is refused.  The density
+    is read on the power-of-two scale of its support's end, which is exact
+    and keeps the powers of its pieces inside the double range."""
     if k < 0:
         raise DomainError("moment order must be a nonnegative integer")
     if k == 0:
@@ -180,7 +182,16 @@ def moment(measure: ScalarMeasure, k: int) -> float:
         raise DomainError(
             f"an atom at {measure.atoms[-1][0]:.3g} puts moment {k} past the double range"
         ) from None
-    return atoms + _density_moment(measure, k)
+    if not measure.density:
+        return atoms
+    top = measure.density[-1][0]
+    e = math.frexp(top)[1] - 1
+    try:
+        return atoms + math.ldexp(_density_moment(measure, k, math.ldexp(1.0, e)), k * e)
+    except OverflowError:
+        raise DomainError(
+            f"a density reaching {top:.3g} puts moment {k} past the double range"
+        ) from None
 
 
 # -- psi ------------------------------------------------------------------

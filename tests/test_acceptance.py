@@ -80,7 +80,7 @@ def test_criterion_8_algebra_suite(results):
 def test_criterion_8_counts_failed_verification(monkeypatch):
     # no candidate subspace re-verifies, so every instance's subspace search
     # or 2-fold decision raises, and the criterion must count it and fail
-    monkeypatch.setattr(algstruct, "_is_invariant", lambda gens, scales, vectors: False)
+    monkeypatch.setattr(algstruct, "_invariance_residual", lambda gens, scales, vectors: 1.0)
     result = acceptance._criterion_8()
     assert not result.passed
     assert "100 failed verifications" in result.headline
@@ -92,6 +92,34 @@ def test_criterion_8_counts_failed_verification(monkeypatch):
 
 def test_criterion_9_cli_reproducibility(results):
     _check(results, 9)
+    assert results.results[8].details[:3] == (
+        "rdiag runs a, b (repeated): output digests matched",
+        "simulate runs a, b (repeated with one seed): output digests matched",
+        "field runs a, b, c (at 1, 4 and again 1 worker threads; rows are "
+        "assembled by index): output digests matched",
+    )
+
+
+def test_criterion_9_reports_a_digest_mismatch(monkeypatch):
+    # every run reads as different from the one before, so each command's
+    # comparison fails and no detail line may claim identical outputs
+    counter = itertools.count()
+    monkeypatch.setattr(acceptance, "_output_digests", lambda out: {"out": str(next(counter))})
+    result = acceptance._criterion_9()
+    assert not result.passed
+    assert "rdiag: repeated runs produced different digests" in result.headline
+    assert all(d.endswith("output digests differed") for d in result.details[:3])
+    assert not any("identical" in d or "matched" in d for d in result.details)
+
+
+def test_criterion_9_reports_a_failed_run(monkeypatch):
+    # a run that exits non-zero writes no outputs; the criterion must say so
+    # instead of failing to read them
+    monkeypatch.setattr(acceptance, "_run_cli", lambda argv: 3)
+    result = acceptance._criterion_9()
+    assert not result.passed
+    assert result.headline.startswith("rdiag run a exited 3; rdiag run b exited 3")
+    assert not any("matched" in d for d in result.details)
 
 
 def _slow_clock(monkeypatch, step: float) -> None:

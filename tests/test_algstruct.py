@@ -94,6 +94,13 @@ class TestCloseAlgebra:
         gram = rows.conj() @ rows.T
         assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
+    def test_basis_is_held_once(self, m2):
+        # the rows are a view of the one (dim, N, N) basis array, and neither
+        # can be written through
+        assert m2.basis.shape == (4, 2, 2)
+        assert np.shares_memory(m2.rows, m2.basis)
+        assert not m2.basis.flags.writeable and not m2.rows.flags.writeable
+
     def test_empty_generators(self):
         with pytest.raises(DomainError):
             close_algebra([])
@@ -289,15 +296,14 @@ class TestFindInvariantSubspace:
     def test_verification_at_the_spectral_bound(self, a, verified):
         # the radical's image is V = span(e1, e2); g maps e1 -> a e3 and
         # e2 -> a e4, so R = (I - VV^*) g V has ||R||_2 = a and ||R||_F =
-        # a sqrt(2) against the bound 1e-9: 0.9e-9 lies between the two
-        # Frobenius tests and needs the spectral norm, 1.1e-9 fails
+        # a sqrt(2) against the bound 1e-9: 0.9e-9 passes on the spectral
+        # norm although its Frobenius norm does not, and 1.1e-9 fails
         nil = np.zeros((4, 4), dtype=complex)
         nil[0, 2] = nil[1, 3] = 1.0
         g = np.zeros((4, 4), dtype=complex)
         g[2, 0] = g[3, 1] = a
         span = AlgebraSpan(
-            ambient_dim=4,
-            basis=(np.eye(4, dtype=complex) / 2, nil / np.sqrt(2)),
+            basis=np.array([np.eye(4, dtype=complex) / 2, nil / np.sqrt(2)]),
             generators=(g,),
         )
         rep = find_invariant_subspace(span)
@@ -316,6 +322,26 @@ class TestFindInvariantSubspace:
             assert not np.allclose(v @ v.conj().T, np.diag([1, 1, 0, 0]))
             gv = g @ v
             assert np.linalg.norm(gv - v @ (v.conj().T @ gv), 2) <= 1e-9
+
+    @pytest.mark.parametrize("a, verified", [(0.9e-9, True), (1.1e-9, False)])
+    def test_bound_is_relative_for_a_generator_near_1e200(self, a, verified):
+        # g = 1e200 (E44 + a E31 + a E42) has ||g||_2 = 1e200 to rounding and
+        # moves V = span(e1, e2) out by 1e200 a, which is a relative to its
+        # scale: the decision is the one at scale 1, with nothing overflowing
+        nil = np.zeros((4, 4), dtype=complex)
+        nil[0, 2] = nil[1, 3] = 1.0
+        g = np.zeros((4, 4), dtype=complex)
+        g[3, 3], g[2, 0], g[3, 1] = 1e200, a * 1e200, a * 1e200
+        span = AlgebraSpan(
+            basis=np.array([np.eye(4, dtype=complex) / 2, nil / np.sqrt(2)]),
+            generators=(g,),
+        )
+        rep = find_invariant_subspace(span)
+        assert rep.verified
+        radical_image = np.allclose(rep.basis @ rep.basis.conj().T, np.diag([1, 1, 0, 0]))
+        assert radical_image == verified
+        if verified:
+            assert rep.residual == pytest.approx(a, rel=1e-12)
 
     def test_report_json_round_trip(self, upper2):
         payload = find_invariant_subspace(upper2).to_json()
@@ -528,15 +554,14 @@ class TestSpanValidation:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(DomainError):
             AlgebraSpan(
-                ambient_dim=2,
-                basis=(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
+                basis=np.array([np.eye(2, dtype=complex), np.eye(2, dtype=complex)]),
                 generators=(),
             )
 
     def test_rejects_span_without_generators(self):
         with pytest.raises(DomainError, match="generator"):
-            AlgebraSpan(ambient_dim=2, basis=(np.eye(2) / np.sqrt(2),), generators=())
+            AlgebraSpan(basis=np.array([np.eye(2) / np.sqrt(2)]), generators=())
 
     def test_rejects_span_without_identity(self):
         with pytest.raises(DomainError):
-            AlgebraSpan(ambient_dim=2, basis=(E12,), generators=(E12,))
+            AlgebraSpan(basis=np.array([E12]), generators=(E12,))

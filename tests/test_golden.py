@@ -136,9 +136,7 @@ def _hand_built_field() -> BrownField:
     values[4, 3] = -0.0
     values[2, 1] = 5e-324
     mass = np.arange(6.0).reshape(3, 2) / 11.0 - 0.2
-    return BrownField(
-        grid=grid, values=values, path="svd", laplacian_mass=mass, noise_floor=0.125
-    )
+    return BrownField(grid=grid, values=values, laplacian_mass=mass, noise_floor=0.125)
 
 
 def test_field_csv_digests():

@@ -112,6 +112,16 @@ class TestMoment:
     def test_dirac_moments(self):
         assert moment(DIRAC_ONE, 3) == 1.0
 
+    @pytest.mark.parametrize("s", [1e-100, 1e100])
+    def test_density_moment_far_out(self, s):
+        # a flat density on [s/2, 3s/2] has E[t^2] = 13 s^2 / 12, and E[t^4]
+        # = 121 s^4 / 80 is refused where it passes the double range
+        m = ScalarMeasure((), ((0.5 * s, 1.0 / s), (1.5 * s, 1.0 / s)))
+        assert moment(m, 2) == pytest.approx(13.0 / 12.0 * s**2, rel=1e-14)
+        if s > 1.0:
+            with pytest.raises(DomainError, match="density reaching 1.5e\\+100 puts moment 4"):
+                moment(m, 4)
+
     def test_mean_matches_psi_derivative_at_zero(self):
         # one-sided finite difference of psi at 0 from the left equals the
         # first moment, up to h times the second moment

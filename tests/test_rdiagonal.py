@@ -138,6 +138,20 @@ class TestTwoAtomAnnulus:
         gap = np.max(np.abs(np.asarray(scaled.cdf(probe * scale)) - np.asarray(base.cdf(probe))))
         assert gap <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_density_cdf_is_scale_free(self, scale):
+        # a quarter of the mass at 0 and a flat density on [s/2, 3s/2]: its
+        # second moment, about s^2, must be read without u^4 leaving the
+        # double range at s = 1e100
+        def flat(s):
+            return ScalarMeasure(((0.0, 0.25),), tuple((x * s, 0.75 / s) for x in (0.5, 1.0, 1.5)))
+
+        base = brown_rdiagonal(flat(1.0))
+        scaled = brown_rdiagonal(flat(scale))
+        probe = np.linspace(base.support_inner, base.support_outer, 101)
+        gap = np.max(np.abs(np.asarray(scaled.cdf(probe * scale)) - np.asarray(base.cdf(probe))))
+        assert gap <= 1e-12
+
 
 # f = 1 on [1/2, 3/2]: E[H^2] = 13/12 and E[H^-2] = 4/3; f = 2t on [0, 1]
 # vanishes at 0, yet int t^-2 f diverges there, and E[H^2] = 1/2
