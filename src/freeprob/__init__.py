@@ -10,7 +10,6 @@ from .errors import (
     FreeprobError,
     InternalInconsistencyError,
     MeasureFormatError,
-    SentinelError,
     WordSpecError,
 )
 from .measures import ScalarMeasure, moment, psi_transform

@@ -5,9 +5,11 @@ L(lambda) = ln det_eps(T - lambda) evaluated on a rectangular grid, where
 det_eps is the regularized normalized determinant built from singular
 values.  At epsilon > 0 the product of regularized squared singular values
 is det((T - lambda)*(T - lambda) + eps I), read off a Cholesky factor, so
-no singular value is computed.  Applying (1/2pi) times the discrete
-Laplacian and scaling by the cell area turns the field into per-cell masses
-whose total approximates the fraction of spectrum inside the grid.
+no singular value is computed; at epsilon = 0 it is the product of the
+eigenvalues' distances, one on a node read at half a cell diagonal from it,
+so every node is finite.  Applying (1/2pi) times the discrete Laplacian and
+scaling by the cell area turns the field into per-cell masses whose total
+approximates the fraction of spectrum inside the grid.
 Everything here is deterministic given the inputs; grid nodes are
 independent work items, so results do not depend on the number of worker
 threads.
@@ -20,11 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import zpotrf
 
 from .config import require_fits
-from .errors import DimensionMismatchError, DomainError, EigensolveError, SentinelError
+from .errors import DimensionMismatchError, DomainError, EigensolveError
 
 __all__ = [
     "GridSpec",
@@ -138,10 +139,8 @@ class BrownField:
     values[ix, iy] holds L at node (x_ix, y_iy).  laplacian_mass is
     (nx-2) x (ny-2) over interior nodes; noise_floor is an a posteriori
     bound on the discretization error of a single cell mass, inf on a grid
-    too small to estimate it.  flagged lists nodes whose lambda collided
-    with an eigenvalue and was nudged by half a cell before evaluation.  A
-    node that stayed singular even after the nudge holds -inf, and only a
-    corner node, which no stencil reads, may.
+    too small to estimate it.  flagged lists the epsilon = 0 nodes that lie
+    on an eigenvalue, whose distance there reads as half the cell diagonal.
     """
 
     grid: GridSpec
@@ -154,12 +153,6 @@ class BrownField:
     def path(self) -> str:
         """The kernel that evaluated the field, which epsilon selects."""
         return "schur" if self.grid.epsilon == 0.0 else "svd"
-
-    @property
-    def sentinels(self) -> tuple[tuple[int, int], ...]:
-        """The -inf nodes, grid row by grid row."""
-        iy, ix = np.nonzero(self.values.T == -math.inf)
-        return tuple(zip(ix.tolist(), iy.tolist()))
 
     def total_mass(self) -> float:
         return float(self.laplacian_mass.sum())
@@ -186,25 +179,16 @@ def require_gram_fits(n: int, nx: int, workers: int) -> int:
     return chunk
 
 
-def _schur_column(
-    diag: np.ndarray, xs: np.ndarray, y: float, jitter: complex
+def _eig_column(
+    eigs: np.ndarray, xs: np.ndarray, y: float, h: float
 ) -> tuple[np.ndarray, list[int]]:
-    """One grid row of (1/N) sum ln|u_kk - lambda| with collision handling:
-    a node on an eigenvalue is nudged by the jitter and flagged, and one
-    still on an eigenvalue after that holds -inf."""
-    lam = xs + 1j * y
-    dist = np.abs(diag[None, :] - lam[:, None])
-    vals = np.empty(xs.size)
-    bad = np.any(dist == 0.0, axis=1)
-    good = ~bad
-    if good.any():
-        vals[good] = np.log(dist[good]).sum(axis=1) / diag.size
-    flagged = np.nonzero(bad)[0].tolist()
-    for ix in flagged:
-        moved = np.abs(diag - (lam[ix] + jitter))
-        with np.errstate(divide="ignore"):
-            vals[ix] = float(np.log(moved).sum()) / diag.size
-    return vals, flagged
+    """One grid row of (1/N) sum ln|lambda_k - lambda|: a distance that is
+    exactly 0 reads as h, and its node is flagged."""
+    dist = np.abs(eigs[None, :] - (xs + 1j * y)[:, None])
+    hit = dist == 0.0
+    dist[hit] = h
+    flagged = np.nonzero(hit.any(axis=1))[0].tolist()
+    return np.log(dist).sum(axis=1) / eigs.size, flagged
 
 
 def _svd_column(
@@ -257,9 +241,11 @@ def logdet_field(
 ) -> BrownField:
     """Evaluate the log-determinant field on the grid and its cell masses.
 
-    The kernel follows epsilon.  At epsilon = 0 the "schur" kernel
-    triangularizes once and reads eigenvalue distances (exact, and
-    O(total nodes x N) afterwards).  At epsilon > 0 the "svd" kernel, named
+    The kernel follows epsilon.  At epsilon = 0 the "schur" kernel reads
+    the eigenvalues once and their distances to each node (exact, and
+    O(total nodes x N) afterwards); an eigenvalue on a node reads as at
+    distance h = hypot(dx, dy) / 2 and flags the node, so no node is
+    singular.  At epsilon > 0 the "svd" kernel, named
     for the singular-value formula, builds each grid row's shifted Gram
     matrices from two N x N matrices into a batch buffer of at most 2**22
     Gram entries and factors them there by Cholesky; an epsilon below the
@@ -268,8 +254,7 @@ def logdet_field(
     reusing one buffer for its share, and written back by index, so the
     result is identical for any thread count.  Before any evaluation, at
     epsilon > 0, the threads' Gram pairs and buffers past the size cap are
-    refused.  A node left singular where a stencil reads it raises
-    SentinelError.
+    refused.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -278,19 +263,15 @@ def logdet_field(
     workers = min(threads, grid.ny)
 
     xs, ys = grid.xs(), grid.ys()
-    values = np.empty((grid.nx, grid.ny))
-    flagged: list[tuple[int, int]] = []
-
     if grid.epsilon == 0.0:
         try:
-            tri, _ = scipy.linalg.schur(matrix, output="complex")
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise EigensolveError(f"triangularization failed: {exc}") from exc
-        diag = np.diagonal(tri).copy()
-        jitter = 0.5 * grid.dx + 0.5j * grid.dy
+            eigs = np.linalg.eigvals(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(f"eigensolve failed: {exc}") from exc
+        h = 0.5 * math.hypot(grid.dx, grid.dy)
 
         def run_rows(share: np.ndarray):
-            return [_schur_column(diag, xs, ys[iy], jitter) for iy in share]
+            return [_eig_column(eigs, xs, ys[iy], h) for iy in share]
 
     else:
         chunk = require_gram_fits(n, grid.nx, workers)
@@ -304,17 +285,12 @@ def logdet_field(
     shares = np.array_split(np.arange(grid.ny), workers)
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         rows = [row for done in pool.map(run_rows, shares) for row in done]
-    for iy, (col, flags) in enumerate(rows):
-        values[:, iy] = col
-        flagged.extend((ix, iy) for ix in flags)
+    values = np.stack([col for col, _ in rows], axis=1)
+    flagged = tuple((ix, iy) for iy, (_, flags) in enumerate(rows) for ix in flags)
 
     mass, floor = brown_laplacian(grid, values)
     return BrownField(
-        grid=grid,
-        values=values,
-        laplacian_mass=mass,
-        noise_floor=floor,
-        flagged=tuple(flagged),
+        grid=grid, values=values, laplacian_mass=mass, noise_floor=floor, flagged=flagged
     )
 
 
@@ -324,20 +300,12 @@ def brown_laplacian(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, flo
 
     The noise floor is an a posteriori estimate of the discretization error
     of one cell mass, from fourth differences of the field.  A non-finite
-    node, such as a -inf sentinel left singular by the nudge, poisons every
-    stencil it touches and is a hard error unless it is a corner; nudged
-    (flagged) nodes carry usable values and are merely reported.
+    value raises DomainError naming its nodes.
     """
-    finite = np.isfinite(values)
-    # the four corner nodes are the only ones no interior stencil reads
-    inner = ~finite
-    inner[[0, 0, -1, -1], [0, -1, 0, -1]] = False
-    if inner.any():
-        singular = [(int(i), int(j)) for i, j in np.argwhere(inner)]
-        raise SentinelError(f"field has singular nodes at {singular}; resample the grid")
-    # corner infinities never enter a stencil; mask them out of the
-    # fourth-difference scan only
-    v = values if finite.all() else np.where(finite, values, np.nan)
+    bad = np.argwhere(~np.isfinite(values)).tolist()
+    if bad:
+        raise DomainError(f"field has non-finite values at nodes {[tuple(b) for b in bad]}")
+    v = values
     dx, dy = grid.dx, grid.dy
     lap = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 + (
         v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]
@@ -355,7 +323,7 @@ def brown_laplacian(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, flo
             v[:, 4:] - 4.0 * v[:, 3:-1] + 6.0 * v[:, 2:-2] - 4.0 * v[:, 1:-3] + v[:, :-4]
         )
         floor = (
-            (np.nanmax(d4x) / dx**2 + np.nanmax(d4y) / dy**2)
+            (d4x.max() / dx**2 + d4y.max() / dy**2)
             / 12.0
             * (dx * dy)
             / (2.0 * math.pi)
@@ -412,7 +380,6 @@ def field_metadata(field_in: BrownField, **extra) -> dict:
         "epsilon": grid.epsilon,
         "path": field_in.path,
         "flagged_nodes": [list(t) for t in field_in.flagged],
-        "sentinel_nodes": [list(t) for t in field_in.sentinels],
         # JSON has no inf: a floor the grid is too small to estimate is null
         "noise_floor": field_in.noise_floor
         if math.isfinite(field_in.noise_floor)

@@ -4,7 +4,8 @@ Each error class maps to one documented process exit code.  No command
 raises WordSpecError (10, raised only by the word API), and
 InternalInconsistencyError (70) marks a defect, so the tests check those
 entries on the table, not through a command.  Code 2 is reserved for
-argparse usage errors and 1 for a failed verify run; code 5 is unused.
+argparse usage errors and 1 for a failed verify run; codes 5 and 8 are
+unused.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class EigensolveError(FreeprobError):
     """The nonsymmetric eigensolver failed to converge."""
 
 
-class SentinelError(FreeprobError):
-    """A Laplacian stencil touched a flagged singular grid node."""
-
-
 class DimensionMismatchError(FreeprobError):
     """Operands do not share the required shape."""
 
@@ -53,7 +50,6 @@ EXIT_CODES: dict[type[FreeprobError], int] = {
     DomainError: 4,
     DiracInputError: 6,
     EigensolveError: 7,
-    SentinelError: 8,
     DimensionMismatchError: 9,
     WordSpecError: 10,
     InternalInconsistencyError: 70,

@@ -159,8 +159,16 @@ class ScalarMeasure:
 # -- moments --------------------------------------------------------------
 
 
-def _density_moment(measure: ScalarMeasure, k: int, scale: float = 1.0) -> float:
-    """Exact int (t / scale)^k f(t) dt over the density's linear pieces."""
+def _density_moment(measure: ScalarMeasure, k: int, scale: float | None = None) -> float:
+    """Exact int (t / scale)^k f(t) dt over the density's linear pieces.  With
+    no scale, int t^k f(t) dt read on the power-of-two scale of the support's
+    end: that is exact and keeps the powers of the pieces inside the double
+    range, so only the result can pass it (OverflowError)."""
+    if scale is None:
+        if not measure.density:
+            return 0.0
+        e = math.frexp(measure.density[-1][0])[1] - 1
+        return math.ldexp(_density_moment(measure, k, math.ldexp(1.0, e)), k * e)
     x0, x1, alpha, beta = measure.segments
     u0, u1 = x0 / scale, x1 / scale
     p, q = k + 1, k + 2
@@ -168,10 +176,8 @@ def _density_moment(measure: ScalarMeasure, k: int, scale: float = 1.0) -> float
 
 
 def moment(measure: ScalarMeasure, k: int) -> float:
-    """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1.  An atom so
-    far out that its t^k passes the double range is refused.  The density
-    is read on the power-of-two scale of its support's end, which is exact
-    and keeps the powers of its pieces inside the double range."""
+    """k-th moment int t^k dmu(t); moment(mu, 0) is exactly 1.  An atom or a
+    density so far out that its part passes the double range is refused."""
     if k < 0:
         raise DomainError("moment order must be a nonnegative integer")
     if k == 0:
@@ -182,15 +188,11 @@ def moment(measure: ScalarMeasure, k: int) -> float:
         raise DomainError(
             f"an atom at {measure.atoms[-1][0]:.3g} puts moment {k} past the double range"
         ) from None
-    if not measure.density:
-        return atoms
-    top = measure.density[-1][0]
-    e = math.frexp(top)[1] - 1
     try:
-        return atoms + math.ldexp(_density_moment(measure, k, math.ldexp(1.0, e)), k * e)
+        return atoms + _density_moment(measure, k)
     except OverflowError:
         raise DomainError(
-            f"a density reaching {top:.3g} puts moment {k} past the double range"
+            f"a density reaching {measure.density[-1][0]:.3g} puts moment {k} past the double range"
         ) from None
 
 

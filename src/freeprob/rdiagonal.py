@@ -284,30 +284,37 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
         raise DiracInputError("the radial recipe needs a non-degenerate distribution")
 
     atom = mu_h.mass_at(0.0)
-    m2 = moment(mu_h, 2)
+    least = min([t for t, _ in mu_h.atoms if t > 0.0] + [x for x, _ in mu_h.density[:1]])
+    # all is read on nu, mu_h scaled by 2^-e so that its support ends in
+    # [1, 2), and the radii scale back: that is exact above the subnormals,
+    # and every t^2 z on the grid below stays under 2^1023 at every scale of
+    # mu_h.  A support too wide for nu's int t^-2 dnu is refused
+    top = mu_h.max_support
+    e = math.frexp(top)[1] - 1
+    wide = f"the support's least point {least:.3g} lies too far below its end {top:.3g}"
+    if 0.0 < least < math.ldexp(2.0**-1022, e):
+        raise DomainError(wide)
+    nu = ScalarMeasure(
+        tuple((math.ldexp(t, -e), m) for t, m in mu_h.atoms),
+        tuple((math.ldexp(x, -e), math.ldexp(f, e)) for x, f in mu_h.density),
+    )
+    try:
+        # int t^-2 dnu is inf, so the inner radius 0, when mass touches zero
+        inner = 1.0 / math.sqrt(nu.inverse_square_moment())
+    except DomainError:
+        raise DomainError(wide) from None
+    least, m2 = math.ldexp(least, -e), moment(nu, 2)
     outer = math.sqrt(m2)
-    # int t^-2 dmu is inf, so the inner radius 0, when mass touches zero
-    inner = 1.0 / math.sqrt(mu_h.inverse_square_moment())
 
     # The grid: NODES_PER_DECADE nodes per decade of |z| from 2^-60 / m2 (t
     # rounds to 1) to 2^60 / a^2, a the least positive point of the support
     # (t - mu({0}) < 2^-60), or to 2^1021 if the support reaches 0.  As
     # m2 >= a^2 mu((0, inf)), it is empty only if <= 2^-120 of mass is off 0,
     # and all its t are mu({0}) when that rounds to 1.
-    least = min([t for t, _ in mu_h.atoms if t > 0.0] + [x for x, _ in mu_h.density[:1]])
     if atom == 1.0 or not m2 > 2.0**-120 * least**2:
         raise DomainError("too little mass sits off 0 for the radial recipe's grid")
-    # psi is read on nu, mu_h scaled by 2^-e so that its support ends in
-    # [1, 2), and the grid takes nu's m2 and a: every t^2 z on it stays below
-    # 2^1023 and both its ends stay inside the double range at every scale of
-    # mu_h.  The scaling is exact above the subnormals; the radii scale back
-    e = math.frexp(mu_h.max_support)[1] - 1
-    nu = ScalarMeasure(
-        tuple((math.ldexp(t, -e), m) for t, m in mu_h.atoms),
-        tuple((math.ldexp(x, -e), math.ldexp(f, e)) for x, f in mu_h.density),
-    )
-    hi = 1021.0 if least == 0.0 else min(1021.0, 60.0 - 2.0 * math.log2(math.ldexp(least, -e)))
-    lo = -60.0 - math.log2(moment(nu, 2))
+    hi = 1021.0 if least == 0.0 else min(1021.0, 60.0 - 2.0 * math.log2(least))
+    lo = -60.0 - math.log2(m2)
     z = -np.exp2(np.linspace(hi, lo, math.ceil((hi - lo) * math.log10(2.0) * NODES_PER_DECADE)))
     # in blocks, so that a density's node-by-sample tables hold ~2^18 values
     parts = np.array_split(z, 1 + z.size * (1 + len(nu.density)) // 2**18)
@@ -317,7 +324,7 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     # below takes over there.  Past that floor -1 < psi < 0, so r^2 > 0
     ok = psi + (1.0 - atom) >= 1e-10 * (1.0 - atom)
     z, f_dense = z[ok], 1.0 + psi[ok]
-    r_dense = np.ldexp(np.sqrt(psi[ok] / (f_dense * z)), e)
+    r_dense = np.sqrt(psi[ok] / (f_dense * z))
 
     # strictly increasing radii for interpolation: the rounding in 1 + psi
     # grows toward the floor, so a node stays only below every later one
@@ -344,4 +351,5 @@ def brown_rdiagonal(mu_h: ScalarMeasure) -> RadialPlanarMeasure:
     fs[0] = atom
     fs[-1] = 1.0
 
-    return RadialPlanarMeasure(atom, rs, fs, inner, outer)
+    inner, outer = math.ldexp(inner, e), math.ldexp(outer, e)
+    return RadialPlanarMeasure(atom, np.ldexp(rs, e), fs, inner, outer)

@@ -14,6 +14,7 @@ import pytest
 
 from freeprob.brownfield import (
     GridSpec,
+    brown_laplacian,
     default_epsilon,
     field_csv_text,
     field_metadata,
@@ -21,7 +22,7 @@ from freeprob.brownfield import (
     mass_csv_text,
     mass_in_region,
 )
-from freeprob.errors import DimensionMismatchError, DomainError, SentinelError
+from freeprob.errors import DimensionMismatchError, DomainError
 from freeprob.matmodel import build_m2_free_m2, realize
 
 SEED = 20260822
@@ -174,28 +175,50 @@ class TestLogdetField:
     def test_eigenvalue_node_jittered_and_flagged(self):
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
         f = logdet_field(np.diag([0.0, 1.0]), g)
-        # nodes (2,2)=0 and (4,2)=1 collide, get nudged, stay finite
+        # nodes (2,2)=0 and (4,2)=1 collide, are flagged, stay finite
         assert set(f.flagged) == {(2, 2), (4, 2)}
-        assert f.sentinels == ()
         assert np.isfinite(f.values).all()
 
-    def test_double_collision_becomes_sentinel(self):
+    def test_double_collision_answers(self):
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
-        # second eigenvalue placed exactly at node + half-cell nudge
+        # second eigenvalue half a cell diagonal from the first, at a node
         t = np.diag([0.0, 0.5 * g.dx + 0.5j * g.dy])
-        with pytest.raises(SentinelError, match=r"singular nodes at \[\(2, 2\)\]"):
-            logdet_field(t, g)
+        f = logdet_field(t, g)
+        assert f.flagged == ((2, 2),)
+        assert np.isfinite(f.values).all()
 
-    def test_corner_sentinel_is_kept(self):
-        # a corner node no stencil reads may stay singular: the field comes
-        # back with it listed and a finite total mass
+    def test_corner_collision_answers(self):
+        # a corner node no stencil reads: flagged like any other node, and
+        # the total mass is the one read with the corner left out
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
         corner = -1.0 - 1.0j
         t = np.diag([corner, corner + 0.5 * g.dx + 0.5j * g.dy])
         f = logdet_field(t, g)
-        assert f.sentinels == ((0, 0),)
-        assert f.values[0, 0] == -math.inf
+        assert f.flagged == ((0, 0),)
+        assert np.isfinite(f.values).all()
         assert f.total_mass() == pytest.approx(0.147084, abs=1e-6)
+
+    def test_flagged_node_value_against_oracle(self):
+        # at a node on m eigenvalues each of their distances reads as half
+        # the cell diagonal h, and every other distance is the node's own
+        g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
+        eigs = [0.5, 0.5, -0.25 + 0.5j, 1.0]
+        f = logdet_field(np.diag(eigs), g)
+        assert f.flagged == ((3, 2), (4, 2))
+        h = 0.5 * math.hypot(g.dx, g.dy)
+        for ix, iy in f.flagged:
+            lam = g.nodes()[ix, iy]
+            m = sum(e == lam for e in eigs)
+            rest = sum(math.log(abs(e - lam)) for e in eigs if e != lam)
+            assert f.values[ix, iy] == (rest + m * math.log(h)) / len(eigs)
+
+    def test_laplacian_refuses_non_finite_values(self):
+        g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
+        values = np.zeros((5, 5))
+        values[2, 3] = math.nan
+        values[4, 4] = -math.inf
+        with pytest.raises(DomainError, match=r"non-finite values at nodes \[\(2, 3\), \(4, 4\)\]"):
+            brown_laplacian(g, values)
 
     def test_thread_count_bitwise_identical(self):
         t = random_matrix(20, 9)

@@ -157,15 +157,19 @@ def test_dirac_measure_exits_6(tmp_path):
     assert _run(["rdiag", path, "--out-dir", tmp_path]) == 6
 
 
-def test_double_collision_exits_8(tmp_path):
-    # node at 0 hits the first eigenvalue; the jittered probe hits the second
+def test_double_collision_exits_0(tmp_path):
+    # node at 0 hits the first eigenvalue; the second sits half a cell
+    # diagonal away, where a distance on the node reads
     dx = 2.0 / 40
     matrix = np.diag([0.0, 0.5 * dx + 0.5j * dx])
     path = tmp_path / "collide.json"
     save_matrix(path, matrix)
     code = _run(["field", "--matrix", path, "--grid=-1,1,-1,1,41,41",
                  "--epsilon", "0", "--out-dir", tmp_path / "out"])
-    assert code == 8
+    assert code == 0
+    meta = json.loads((tmp_path / "out" / "field_meta.json").read_text())
+    assert meta["flagged_nodes"] == [[20, 20]]
+    assert "sentinel_nodes" not in meta
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
@@ -462,8 +466,8 @@ def test_simulate_every_tag(tmp_path, tag):
 
 @pytest.mark.parametrize(
     "atom, message",
-    [(1e-300, "an atom at 1e-300 puts int t^-2 dmu past the double range"),
-     (1e160, "an atom at 1e+160 puts moment 2 past the double range")],
+    [(1e-300, "the support's least point 1e-300 lies too far below its end 1"),
+     (1e160, "the support's least point 1 lies too far below its end 1e+160")],
     ids=["t-squared-underflows", "t-squared-overflows"],
 )
 def test_rdiag_atom_past_the_double_range_exits_4(tmp_path, capsys, atom, message):
@@ -685,6 +689,20 @@ def test_field_without_epsilon_skips_the_gram_check(tmp_path, monkeypatch, sourc
     out = tmp_path / "out"
     assert _run(["field", *argv, "--grid-n", "8", "--out-dir", out]) == 0
     assert json.loads((out / "field_meta.json").read_text())["path"] == "schur"
+
+
+def test_field_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    path = tmp_path / "t.json"
+    save_matrix(path, np.diag([0.0, 0.5j]))
+    code = _run(["field", "--matrix", path, "--grid=-1,1,-1,1,8,8", "--epsilon", "0",
+                 "--out-dir", tmp_path / "out"])
+    assert code == 7
+    assert "eigensolve failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_field_epsilon_help_reads_the_scale(monkeypatch, capsys):

@@ -122,6 +122,14 @@ class TestMoment:
             with pytest.raises(DomainError, match="density reaching 1.5e\\+100 puts moment 4"):
                 moment(m, 4)
 
+    def test_density_mass_past_1e154(self):
+        # the mass of a flat density on [s/2, 3s/2] is read on the scale of
+        # its end, where u^2 stays inside the double range
+        s = 1e160
+        m = ScalarMeasure((), ((0.5 * s, 1.0 / s), (1.5 * s, 1.0 / s)))
+        assert moment(m, 1) == pytest.approx(s, rel=1e-14)
+        assert math.isfinite(psi_transform(m, -1.0 / s))
+
     def test_mean_matches_psi_derivative_at_zero(self):
         # one-sided finite difference of psi at 0 from the left equals the
         # first moment, up to h times the second moment

@@ -127,22 +127,24 @@ class TestTwoAtomAnnulus:
         assert np.array_equal(flipped.radii, base.radii)
         assert np.array_equal(flipped.cumulative, base.cumulative)
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-30, 1e30, 1e100, 1e150])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-200, 1e-150, 1e-100, 1e-30, 1e30, 1e100, 1e150, 1e200, 1e300]
+    )
     def test_cdf_is_scale_free(self, scale):
-        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; psi
-        # is read on the measure scaled to a support ending in [1, 2), so the
-        # z grid is the same at every s
+        # U (sH) is s U H, so its radial CDF at s r is the base CDF at r; psi,
+        # the radii and the refusals are read on the measure scaled to a
+        # support ending in [1, 2), so the z grid is the same at every s
         base = brown_rdiagonal(TWO_ATOM)
         scaled = brown_rdiagonal(ScalarMeasure(((0.5 * scale, 0.5), (1.5 * scale, 0.5))))
         probe = np.linspace(TWO_ATOM_INNER, TWO_ATOM_OUTER, 101)
         gap = np.max(np.abs(np.asarray(scaled.cdf(probe * scale)) - np.asarray(base.cdf(probe))))
         assert gap <= 1e-12
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
     def test_density_cdf_is_scale_free(self, scale):
         # a quarter of the mass at 0 and a flat density on [s/2, 3s/2]: its
-        # second moment, about s^2, must be read without u^4 leaving the
-        # double range at s = 1e100
+        # mass and second moment must be read without u^2 or u^4 leaving the
+        # double range
         def flat(s):
             return ScalarMeasure(((0.0, 0.25),), tuple((x * s, 0.75 / s) for x in (0.5, 1.0, 1.5)))
 
