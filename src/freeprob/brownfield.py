@@ -12,17 +12,20 @@ scaling by the cell area turns the field into per-cell masses whose total
 approximates the fraction of spectrum inside the grid.
 Everything here is deterministic given the inputs; grid nodes are
 independent work items, so results do not depend on the number of worker
-threads.
+threads.  The Cholesky factorizations call LAPACK's zpotrf through a
+foreign-function handle that drops the interpreter lock, so worker threads
+factor their rows at the same time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg import cython_lapack
 
 from .config import require_fits
 from .errors import DimensionMismatchError, DomainError, EigensolveError
@@ -31,6 +34,7 @@ __all__ = [
     "GridSpec",
     "BrownField",
     "default_epsilon",
+    "eigenvalues",
     "require_gram_fits",
     "logdet_field",
     "brown_laplacian",
@@ -44,6 +48,27 @@ __all__ = [
 GRID_N = 256
 # the default regularization is EPSILON_SCALE * ||T||_2^2
 EPSILON_SCALE = 1e-6
+
+
+def _bind_zpotrf():
+    """LAPACK's zpotrf(uplo, n, a, lda, info), the routine scipy's own
+    wrappers call, as a foreign function of five pointers.  ctypes drops the
+    interpreter lock for each call, so worker threads factor at once."""
+    capsule = cython_lapack.__pyx_capi__["zpotrf"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    signature = ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p
+    )
+    return signature(address)
+
+
+_zpotrf = _bind_zpotrf()
 
 
 @dataclass(frozen=True)
@@ -160,12 +185,24 @@ class BrownField:
 
 def default_epsilon(matrix: np.ndarray) -> float:
     """The standard regularization scale, EPSILON_SCALE times the squared
-    2-norm; a norm whose square passes the double range is refused."""
-    norm = float(np.linalg.norm(matrix, 2))
+    2-norm; a norm whose square passes the double range is refused, and a
+    failed SVD raises EigensolveError."""
+    try:
+        norm = float(np.linalg.norm(matrix, 2))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError(f"eigensolve failed: {exc}") from exc
     try:
         return EPSILON_SCALE * norm**2
     except OverflowError:
         raise DomainError(f"||T||_2 = {norm:.3g} squares past the double range") from None
+
+
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The matrix's eigenvalues; a failed eigensolve raises EigensolveError."""
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError(f"eigensolve failed: {exc}") from exc
 
 
 def require_gram_fits(n: int, nx: int, workers: int) -> int:
@@ -191,6 +228,29 @@ def _eig_column(
     return np.log(dist).sum(axis=1) / eigs.size, flagged
 
 
+def _cholesky_batch(gram: np.ndarray) -> np.ndarray:
+    """Factor each node of the C-ordered batch gram in place; return
+    LAPACK's info per node, nonzero where a factor is undefined.
+
+    Read in Fortran order the C-ordered Hermitian G is its conjugate, so
+    the lower factor written over each node has G's real diagonal.
+    """
+    count, n = gram.shape[:2]
+    # LAPACK writes through raw addresses, which only this layout makes safe
+    if not (gram.dtype == np.complex128 and gram.flags.carray and gram.shape[1:] == (n, n)):
+        raise ValueError("expected a writable C-ordered complex128 batch of square matrices")
+    # LAPACK reads n and lda through one pointer; node k starts k strides in
+    dim = np.array(n, dtype=np.intc)
+    info = np.zeros(count, dtype=np.intc)
+    n_ptr, stride = dim.ctypes.data, gram.strides[0]
+    nodes = range(gram.ctypes.data, gram.ctypes.data + count * stride, stride)
+    flags = range(info.ctypes.data, info.ctypes.data + info.nbytes, info.itemsize)
+    for node, flag in zip(nodes, flags):
+        # OpenBLAS factors this lower form faster than the upper one
+        _zpotrf(b"L", n_ptr, node, n_ptr, flag)
+    return info
+
+
 def _svd_column(
     matrix: np.ndarray,
     xs: np.ndarray,
@@ -204,10 +264,8 @@ def _svd_column(
     With B = T - iyI and lambda = x + iy, the shifted Gram matrix is
     (T - lambda)*(T - lambda) + eps I = B*B - x(B + B*) + (x^2 + eps)I, so
     each batch of buf's length is one product of the coefficients [1, -x]
-    against B*B and B + B*, written into buf.  Each Gram matrix is factored
-    in place: read in Fortran order the C-ordered Hermitian G is its
-    conjugate, whose Cholesky factor has G's real diagonal.  The sum of
-    logs is ln det = 2 sum ln L_ii.
+    against B*B and B + B*, written into buf and factored there.  The sum
+    of logs is ln det = 2 sum ln L_ii.
     """
     n = matrix.shape[0]
     b = matrix - 1j * y * np.eye(n)
@@ -220,15 +278,12 @@ def _svd_column(
         flat = gram.reshape(x.size, n * n)
         np.matmul(np.stack((np.ones_like(x), -x), axis=1), pair, out=flat)
         flat[:, :: n + 1] += (x**2 + epsilon)[:, None]
-        for node in gram:
-            # OpenBLAS factors this lower form faster than the upper one
-            _, info = zpotrf(node.T, lower=1, overwrite_a=1, clean=0)
-            if info > 0:
-                raise DomainError(
-                    f"epsilon {epsilon:.3e} is below the rounding of the Gram "
-                    f"matrix on grid row {iy} (y = {float(y)!r}); use --epsilon 0 "
-                    "or a larger epsilon"
-                )
+        if _cholesky_batch(gram).any():
+            raise DomainError(
+                f"epsilon {epsilon:.3e} is below the rounding of the Gram "
+                f"matrix on grid row {iy} (y = {float(y)!r}); use --epsilon 0 "
+                "or a larger epsilon"
+            )
         diag = np.diagonal(gram, axis1=1, axis2=2).real
         out[start : start + x.size] = np.log(diag).sum(axis=1) / n
     return out
@@ -252,7 +307,9 @@ def logdet_field(
     Gram matrix's rounding leaves a factor undefined and raises DomainError.
     Grid rows are split into one contiguous share per thread, each thread
     reusing one buffer for its share, and written back by index, so the
-    result is identical for any thread count.  Before any evaluation, at
+    result is identical for any thread count.  Each factorization runs
+    without the interpreter lock, so the threads' shares are factored at
+    the same time.  Before any evaluation, at
     epsilon > 0, the threads' Gram pairs and buffers past the size cap are
     refused.
     """
@@ -264,10 +321,7 @@ def logdet_field(
 
     xs, ys = grid.xs(), grid.ys()
     if grid.epsilon == 0.0:
-        try:
-            eigs = np.linalg.eigvals(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolveError(f"eigensolve failed: {exc}") from exc
+        eigs = eigenvalues(matrix)
         h = 0.5 * math.hypot(grid.dx, grid.dy)
 
         def run_rows(share: np.ndarray):

@@ -32,6 +32,7 @@ from .brownfield import (
     GRID_N,
     GridSpec,
     default_epsilon,
+    eigenvalues,
     field_csv_text,
     field_metadata,
     logdet_field,
@@ -248,7 +249,7 @@ def cmd_field(args) -> CommandResult:
     if args.grid is not None:
         grid = replace(grid, epsilon=epsilon)
     else:
-        grid = GridSpec.covering(np.linalg.eigvals(matrix), n=nx, epsilon=epsilon)
+        grid = GridSpec.covering(eigenvalues(matrix), n=nx, epsilon=epsilon)
     field = logdet_field(matrix, grid, threads=args.threads)
     return CommandResult(
         {

@@ -29,7 +29,7 @@ class DiracInputError(FreeprobError):
 
 
 class EigensolveError(FreeprobError):
-    """The nonsymmetric eigensolver failed to converge."""
+    """A nonsymmetric eigensolve, or the SVD of a 2-norm, failed to converge."""
 
 
 class DimensionMismatchError(FreeprobError):

@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zpotrf
 
+from freeprob import brownfield
 from freeprob.brownfield import (
     GridSpec,
     brown_laplacian,
@@ -232,6 +234,32 @@ class TestLogdetField:
         c = logdet_field(t, g0, threads=1).values
         d = logdet_field(t, g0, threads=3).values
         assert np.array_equal(c, d)
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 128])
+    def test_cholesky_batch_matches_scipy_zpotrf(self, n):
+        # the kernel's LAPACK handle against scipy's wrapper of the same
+        # routine on a batch of shifted Gram matrices, one of them negative
+        # definite: a wrong uplo, layout, lda or info slot shows here
+        t = random_matrix(n, n)
+        eye = np.eye(n)
+        grams = [
+            t.conj().T @ t - x * (t + t.conj().T) + (x * x + 1e-3) * eye
+            for x in (-0.5, 0.0, 0.25)
+        ]
+        batch = np.stack([grams[0], grams[1], -eye, grams[2]])
+        want = [zpotrf(node.T, lower=1, clean=0) for node in batch]
+        info = brownfield._cholesky_batch(batch)
+        assert info.tolist() == [w[1] for w in want] == [0, 0, 1, 0]
+        for k in (0, 1, 3):
+            assert np.array_equal(np.diagonal(batch[k]), np.diagonal(want[k][0]))
+
+    def test_cholesky_batch_refuses_other_layouts(self):
+        # the handle writes through raw addresses, so any other layout is refused
+        good = np.stack([np.eye(3, dtype=complex)] * 2)
+        for bad in (good.real.copy(), good.transpose(0, 2, 1)[:, ::2], good[:, :2],
+                    np.broadcast_to(good[0], (2, 3, 3))):
+            with pytest.raises(ValueError, match="C-ordered complex128"):
+                brownfield._cholesky_batch(bad)
 
     def test_matches_svd_oracle_ginibre(self):
         t = random_matrix(50, 13)

@@ -705,6 +705,44 @@ def test_field_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("solver", "epsilon"),
+    [("eigvals", []), ("eigvals", ["--epsilon", "0"]), ("norm", [])],
+    ids=["covering-grid", "covering-grid-epsilon-0", "default-epsilon-svd"],
+)
+def test_field_covering_grid_eigensolve_failure_exits_7(tmp_path, monkeypatch, capsys,
+                                                        solver, epsilon):
+    # without --grid the matrix's eigenvalues place the grid, and without
+    # --epsilon its 2-norm's SVD sets the scale; either failure exits 7
+    real = getattr(np.linalg, solver)
+
+    def fail(a, *args):
+        # the Frobenius norm of the size check takes no SVD
+        if solver == "norm" and args != (2,):
+            return real(a, *args)
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    path = tmp_path / "t.json"
+    save_matrix(path, np.diag([0.0, 0.5j]))
+    out = tmp_path / "out"
+    assert _run(["field", "--matrix", path, "--grid-n", "8", *epsilon, "--out-dir", out]) == 7
+    assert "eigensolve failed: did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_field_tag_outputs_equal_at_one_and_two_threads(tmp_path):
+    argv = ["field", "--tag", "W1_plus_F12", "--dim", "32", "--seed", "2", "--grid-n", "24"]
+    names = ("field.csv", "mass.csv", "field_meta.json")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert _run([*argv, "--threads", threads, "--out-dir", out]) == 0
+        runs.append([(out / name).read_bytes() for name in names])
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][2])["path"] == "svd"
+
+
 def test_field_epsilon_help_reads_the_scale(monkeypatch, capsys):
     monkeypatch.setattr(cli, "EPSILON_SCALE", 2.5e-4)
     cli.build_parser.cache_clear()
