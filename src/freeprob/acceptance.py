@@ -42,7 +42,7 @@ import scipy.interpolate  # noqa: F401
 import scipy.linalg
 
 from .algstruct import close_algebra, find_invariant_subspace, kfold_transitive
-from .brownfield import GridSpec, default_epsilon, logdet_field, mass_in_region
+from .brownfield import GridSpec, logdet_field, mass_in_region
 from .errors import InternalInconsistencyError
 from .matio import save_matrix
 from .matmodel import (
@@ -356,14 +356,14 @@ def _criterion_6():
     t = _gaussian(rng, n) / math.sqrt(2 * n)
     eigs = np.linalg.eigvals(t)
     radius = 1.3 * float(np.max(np.abs(eigs)))
-    eps = default_epsilon(t)
 
     fields = {
-        nodes: logdet_field(t, GridSpec.square(radius, nodes, epsilon=eps))
+        nodes: logdet_field(t, GridSpec.square(radius, nodes, epsilon=None))
         for nodes in (128, 256)
     }
     errors = {nodes: abs(fld.total_mass() - 1.0) for nodes, fld in fields.items()}
     fine = fields[256]
+    eps = fine.grid.epsilon
 
     # quadrant name -> signs of its real and imaginary parts
     quadrants = {"++": (1, 1), "-+": (-1, 1), "--": (-1, -1), "+-": (1, -1)}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -34,7 +34,6 @@ __all__ = [
     "GridSpec",
     "BrownField",
     "default_epsilon",
-    "eigenvalues",
     "require_gram_fits",
     "logdet_field",
     "brown_laplacian",
@@ -73,36 +72,42 @@ _zpotrf = _bind_zpotrf()
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid for the complex plane, with regularization."""
+    """Rectangular evaluation grid for the complex plane, with regularization.
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    logdet_field fills in unset (None) bounds, all four or none, as a covering
+    grid at the same nx and ny, and an unset epsilon as default_epsilon."""
+
+    x_min: float | None = None
+    x_max: float | None = None
+    y_min: float | None = None
+    y_max: float | None = None
     nx: int = GRID_N
     ny: int = GRID_N
-    epsilon: float = 0.0
+    epsilon: float | None = 0.0
 
     def __post_init__(self) -> None:
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(math.isfinite(v) for v in (*bounds, self.epsilon)):
+        unset = bounds.count(None)
+        if unset not in (0, 4):
+            raise DomainError("grid bounds must be all set or all unset")
+        if not all(math.isfinite(v) for v in (*bounds, self.epsilon) if v is not None):
             raise DomainError("grid bounds and epsilon must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not unset and not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("grid bounds must satisfy min < max on both axes")
         if self.nx < 3 or self.ny < 3:
             raise DomainError("grid needs at least 3 nodes per axis")
         # the Laplacian divides by the squared cell sides
-        if not math.isfinite(self.dx * self.dx + self.dy * self.dy):
+        if not unset and not math.isfinite(self.dx * self.dx + self.dy * self.dy):
             raise DomainError(
                 f"grid cells of {self.dx:.3g} x {self.dy:.3g} square past the double range"
             )
-        if self.epsilon < 0.0:
+        if self.epsilon is not None and self.epsilon < 0.0:
             raise DomainError("epsilon must be >= 0")
         require_fits(8 * self.nx * self.ny, f"a {self.nx} x {self.ny} field")
 
     @classmethod
     def square(
-        cls, radius: float, n: int, center: complex = 0j, epsilon: float = 0.0
+        cls, radius: float, n: int, center: complex = 0j, epsilon: float | None = 0.0
     ) -> "GridSpec":
         c = complex(center)
         return cls(
@@ -116,26 +121,19 @@ class GridSpec:
         )
 
     @classmethod
-    def covering(
-        cls,
-        points: np.ndarray,
-        n: int,
-        epsilon: float = 0.0,
-    ) -> "GridSpec":
-        """Grid around the given complex points, padded on every side by a
-        quarter of the larger side of their bounding box."""
+    def covering(cls, points: np.ndarray, n: int, epsilon: float | None = 0.0) -> "GridSpec":
+        """An n x n grid around the given complex points; see _around."""
+        return cls(nx=n, ny=n)._around(points, epsilon)
+
+    def _around(self, points: np.ndarray, epsilon: float | None) -> "GridSpec":
+        """This grid's nodes spread over the given complex points, padded on
+        every side by a quarter of the larger side of their bounding box."""
         points = np.asarray(points, dtype=complex)
         x0, x1 = float(points.real.min()), float(points.real.max())
         y0, y1 = float(points.imag.min()), float(points.imag.max())
         pad = 0.25 * max(x1 - x0, y1 - y0, 1e-3)
-        return cls(
-            x_min=x0 - pad,
-            x_max=x1 + pad,
-            y_min=y0 - pad,
-            y_max=y1 + pad,
-            nx=n,
-            ny=n,
-            epsilon=epsilon,
+        return replace(
+            self, x_min=x0 - pad, x_max=x1 + pad, y_min=y0 - pad, y_max=y1 + pad, epsilon=epsilon
         )
 
     @property
@@ -195,14 +193,6 @@ def default_epsilon(matrix: np.ndarray) -> float:
         return EPSILON_SCALE * norm**2
     except OverflowError:
         raise DomainError(f"||T||_2 = {norm:.3g} squares past the double range") from None
-
-
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """The matrix's eigenvalues; a failed eigensolve raises EigensolveError."""
-    try:
-        return np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigensolve failed: {exc}") from exc
 
 
 def require_gram_fits(n: int, nx: int, workers: int) -> int:
@@ -296,9 +286,16 @@ def logdet_field(
 ) -> BrownField:
     """Evaluate the log-determinant field on the grid and its cell masses.
 
+    Unset bounds become GridSpec.covering of the eigenvalues at the grid's
+    own nx and ny, an unset epsilon default_epsilon, and the field holds the
+    resolved grid.  In order: the square check; the size-cap refusal of an
+    epsilon > 0 field's Gram pairs and buffers, read while epsilon is unset
+    from its lower bound EPSILON_SCALE ||T||_F^2 / N, so before the 2-norm;
+    the default epsilon; one eigensolve for the covering grid and epsilon = 0.
+
     The kernel follows epsilon.  At epsilon = 0 the "schur" kernel reads
-    the eigenvalues once and their distances to each node (exact, and
-    O(total nodes x N) afterwards); an eigenvalue on a node reads as at
+    the eigenvalues' distances to each node (exact, and O(total nodes x N)
+    after the eigensolve); an eigenvalue on a node reads as at
     distance h = hypot(dx, dy) / 2 and flags the node, so no node is
     singular.  At epsilon > 0 the "svd" kernel, named
     for the singular-value formula, builds each grid row's shifted Gram
@@ -309,30 +306,44 @@ def logdet_field(
     reusing one buffer for its share, and written back by index, so the
     result is identical for any thread count.  Each factorization runs
     without the interpreter lock, so the threads' shares are factored at
-    the same time.  Before any evaluation, at
-    epsilon > 0, the threads' Gram pairs and buffers past the size cap are
-    refused.
+    the same time.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     n = matrix.shape[0]
     workers = min(threads, grid.ny)
 
+    if grid.epsilon is None:
+        # only the sign of the lower bound is read, so an overflow to inf does no harm
+        with np.errstate(over="ignore"):
+            if EPSILON_SCALE * np.linalg.norm(matrix) ** 2 / n > 0.0:
+                require_gram_fits(n, grid.nx, workers)
+        epsilon = default_epsilon(matrix)
+    else:
+        epsilon = grid.epsilon
+    if epsilon > 0.0:
+        chunk = require_gram_fits(n, grid.nx, workers)
+    if epsilon == 0.0 or grid.x_min is None:
+        try:
+            eigs = np.linalg.eigvals(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(f"eigensolve failed: {exc}") from exc
+    grid = grid._around(eigs, epsilon) if grid.x_min is None else replace(grid, epsilon=epsilon)
+
     xs, ys = grid.xs(), grid.ys()
-    if grid.epsilon == 0.0:
-        eigs = eigenvalues(matrix)
+    if epsilon == 0.0:
         h = 0.5 * math.hypot(grid.dx, grid.dy)
 
         def run_rows(share: np.ndarray):
             return [_eig_column(eigs, xs, ys[iy], h) for iy in share]
 
     else:
-        chunk = require_gram_fits(n, grid.nx, workers)
-
         def run_rows(share: np.ndarray):
             buf = np.empty((chunk, n, n), dtype=complex)
-            return [(_svd_column(matrix, xs, iy, ys[iy], grid.epsilon, buf), []) for iy in share]
+            return [(_svd_column(matrix, xs, iy, ys[iy], epsilon, buf), []) for iy in share]
 
     # contiguous shares keep the first failing row first in the results,
     # so an error names the same row for any thread count

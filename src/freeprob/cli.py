@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
 from typing import NamedTuple
@@ -31,8 +30,6 @@ from .brownfield import (
     EPSILON_SCALE,
     GRID_N,
     GridSpec,
-    default_epsilon,
-    eigenvalues,
     field_csv_text,
     field_metadata,
     logdet_field,
@@ -41,7 +38,6 @@ from .brownfield import (
 )
 from .algstruct import close_algebra, find_invariant_subspace, kfold_transitive
 from .errors import (
-    DimensionMismatchError,
     DomainError,
     FreeprobError,
     MeasureFormatError,
@@ -201,55 +197,38 @@ def cmd_simulate(args) -> CommandResult:
     )
 
 
-def _field_matrix(args, nx: int, workers: int) -> tuple[np.ndarray, str]:
-    """The field's matrix and its label.  An epsilon > 0 field whose workers'
-    Gram buffers pass the size cap is refused before any expensive work."""
-
-    def refuse_large_gram(n: int, default_floor: float) -> None:
-        # default_floor is a lower bound on the default epsilon
-        if (default_floor if args.epsilon is None else args.epsilon) > 0.0:
-            require_gram_fits(n, nx, workers)
-
+def _field_matrix(args, grid: GridSpec) -> tuple[np.ndarray, str]:
+    """The field's matrix and its label.  A catalog operator is never zero,
+    so unless epsilon is 0 its workers' Gram buffers past the size cap are
+    refused before the Haar build."""
     if args.matrix is not None:
         if args.dim is not None or args.seed is not None:
             raise DomainError("field --matrix reads neither --dim nor --seed")
-        matrix = load_matrix(args.matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatchError(f"field needs a square matrix, got {matrix.shape}")
-        # the default EPSILON_SCALE ||T||_2^2 is at least EPSILON_SCALE ||T||_F^2 / N;
-        # only its sign is read, so an overflow to inf does no harm
-        with np.errstate(over="ignore"):
-            floor = EPSILON_SCALE * np.linalg.norm(matrix) ** 2 / len(matrix)
-        refuse_large_gram(len(matrix), floor)
-        return matrix, Path(args.matrix).name
+        return load_matrix(args.matrix), Path(args.matrix).name
     seed = _require_seed(args, "field with --tag")
     tag = OperatorTag(args.tag)
     dim = 128 if args.dim is None else args.dim
     half_dim = _half_dim(dim)
-    # a catalog operator is never zero, so its default epsilon is positive
-    refuse_large_gram(dim, 1.0)
+    if grid.epsilon != 0.0:
+        require_gram_fits(dim, grid.nx, min(args.threads, grid.ny))
     model = build_m2_free_m2(half_dim, _child_seed(seed, "field"))
     return realize(tag, model), tag.value
 
 
 def cmd_field(args) -> CommandResult:
+    """Build the requested grid, load or realize the matrix, and let
+    logdet_field fill in the covering bounds and the default epsilon."""
     if args.threads < 1:
         raise DomainError(f"--threads must be >= 1, got {args.threads}")
     if args.grid is not None:
         *bounds, nx, ny = _parse_grid(args.grid)
     else:
-        # a covering grid's bounds come from the matrix; these stand in
-        bounds = [-1.0, 1.0, -1.0, 1.0]
+        bounds = [None] * 4
         nx = ny = GRID_N if args.grid_n is None else args.grid_n
     # node counts, bounds and a given epsilon are checked before the matrix
     # is loaded or built
-    grid = GridSpec(*bounds, nx, ny, epsilon=args.epsilon or 0.0)
-    matrix, label = _field_matrix(args, nx, min(args.threads, ny))
-    epsilon = default_epsilon(matrix) if args.epsilon is None else args.epsilon
-    if args.grid is not None:
-        grid = replace(grid, epsilon=epsilon)
-    else:
-        grid = GridSpec.covering(eigenvalues(matrix), n=nx, epsilon=epsilon)
+    grid = GridSpec(*bounds, nx, ny, epsilon=args.epsilon)
+    matrix, label = _field_matrix(args, grid)
     field = logdet_field(matrix, grid, threads=args.threads)
     return CommandResult(
         {
@@ -258,7 +237,7 @@ def cmd_field(args) -> CommandResult:
             # wall time lives in run_record.json; outputs stay digest-stable
             "field_meta.json": _json_text(field_metadata(field, source=label)),
         },
-        f"field[{label}]: {grid.nx}x{grid.ny} nodes, path {field.path}, "
+        f"field[{label}]: {nx}x{ny} nodes, path {field.path}, "
         f"total mass {field.total_mass():.6f}",
     )
 

@@ -84,6 +84,14 @@ class TestGridSpec:
         assert (g2.x_min, g2.x_max) == (-0.5, 1.5)
         assert (g2.y_min, g2.y_max) == (-0.5, 2.5)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"x_min": 0.0}, {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0}, {"y_max": 1.0}],
+    )
+    def test_rejects_partly_set_bounds(self, bounds):
+        with pytest.raises(DomainError, match="all set or all unset"):
+            GridSpec(**bounds)
+
     def test_node_layout(self):
         g = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=2.0, nx=3, ny=5)
         nodes = g.nodes()
@@ -213,6 +221,30 @@ class TestLogdetField:
             m = sum(e == lam for e in eigs)
             rest = sum(math.log(abs(e - lam)) for e in eigs if e != lam)
             assert f.values[ix, iy] == (rest + m * math.log(h)) / len(eigs)
+
+    @pytest.mark.parametrize(
+        ("nx", "ny", "epsilon"),
+        [(17, 17, None), (17, 17, 0.0), (9, 13, None), (9, 13, 0.0)],
+    )
+    def test_unset_bounds_and_epsilon_resolve(self, nx, ny, epsilon):
+        # unset bounds cover the eigenvalues at the request's own node
+        # counts, and an unset epsilon is the default one
+        t = random_matrix(12, 8)
+        eps = default_epsilon(t) if epsilon is None else epsilon
+        want = replace(GridSpec.covering(np.linalg.eigvals(t), nx, epsilon=eps), ny=ny)
+        got = logdet_field(t, GridSpec(nx=nx, ny=ny, epsilon=epsilon))
+        ref = logdet_field(t, want)
+        assert got.grid == ref.grid == want
+        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got.laplacian_mass, ref.laplacian_mass)
+        assert got.flagged == ref.flagged
+        assert got.path == ("schur" if epsilon == 0.0 else "svd")
+
+    def test_refuses_fewer_than_one_thread(self):
+        g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
+        for threads in (0, -2):
+            with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
+                logdet_field(np.diag([0.0, 1.0]), g, threads=threads)
 
     def test_laplacian_refuses_non_finite_values(self):
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)

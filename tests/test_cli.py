@@ -642,7 +642,7 @@ def test_field_matrix_gram_above_cap_refused_after_load(tmp_path, capsys, monkey
     # 40 x 40 Gram pair with an 8-node batch (256000 bytes) is refused before
     # the default epsilon's 2-norm or the covering grid's eigensolve
     monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 1536)
-    monkeypatch.setattr(cli, "default_epsilon", _refuse_if_called)
+    monkeypatch.setattr(brownfield, "default_epsilon", _refuse_if_called)
     monkeypatch.setattr(np.linalg, "eigvals", _refuse_if_called)
     rng = np.random.default_rng(4)
     path = tmp_path / "m.json"
@@ -729,6 +729,32 @@ def test_field_covering_grid_eigensolve_failure_exits_7(tmp_path, monkeypatch, c
     assert _run(["field", "--matrix", path, "--grid-n", "8", *epsilon, "--out-dir", out]) == 7
     assert "eigensolve failed: did not converge" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_field_epsilon_0_covering_grid_solves_the_spectrum_once(tmp_path, monkeypatch):
+    # the covering grid and the epsilon = 0 kernel share one eigensolve, and
+    # the field equals an explicit --grid run over the same bounds
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rng = np.random.default_rng(12)
+    path = tmp_path / "m.json"
+    save_matrix(path, rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    covered = tmp_path / "covered"
+    assert _run(["field", "--matrix", path, "--grid-n", "16", "--epsilon", "0",
+                 "--out-dir", covered]) == 0
+    assert calls == [(10, 10)]
+    grid = json.loads((covered / "field_meta.json").read_text())["grid"]
+    bounds = ",".join(repr(grid[k]) for k in ("x_min", "x_max", "y_min", "y_max"))
+    explicit = tmp_path / "explicit"
+    assert _run(["field", "--matrix", path, f"--grid={bounds},16,16", "--epsilon", "0",
+                 "--out-dir", explicit]) == 0
+    assert (covered / "field.csv").read_bytes() == (explicit / "field.csv").read_bytes()
 
 
 def test_field_tag_outputs_equal_at_one_and_two_threads(tmp_path):
