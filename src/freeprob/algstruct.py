@@ -5,27 +5,25 @@ A unital subalgebra of M_N either acts without proper invariant subspaces,
 in which case it is all of M_N, or it leaves a subspace invariant that can
 be produced constructively: the image of the trace radical when the algebra
 is not semisimple, or an eigenspace of a non-scalar commutant element
-otherwise.  Both discovery routes re-verify their answer against the raw
-generators, and the "no subspace" branch cross-checks dim = N^2, so a wrong
-decision surfaces as a hard internal failure instead of a quiet wrong
-boolean.  The k-fold transitivity decision reads the ampliation lattice
-and stops at the first subspace that answers False; a lattice pass is
-confirmed by an independent route (orbit sampling), and a certified
-disagreement is treated the same way.
+otherwise.  A wrong decision surfaces as a hard internal failure instead of
+a quiet wrong boolean, and a k-fold pass is confirmed by an independent
+route (orbit sampling).
 
+One walk yields the re-verified invariant subspaces of the ampliation
+{I_k tensor B}, and transitivity is its k = 1 case: the report is its first
+subspace, and k-fold transitivity fails at the first whose projection has
+a non-scalar N x N block.  It offers the radical image before it asks for
+the commutant, so a non-semisimple algebra is answered without forming the
+commutant, and it reads the ampliation's radical image, commutant and
+scales off the span's own.  It raises if a candidate was found but none
+verified, or if none was found although the algebra is not all of M_kN.
 The closure multiplies only the directions each round added.  A span
 computes its commutant, radical, radical image and generator scales once
-each, when they are first read.  The subspace search offers the radical
-image before it asks for the commutant, so a non-semisimple algebra is
-answered without forming its commutant; the k-fold decision reads the
-ampliation's radical image and scales off the span's own.  A candidate
-subspace is accepted when its spectral invariance residual, the one the
-report gives, is within the bound.  A span holds its basis once, as one
-read-only array that its flattened rows view.  The commutant is solved
-from the generators alone; the orbit route draws its tuples in one call
-and checks them in one batched SVD.  A tall matrix whose left singular
-vectors are not needed is decomposed through its QR factor, which gives
-the same bits.
+each, when first read, and holds its basis once, as one read-only array
+that its flattened rows view.  The commutant is solved from the generators
+alone; the orbit route checks its tuples in one batched SVD.  A tall
+matrix whose left singular vectors are not needed is decomposed through
+its QR factor, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -189,8 +187,10 @@ class AlgebraSpan:
     @cached_property
     def radical_image(self) -> np.ndarray:
         """Orthonormal columns spanning the images of the radical's elements."""
-        rad = self.radical
-        image = _column_space(np.hstack(rad)) if rad else np.zeros((self.ambient_dim, 0), complex)
+        # the empty block gives a semisimple span an empty (N, 0) image
+        stacked = np.hstack([np.zeros((self.ambient_dim, 0), complex), *self.radical])
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        image = u[:, : _rank(s)]
         image.flags.writeable = False
         return image
 
@@ -276,6 +276,14 @@ def close_algebra(generators) -> AlgebraSpan:
 # -- commutant and radical ---------------------------------------------------
 
 
+def _null_rows(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace basis, one vector per row, of a matrix with at
+    least as many rows as columns, so that the reduced SVD returns the
+    complete right-singular set."""
+    _, s, vh = np.linalg.svd(_reduce_tall(matrix), full_matrices=False)
+    return vh[_rank(s) :].conj()
+
+
 def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     """Trace-orthonormal basis of {X : XB = BX for every B in the span}.
 
@@ -289,11 +297,7 @@ def commutant(span: AlgebraSpan) -> list[np.ndarray]:
     eye = np.eye(n, dtype=complex)
     units = map(_unit, span.generators)
     system = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in units])
-    # rows >= cols always holds here, so the reduced SVD still returns the
-    # complete right-singular set
-    _, s, vh = np.linalg.svd(_reduce_tall(system), full_matrices=False)
-    null_rows = vh[_rank(s) :].conj()
-    return [row.reshape(n, n) for row in null_rows]
+    return [row.reshape(n, n) for row in _null_rows(system)]
 
 
 def radical(span: AlgebraSpan) -> list[np.ndarray]:
@@ -305,8 +309,7 @@ def radical(span: AlgebraSpan) -> list[np.ndarray]:
     rows = span.rows
     # bilinear trace(b_i b_j) = vec(b_i) . vec(b_j^T), not sesquilinear
     gram = rows @ span.basis.transpose(0, 2, 1).reshape(span.dim, -1).T
-    _, s, vh = np.linalg.svd(gram)
-    coef, _ = _orthonormal_rows(vh[_rank(s) :].conj())
+    coef, _ = _orthonormal_rows(_null_rows(gram))
     n = span.ambient_dim
     return [(c @ rows).reshape(n, n) for c in coef]
 
@@ -364,20 +367,6 @@ def _invariance_residual(generators, scales, vectors: np.ndarray) -> float:
     return max([0.0, *(float(np.linalg.norm(out, 2)) / scale for out, scale in parts)])
 
 
-def _column_space(matrix: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, : _rank(s)]
-
-
-def _is_scalar(matrix: np.ndarray) -> bool:
-    n = matrix.shape[0]
-    c = np.trace(matrix) / n
-    return bool(
-        np.abs(matrix - c * np.eye(n)).max()
-        <= RANK_RTOL * max(1.0, float(np.abs(matrix).max()))
-    )
-
-
 def _eigenspace_candidates(x: np.ndarray):
     """Geometric eigenspaces of x, one per eigenvalue cluster.
 
@@ -411,70 +400,83 @@ def _eigenspace_candidates(x: np.ndarray):
             yield null
 
 
-def _subspace_candidates(image, commutant_basis, rng: np.random.Generator):
-    """Candidate proper invariant subspaces, strongest evidence first.
+def _blocks_scalar(matrix: np.ndarray, k: int) -> bool:
+    """Whether every block of the matrix's k x k partition is a multiple of I."""
+    n = len(matrix) // k
+    blocks = matrix.reshape(k, n, k, n).swapaxes(1, 2)
+    c = np.trace(blocks, axis1=2, axis2=3) / n
+    return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= INVARIANCE_ATOL)
 
-    The radical image comes first; commutant_basis() is called only after
-    it.  A random commutant mix is kept as drawn: a scalar one yields none.
+
+def _invariant_subspaces(span: AlgebraSpan, k: int, rng: np.random.Generator):
+    """(kind, vectors, residual) for each verified proper invariant subspace
+    of the ampliation {I_k tensor B}, strongest evidence first.
+
+    The candidates are the radical image C^k tensor im rad(A), when proper,
+    then the eigenspaces of each non-scalar element of M_k(A') and of
+    COMMUTANT_DRAWS random mixes of them all, kept as drawn: a scalar mix
+    yields none.  The commutant is read only after the radical image is
+    offered.  A candidate is yielded when its invariance residual against
+    the generators I_k tensor g, whose scales are the span's own, is within
+    INVARIANCE_ATOL; at k = 1 each kron copies its factor.  When the
+    candidates run out, the walk raises if one was found but none verified,
+    or if none was found although dim(A) != (kN)^2, since only M_kN has no
+    proper invariant subspace.
     """
-    if 0 < image.shape[1] < image.shape[0]:
-        yield "radical_image", image
-    comm = commutant_basis()
-    candidates = [x for x in comm if not _is_scalar(x)]
-    if candidates:
-        for _ in range(COMMUTANT_DRAWS):
+    kn = k * span.ambient_dim
+    eye_k = np.eye(k, dtype=complex)
+    gens = tuple(np.kron(eye_k, g) for g in span.generators)
+
+    def candidates():
+        image = np.kron(eye_k, span.radical_image)
+        if 0 < image.shape[1] < kn:
+            yield "radical_image", image
+        units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+        comm = [np.kron(e, c) for e in units for c in span.commutant]
+        probes = [x for x in comm if not _blocks_scalar(x, 1)]
+        for _ in range(COMMUTANT_DRAWS if probes else 0):
             coef = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-            candidates.append(sum(c * m for c, m in zip(coef, comm)))
-        for x in candidates:
+            probes.append(sum(c * m for c, m in zip(coef, comm)))
+        for x in probes:
             for vectors in _eigenspace_candidates(x):
                 yield "commutant_eigenspace", vectors
+
+    found = verified = False
+    for kind, vectors in candidates():
+        found = True
+        resid = _invariance_residual(gens, span.scales, vectors)
+        if resid <= INVARIANCE_ATOL:
+            verified = True
+            yield kind, vectors, resid
+    if found and not verified:
+        raise InternalInconsistencyError(
+            "discovered invariant subspaces failed generator re-verification"
+        )
+    if not found and span.dim != kn * kn:
+        raise InternalInconsistencyError(
+            f"no invariant subspace found but dim {span.dim} != {kn * kn}"
+        )
 
 
 def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
     """Produce a proper invariant subspace or certify there is none.
 
-    Discovery order: image of the radical, then eigenspaces of non-scalar
-    commutant elements; the commutant is formed only when the radical image
-    is not a verified proper invariant subspace, so a non-semisimple algebra
-    is answered without it.  Any candidate is re-verified against the
-    original generators before being returned.  When nothing is found the
-    span must be all of M_N; that cross-check failing is an implementation
-    bug, not an input condition, and raises accordingly.
+    This is the invariant-subspace walk at k = 1: the report is the first
+    subspace it yields, verified against the original generators, or
+    "none" when it yields nothing and the span is all of M_N.  The walk's
+    InternalInconsistencyError, for a candidate that fails re-verification
+    with no other passing or for dim != N^2 with nothing found, marks an
+    implementation bug, not an input condition.
     """
-    rng = np.random.default_rng(0)
-    found_any = False
     n = span.ambient_dim
-    gens, scales = span.generators, span.scales
-    candidates = _subspace_candidates(span.radical_image, lambda: span.commutant, rng)
-    for kind, vectors in candidates:
-        found_any = True
-        resid = _invariance_residual(gens, scales, vectors)
-        if resid <= INVARIANCE_ATOL:
-            return SubspaceReport(kind=kind, basis=vectors, verified=True, residual=resid)
-    if found_any:
-        raise InternalInconsistencyError(
-            "discovered invariant subspaces failed generator re-verification"
-        )
-    if span.dim != n * n:
-        raise InternalInconsistencyError(
-            f"no invariant subspace found but dim {span.dim} != {n * n}"
-        )
-    return SubspaceReport(
-        kind="none",
-        basis=np.zeros((n, 0), dtype=complex),
-        verified=True,
-        residual=0.0,
+    kind, vectors, resid = next(
+        _invariant_subspaces(span, 1, np.random.default_rng(0)),
+        ("none", np.zeros((n, 0), dtype=complex), 0.0),
     )
+    return SubspaceReport(kind=kind, basis=vectors, verified=True, residual=resid)
 
 
 # -- k-fold transitivity -------------------------------------------------------
-
-
-def _blocks_scalar(projection: np.ndarray, k: int, n: int) -> bool:
-    """Whether every N x N block of the projection is a scalar multiple of I."""
-    blocks = projection.reshape(k, n, k, n).swapaxes(1, 2)
-    c = np.trace(blocks, axis1=2, axis2=3) / n
-    return bool(np.abs(blocks - c[:, :, None, None] * np.eye(n)).max() <= INVARIANCE_ATOL)
 
 
 def _orbits_full(basis: np.ndarray, tuples: np.ndarray) -> bool:
@@ -491,22 +493,19 @@ def kfold_transitive(
     """Decide k-fold transitivity on the ampliation lattice, and confirm a
     pass by orbit sampling.
 
-    The lattice route inspects the ampliation {I_k tensor B}, whose
-    commutant M_k(A') and radical image C^k tensor im rad(A) come from the
-    span's own, as do its generator scales, since ||I_k tensor g||_2 =
-    ||g||_2: the span is k-fold transitive exactly when every discovered
-    invariant subspace has a projection whose N x N blocks are all scalar.
-    It walks the verified subspaces as the sampler yields them and stops at
-    the first non-scalar block, since no later subspace can change that
-    False.  The size cap on M_k(A') is checked before any work, but its
-    k^2 dim(A') elements are built only when the radical image leaves the
-    answer open.  The lattice route runs on every call; the orbit route
-    confirms every lattice pass.  It checks, in one batched SVD, that the
-    orbits of the standard-basis k-tuple and of ORBIT_TUPLES complex
-    Gaussian k-tuples, drawn in one call and independent with probability
-    one, span all of C^{N x k}.  A single deficient tuple is an exact
-    certificate of failure, so one next to a lattice pass falsifies the
-    implementation.
+    The lattice route is the invariant-subspace walk at k: the span is
+    k-fold transitive exactly when every verified invariant subspace of
+    {I_k tensor B} has a projection whose N x N blocks are all scalar, so
+    the route answers False at the first non-scalar block.  The walk raises
+    under the same rule as at k = 1; for k >= 2, dim(A) <= N^2 < (kN)^2, so
+    finding nothing is a bug.  The size cap on M_k(A') is checked before
+    any work, but its k^2 dim(A') elements are built only when the radical
+    image leaves the answer open.  The orbit route confirms every lattice
+    pass.  It checks, in one batched SVD, that the orbits of the
+    standard-basis k-tuple and of ORBIT_TUPLES complex Gaussian k-tuples,
+    drawn in one call and independent with probability one, span all of
+    C^{N x k}.  A single deficient tuple is an exact certificate of
+    failure, so one next to a lattice pass falsifies the implementation.
     """
     n = span.ambient_dim
     if not 1 <= k <= n:
@@ -516,25 +515,9 @@ def kfold_transitive(
     comm = span.commutant
     # k^2 dim(A') candidate matrices in M_kN
     require_fits(16 * k**4 * len(comm) * n**2, f"M_{k} of a {len(comm)}-dimensional commutant")
-    eye_k = np.eye(k, dtype=complex)
-    units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-    gens = tuple(np.kron(eye_k, g) for g in span.generators)
-    candidates = _subspace_candidates(
-        np.kron(eye_k, span.radical_image),
-        lambda: [np.kron(e, c) for e in units for c in comm],
-        rng,
-    )
-    found_any = False
-    for _, vectors in candidates:
-        if _invariance_residual(gens, span.scales, vectors) <= INVARIANCE_ATOL:
-            if not _blocks_scalar(vectors @ vectors.conj().T, k, n):
-                return False
-            found_any = True
-    if not found_any and span.dim != (k * n) ** 2:
-        # nothing found although the ampliation cannot be all of M_{kN}
-        raise InternalInconsistencyError(
-            "ampliation subspace discovery came back empty on a proper algebra"
-        )
+    walk = _invariant_subspaces(span, k, rng)
+    if any(not _blocks_scalar(v @ v.conj().T, k) for _, v, _ in walk):
+        return False
 
     # each draw takes its real part, then its imaginary part
     parts = rng.standard_normal((ORBIT_TUPLES, 2, n, k))

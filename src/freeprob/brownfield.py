@@ -136,19 +136,27 @@ class GridSpec:
             self, x_min=x0 - pad, x_max=x1 + pad, y_min=y0 - pad, y_max=y1 + pad, epsilon=epsilon
         )
 
+    def _axes(self) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+        """(min, max, nodes) along x and along y; unset bounds are refused."""
+        if self.x_min is None:
+            raise DomainError("grid bounds are unset: logdet_field resolves them")
+        return (self.x_min, self.x_max, self.nx), (self.y_min, self.y_max, self.ny)
+
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.nx - 1)
+        lo, hi, n = self._axes()[0]
+        return (hi - lo) / (n - 1)
 
     @property
     def dy(self) -> float:
-        return (self.y_max - self.y_min) / (self.ny - 1)
+        lo, hi, n = self._axes()[1]
+        return (hi - lo) / (n - 1)
 
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        return np.linspace(*self._axes()[0])
 
     def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.ny)
+        return np.linspace(*self._axes()[1])
 
     def nodes(self) -> np.ndarray:
         """Complex node values, shape (nx, ny), index [ix, iy]."""
@@ -364,14 +372,19 @@ def brown_laplacian(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, flo
     their noise floor.
 
     The noise floor is an a posteriori estimate of the discretization error
-    of one cell mass, from fourth differences of the field.  A non-finite
-    value raises DomainError naming its nodes.
+    of one cell mass, from fourth differences of the field.  Values of
+    another shape than the grid's (nx, ny) raise DimensionMismatchError, a
+    grid with unset bounds or a non-finite value DomainError.
     """
+    if values.shape != (grid.nx, grid.ny):
+        raise DimensionMismatchError(
+            f"field values of shape {values.shape} on a {grid.nx} x {grid.ny} grid"
+        )
+    dx, dy = grid.dx, grid.dy
     bad = np.argwhere(~np.isfinite(values)).tolist()
     if bad:
         raise DomainError(f"field has non-finite values at nodes {[tuple(b) for b in bad]}")
     v = values
-    dx, dy = grid.dx, grid.dy
     lap = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 + (
         v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]
     ) / dy**2

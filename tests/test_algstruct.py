@@ -22,7 +22,7 @@ from freeprob.algstruct import (
     radical,
 )
 from freeprob.config import MAX_SYSTEM_BYTES
-from freeprob.errors import DimensionMismatchError, DomainError
+from freeprob.errors import DimensionMismatchError, DomainError, InternalInconsistencyError
 from freeprob.matmodel import derive_rng, haar_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -432,6 +432,34 @@ class TestKfoldTransitive:
             assert not kfold_transitive(span, 2, np.random.default_rng(7))
         with pytest.raises(OrbitsCalled):
             kfold_transitive(m2, 2, np.random.default_rng(7))
+
+
+class TestWalkFailureRules:
+    """Transitivity and k-fold transitivity read one subspace walk, so they
+    fail under one rule and agree at k = 1."""
+
+    def test_no_candidate_verifies(self, monkeypatch, diag3):
+        monkeypatch.setattr(algstruct, "_invariance_residual", lambda gens, scales, vectors: 1.0)
+        with pytest.raises(InternalInconsistencyError, match="failed generator re-verification"):
+            find_invariant_subspace(diag3)
+        with pytest.raises(InternalInconsistencyError):
+            kfold_transitive(diag3, 2, np.random.default_rng(8))
+
+    def test_nothing_found_on_a_reducible_span(self, monkeypatch, diag3):
+        # diag3 is semisimple, so without eigenspaces no candidate is left
+        monkeypatch.setattr(algstruct, "_eigenspace_candidates", lambda x: iter(()))
+        with pytest.raises(InternalInconsistencyError, match="no invariant subspace found"):
+            find_invariant_subspace(diag3)
+        with pytest.raises(InternalInconsistencyError, match="no invariant subspace found"):
+            kfold_transitive(diag3, 2, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("family", range(5))
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_transitive_exactly_when_onefold(self, family, n):
+        rng = np.random.default_rng([family, n])
+        span = close_algebra(_random_algebra_generators(n, family, rng))
+        transitive = find_invariant_subspace(span).kind == "none"
+        assert transitive == kfold_transitive(span, 1, rng)
 
 
 def prototype_generators(family, n):

@@ -15,6 +15,7 @@ from scipy.linalg.lapack import zpotrf
 
 from freeprob import brownfield
 from freeprob.brownfield import (
+    BrownField,
     GridSpec,
     brown_laplacian,
     default_epsilon,
@@ -98,6 +99,19 @@ class TestGridSpec:
         assert nodes.shape == (3, 5)
         assert nodes[1, 2] == 0.5 + 1.0j
         assert g.dx == 0.5 and g.dy == 0.5
+
+    def test_unset_bounds_refused_by_the_geometry(self):
+        # only logdet_field resolves unset bounds; every other reader refuses them
+        g = GridSpec(nx=5, ny=5)
+        fld = BrownField(grid=g, values=np.zeros((5, 5)), laplacian_mass=np.zeros((3, 3)),
+                         noise_floor=0.0)
+        readers = (lambda: g.dx, lambda: g.dy, g.xs, g.ys, g.nodes,
+                   lambda: brown_laplacian(g, np.zeros((5, 5))),
+                   lambda: mass_in_region(fld, lambda x, y: x < 0.0),
+                   lambda: field_csv_text(fld), lambda: mass_csv_text(fld))
+        for read in readers:
+            with pytest.raises(DomainError, match="logdet_field resolves them"):
+                read()
 
 
 def log_fk_at_zero(t, epsilon=0.0):
@@ -253,6 +267,11 @@ class TestLogdetField:
         values[4, 4] = -math.inf
         with pytest.raises(DomainError, match=r"non-finite values at nodes \[\(2, 3\), \(4, 4\)\]"):
             brown_laplacian(g, values)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (5, 4), (4, 5)])
+    def test_laplacian_refuses_values_off_the_grid(self, shape):
+        with pytest.raises(DimensionMismatchError, match=rf"shape \({shape[0]}, {shape[1]}\) on a 5 x 5"):
+            brown_laplacian(GridSpec.square(1.0, 5), np.zeros(shape))
 
     def test_thread_count_bitwise_identical(self):
         t = random_matrix(20, 9)
