@@ -5,10 +5,9 @@ implementation against it at stated tolerances; nothing is fitted to the
 observed output.  Criteria 3-5 share one matrix model per seed: the catalog
 operators live in the same algebra, and the squared-operator laws follow
 from the sampled spectra by the spectral mapping lambda -> lambda^2.  Every
-spectrum is a plain array of eigenvalues read from two n x n eigensolves of
-the Haar rotation's blocks per seed (the model's cached block eigenvalues,
-read through each Law's spectrum), shared by all three comparisons; each
-criterion maps it to its law's radial coordinate
+spectrum is the plain eigenvalue array of matmodel.spectrum, read from the
+model's two cached n x n block eigensolves per seed and shared by all three
+comparisons; each criterion maps it to its law's radial coordinate
 (pullback_radii) and measures a KS distance.  The W1F12 atom 1/2 at 0 is
 exact by construction (the kernel is n exact zeros), so criterion 3 checks
 only the law conditioned off the atom.
@@ -53,6 +52,7 @@ from .matmodel import (
     exact_identity_residuals,
     haar_unitary,
     ks_distance,
+    spectrum,
     trace_factorization_check,
     word_trace,
 )
@@ -149,9 +149,9 @@ def _criterion(number: int, title: str, bound_s: float = math.inf):
     def wrap(check):
         @functools.wraps(check)
         def run(*args) -> CriterionResult:
-            started = time.time()
+            started = time.perf_counter()
             ok, headline, details, *notes = check(*args)
-            runtime = time.time() - started
+            runtime = time.perf_counter() - started
             bound = "no bound" if math.isinf(bound_s) else f"bound {bound_s:g} s"
             return CriterionResult(
                 number=number,
@@ -180,7 +180,7 @@ def _catalog_spectra() -> dict[OperatorTag, list[np.ndarray]]:
     for child in _child_seeds("criteria-3-4-5-spectra", SPECTRA_SEEDS):
         model = build_m2_free_m2(SPECTRA_DIM // 2, child)
         for tag in _SPECTRA_TAGS:
-            out[tag].append(catalog_brown(tag).spectrum(model))
+            out[tag].append(spectrum(model, tag))
     return out
 
 

@@ -323,13 +323,13 @@ class SubspaceReport:
 
     kind is "none", "radical_image", or "commutant_eigenspace"; basis holds
     orthonormal column vectors spanning the subspace (shape (N, m), empty
-    for kind "none"); verified records that every original generator mapped
-    the subspace into itself within tolerance, with the worst residual.
+    for kind "none"); every returned subspace was verified against the
+    original generators, and residual is the worst relative part of their
+    images left outside it (0.0 for kind "none").
     """
 
     kind: str
     basis: np.ndarray
-    verified: bool
     residual: float
 
     @property
@@ -340,7 +340,6 @@ class SubspaceReport:
         return {
             "kind": self.kind,
             "dimension": self.dimension,
-            "verified": self.verified,
             "residual": self.residual,
             "basis": [
                 [[float(z.real), float(z.imag)] for z in self.basis[:, j]]
@@ -473,7 +472,7 @@ def find_invariant_subspace(span: AlgebraSpan) -> SubspaceReport:
         _invariant_subspaces(span, 1, np.random.default_rng(0)),
         ("none", np.zeros((n, 0), dtype=complex), 0.0),
     )
-    return SubspaceReport(kind=kind, basis=vectors, verified=True, residual=resid)
+    return SubspaceReport(kind=kind, basis=vectors, residual=resid)
 
 
 # -- k-fold transitivity -------------------------------------------------------

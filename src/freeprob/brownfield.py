@@ -183,7 +183,7 @@ class BrownField:
     @property
     def path(self) -> str:
         """The kernel that evaluated the field, which epsilon selects."""
-        return "schur" if self.grid.epsilon == 0.0 else "svd"
+        return "eigenvalues" if self.grid.epsilon == 0.0 else "svd"
 
     def total_mass(self) -> float:
         return float(self.laplacian_mass.sum())
@@ -301,7 +301,7 @@ def logdet_field(
     from its lower bound EPSILON_SCALE ||T||_F^2 / N, so before the 2-norm;
     the default epsilon; one eigensolve for the covering grid and epsilon = 0.
 
-    The kernel follows epsilon.  At epsilon = 0 the "schur" kernel reads
+    The kernel follows epsilon.  At epsilon = 0 the "eigenvalues" kernel reads
     the eigenvalues' distances to each node (exact, and O(total nodes x N)
     after the eigensolve); an eigenvalue on a node reads as at
     distance h = hypot(dx, dy) / 2 and flags the node, so no node is

@@ -49,6 +49,7 @@ from .matmodel import (
     derive_rng,
     ks_distance,
     realize,
+    spectrum,
 )
 from .measures import ScalarMeasure
 from .rdiagonal import (
@@ -88,7 +89,7 @@ def _write_outputs(args, outputs: dict[str, str], started: float) -> None:
         "seed": getattr(args, "seed", None),
         "config": {key: getattr(args, key, None) for key in RECORDED_FLAGS}
         | {"out_dir": str(args.out_dir)},
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "affinity_cpus": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -168,7 +169,8 @@ def cmd_simulate(args) -> CommandResult:
     seed_list = [_child_seed(seed, f"simulate-{idx}") for idx in range(args.seeds)]
     for idx, child in enumerate(seed_list):
         model = build_m2_free_m2(half_dim, child)
-        eigenvalues = catalog.spectrum(model)
+        # the tag as typed: perfbench's tracer names its span after this argument
+        eigenvalues = spectrum(model, args.tag)
         pairs = zip(eigenvalues.real.tolist(), eigenvalues.imag.tolist())
         outputs[f"eigenvalues_seed{idx}.csv"] = _csv_text("re,im", pairs)
         all_radii.append(pullback_radii(tag, eigenvalues))
@@ -212,7 +214,7 @@ def _field_matrix(args, grid: GridSpec) -> tuple[np.ndarray, str]:
     if grid.epsilon != 0.0:
         require_gram_fits(dim, grid.nx, min(args.threads, grid.ny))
     model = build_m2_free_m2(half_dim, _child_seed(seed, "field"))
-    return realize(tag, model), tag.value
+    return realize(model, tag), tag.value
 
 
 def cmd_field(args) -> CommandResult:
@@ -356,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = ["freeprob", *argv]
     try:
-        started = time.time()
+        started = time.perf_counter()
         result = args.func(args)
         _write_outputs(args, result.outputs, started)
     except FreeprobError as exc:

@@ -33,7 +33,7 @@ from .errors import (
     EigensolveError,
     WordSpecError,
 )
-from .rdiagonal import CATALOG, OperatorTag
+from .rdiagonal import OperatorTag
 
 __all__ = [
     "MatrixModel",
@@ -191,6 +191,63 @@ class MatrixModel:
         return _freeze(_eigvals(core, f"the nilpotent core of seed {self.seed}"))
 
 
+def _eigvals(matrix: np.ndarray, source: str) -> np.ndarray:
+    """Dense non-symmetric eigenvalues, with diagnostics if LAPACK fails."""
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        row_sum = float(np.max(np.abs(matrix).sum(axis=1)))
+        norm = float(np.linalg.norm(matrix, "fro")) / math.sqrt(matrix.shape[0])
+        raise EigensolveError(
+            f"eigensolve failed for {source} (dim={matrix.shape[0]}, "
+            f"normalized Frobenius norm={norm:.3e}, "
+            f"max row sum={row_sum:.3e}): {exc}"
+        ) from exc
+
+
+# -- the catalog operators ---------------------------------------------------
+
+
+def _square(s: np.ndarray) -> np.ndarray:
+    return s @ s
+
+
+def _plus_minus(v: np.ndarray) -> np.ndarray:
+    return np.concatenate((v, -v))
+
+
+def _twice(v: np.ndarray) -> np.ndarray:
+    return np.concatenate((v, v))
+
+
+# each catalog operator's (realization from the model's named factors, 2n
+# eigenvalues from its reflected (mu) and nilpotent (nu) block eigenvalues)
+_OPERATORS: dict[OperatorTag, tuple[Callable[[MatrixModel], np.ndarray], ...]] = {
+    # eig(M) and the kernel of rank-n F12 as n exact zeros
+    OperatorTag.W1F12: (lambda m: m.factor("W1") @ m.factor("F12"),
+                        lambda m: np.pad(m.reflected_eigenvalues, (0, m.half_dim))),
+    OperatorTag.E12_plus_F12: (lambda m: m.factor("E12") + m.factor("F12"),
+                               lambda m: _plus_minus(np.sqrt(m.nilpotent_eigenvalues))),
+    OperatorTag.E12_plus_F12_squared: (lambda m: _square(m.factor("E12") + m.factor("F12")),
+                                       lambda m: _twice(m.nilpotent_eigenvalues)),
+    OperatorTag.W1_plus_F12_squared: (lambda m: _square(m.factor("W1") + m.factor("F12")),
+                                      lambda m: _twice(1.0 + m.reflected_eigenvalues)),
+    OperatorTag.W1_plus_F12: (lambda m: m.factor("W1") + m.factor("F12"),
+                              lambda m: _plus_minus(np.sqrt(1.0 + m.reflected_eigenvalues))),
+}
+
+
+def realize(model: MatrixModel, tag: OperatorTag | str) -> np.ndarray:
+    """The matrix of a catalogued operator in this model."""
+    return _OPERATORS[OperatorTag(tag)][0](model)
+
+
+def spectrum(model: MatrixModel, tag: OperatorTag | str) -> np.ndarray:
+    """A catalogued operator's 2n eigenvalues from the model's two n x n
+    block eigensolves; the 2n x 2n matrix is never formed."""
+    return _OPERATORS[OperatorTag(tag)][1](model)
+
+
 @dataclass(frozen=True, eq=False)
 class FreeGroupModel:
     """Two independent Haar unitaries standing in for free group generators."""
@@ -220,11 +277,6 @@ def build_free_group(dim: int, seed: int) -> FreeGroupModel:
     )
 
 
-def realize(tag: OperatorTag | str, model: MatrixModel) -> np.ndarray:
-    """The matrix realization of a catalogued operator in this model."""
-    return CATALOG[OperatorTag(tag)].realize(model)
-
-
 def exact_identity_residuals(model: MatrixModel) -> dict[str, float]:
     """The Frobenius residual ||Q*Q - I|| of the model's Haar rotation.
 
@@ -238,31 +290,6 @@ def exact_identity_residuals(model: MatrixModel) -> dict[str, float]:
 
 
 # -- spectra ----------------------------------------------------------------
-
-
-def _eigvals(matrix: np.ndarray, source: str) -> np.ndarray:
-    """Dense non-symmetric eigenvalues, with diagnostics if LAPACK fails."""
-    try:
-        return np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        row_sum = float(np.max(np.abs(matrix).sum(axis=1)))
-        norm = float(np.linalg.norm(matrix, "fro")) / math.sqrt(matrix.shape[0])
-        raise EigensolveError(
-            f"eigensolve failed for {source or 'matrix'} (dim={matrix.shape[0]}, "
-            f"normalized Frobenius norm={norm:.3e}, "
-            f"max row sum={row_sum:.3e}): {exc}"
-        ) from exc
-
-
-def spectrum(matrix: np.ndarray, source: str = "") -> np.ndarray:
-    """All eigenvalues of a square matrix by a dense non-symmetric eigensolve.
-
-    source names the matrix in the failure diagnostics.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-    return _eigvals(matrix, source)
 
 
 def ks_distance(radii: np.ndarray, cdf) -> float:

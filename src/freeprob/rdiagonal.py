@@ -8,10 +8,10 @@ exactly t for t in (mu_H({0}), 1].  At the z < 0 where psi(z) = t - 1
 (psi of mu_{H^2}) that radius is (psi(z) / ((1 + psi(z)) z))^(1/2), so
 brown_rdiagonal reads the radial CDF off psi on a grid of z.
 
-The catalog lists the five operators built from two free copies of the 2x2
-matrix algebra that the rest of the package simulates.  Catalog ground truth
-is the ball-mass form F(r); a planar density, where wanted, is
-F'(r) / (2 pi r).
+The catalog holds the closed-form Brown measures of the five operators
+built from two free copies of the 2x2 matrix algebra that matmodel
+realizes.  Catalog ground truth is the ball-mass form F(r); a planar
+density, where wanted, is F'(r) / (2 pi r).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -167,21 +167,17 @@ class RadialPlanarMeasure:
 
 @dataclass(frozen=True)
 class Law:
-    """A catalogued Brown measure and the operator it belongs to.
+    """A catalogued Brown measure in closed form.
 
     coordinate maps eigenvalues to the stored radius about the law's
     center; ball is the closed-ball mass on [0, support_outer] in that
-    coordinate; realize builds the operator from a matrix model's named
-    factors (model.factor); spectrum gives the realization's 2n eigenvalues
-    from the model's n x n block eigensolves, never forming the 2n x 2n one.
+    coordinate.
     """
 
     center_atom_mass: float
     support_outer: float
     coordinate: Callable[[np.ndarray], np.ndarray]
     ball: Callable[[np.ndarray], np.ndarray]
-    realize: Callable[[Any], np.ndarray]
-    spectrum: Callable[[Any], np.ndarray]
 
     def cdf(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -193,50 +189,21 @@ def _about(center: complex) -> Callable[[np.ndarray], np.ndarray]:
     return lambda z: np.abs(z - center)
 
 
-def _square(s: np.ndarray) -> np.ndarray:
-    return s @ s
-
-
 # r^2 / (1 - r^2) is the law of E12 + F12, of the squared shifted sum about
 # 1, and of the unsquared shifted sum in the coordinate |z^2 - 1|
 def _nilpotent_ball(r):
     return r**2 / (1.0 - r**2)
 
 
-def _plus_minus(v: np.ndarray) -> np.ndarray:
-    return np.concatenate((v, -v))
-
-
-def _twice(v: np.ndarray) -> np.ndarray:
-    return np.concatenate((v, v))
-
-
-# center atom mass, outer radius, coordinate, ball mass, realization, block
-# spectrum from the model's reflected (mu) and nilpotent (nu) eigenvalues
+# center atom mass, outer radius, coordinate, ball mass
 CATALOG: dict[OperatorTag, Law] = {
-    OperatorTag.W1F12: Law(
-        0.5, SQRT_HALF, _about(0j), lambda r: 1.0 / (2.0 * (1.0 - r**2)),
-        # eig(M) and the kernel of rank-n F12 as n exact zeros
-        lambda m: m.factor("W1") @ m.factor("F12"), lambda m: np.pad(m.reflected_eigenvalues, (0, m.half_dim)),
-    ),
-    OperatorTag.E12_plus_F12: Law(
-        0.0, SQRT_HALF, _about(0j), _nilpotent_ball,
-        lambda m: m.factor("E12") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(m.nilpotent_eigenvalues)),
-    ),
-    OperatorTag.E12_plus_F12_squared: Law(
-        0.0, 0.5, _about(0j), lambda r: r / (1.0 - r),
-        lambda m: _square(m.factor("E12") + m.factor("F12")), lambda m: _twice(m.nilpotent_eigenvalues),
-    ),
-    OperatorTag.W1_plus_F12_squared: Law(
-        0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball,
-        lambda m: _square(m.factor("W1") + m.factor("F12")), lambda m: _twice(1.0 + m.reflected_eigenvalues),
-    ),
+    OperatorTag.W1F12: Law(0.5, SQRT_HALF, _about(0j), lambda r: 1.0 / (2.0 * (1.0 - r**2))),
+    OperatorTag.E12_plus_F12: Law(0.0, SQRT_HALF, _about(0j), _nilpotent_ball),
+    OperatorTag.E12_plus_F12_squared: Law(0.0, 0.5, _about(0j), lambda r: r / (1.0 - r)),
+    OperatorTag.W1_plus_F12_squared: Law(0.0, SQRT_HALF, _about(1.0 + 0j), _nilpotent_ball),
     # not radial about any center: stored in the coordinate |z^2 - 1|, the
     # pullback of the squared law, which vanishes at +-1
-    OperatorTag.W1_plus_F12: Law(
-        0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball,
-        lambda m: m.factor("W1") + m.factor("F12"), lambda m: _plus_minus(np.sqrt(1.0 + m.reflected_eigenvalues)),
-    ),
+    OperatorTag.W1_plus_F12: Law(0.0, SQRT_HALF, lambda z: np.abs(z * z - 1.0), _nilpotent_ball),
 }
 
 

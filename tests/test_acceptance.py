@@ -13,8 +13,8 @@ import json
 import pytest
 
 from freeprob import acceptance, algstruct, measures, rdiagonal
-from freeprob.matmodel import build_m2_free_m2
-from freeprob.rdiagonal import OperatorTag, catalog_brown
+from freeprob.matmodel import build_m2_free_m2, spectrum
+from freeprob.rdiagonal import OperatorTag
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_criterion_9_reports_a_failed_run(monkeypatch):
 def _slow_clock(monkeypatch, step: float) -> None:
     # each reading is step seconds after the one before
     ticks = itertools.count(0.0, step)
-    monkeypatch.setattr(acceptance.time, "time", lambda: next(ticks))
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(ticks))
 
 
 def test_runner_fails_a_criterion_past_its_bound(monkeypatch):
@@ -152,7 +152,7 @@ def test_ks_legs_fail_on_a_stretched_law(monkeypatch):
         acceptance.SPECTRA_DIM // 2, acceptance._child_seeds("criteria-3-4-5-spectra", 1)[0]
     )
     tags = (OperatorTag.W1F12, OperatorTag.E12_plus_F12)
-    eigenvalues = {tag: [catalog_brown(tag).spectrum(model)] for tag in tags}
+    eigenvalues = {tag: [spectrum(model, tag)] for tag in tags}
 
     def legs():
         checks = (acceptance._criterion_3, acceptance._criterion_4)

@@ -233,44 +233,30 @@ class TestRealize:
     def test_rank_of_rotated_nilpotent(self):
         # the second factor of the product has rank exactly half the dimension
         tiny = build_m2_free_m2(1, seed=3)
-        assert np.linalg.matrix_rank(realize(OperatorTag.W1F12, tiny)) <= 1
+        assert np.linalg.matrix_rank(realize(tiny, OperatorTag.W1F12)) <= 1
         small = build_m2_free_m2(2, seed=3)
-        mat = realize(OperatorTag.W1F12, small)
+        mat = realize(small, OperatorTag.W1F12)
         assert mat.shape == (4, 4)
         assert np.linalg.matrix_rank(mat) <= 2
 
     def test_nilpotent_sum_square_identity(self, model):
-        s = realize(OperatorTag.E12_plus_F12, model)
+        s = realize(model, OperatorTag.E12_plus_F12)
         e12, f12 = model.factor("E12"), model.factor("F12")
         assert np.max(np.abs(s @ s - (e12 @ f12 + f12 @ e12))) < 1e-12
 
     def test_shifted_square_expansion(self, model):
-        t = realize(OperatorTag.W1_plus_F12, model)
+        t = realize(model, OperatorTag.W1_plus_F12)
         w1, f12 = model.factor("W1"), model.factor("F12")
         eye = np.eye(model.dim)
         assert np.max(np.abs(t @ t - eye - w1 @ f12 - f12 @ w1)) < 1e-12
 
     def test_squared_tags_square_the_base(self, model):
-        base = realize(OperatorTag.W1_plus_F12, model)
-        assert np.array_equal(realize(OperatorTag.W1_plus_F12_squared, model), base @ base)
+        base = realize(model, OperatorTag.W1_plus_F12)
+        assert np.array_equal(realize(model, OperatorTag.W1_plus_F12_squared), base @ base)
 
     def test_unknown_tag(self, model):
         with pytest.raises(ValueError):
-            realize("NotATag", model)
-
-
-class TestSpectrum:
-    def test_jordan_block_is_nilpotent(self):
-        j = np.diag(np.ones(2), k=1)
-        assert np.max(np.abs(spectrum(j, source="jordan"))) < 1e-12
-
-    def test_diagonal(self):
-        vals = spectrum(np.diag([1.0, 2.0, 3.0]))
-        assert sorted(vals.real) == pytest.approx([1.0, 2.0, 3.0])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            spectrum(np.ones((2, 3)))
+            realize(model, "NotATag")
 
 
 class TestCatalogSpectrum:
@@ -280,9 +266,10 @@ class TestCatalogSpectrum:
     @pytest.mark.parametrize("tag", list(OperatorTag))
     def test_matches_dense_oracle(self, tag, seed):
         model = build_m2_free_m2(128, seed)
-        block = catalog_brown(tag).spectrum(model)
-        dense = spectrum(realize(tag, model), source=tag.value)
+        block = spectrum(model, tag)
+        dense = np.linalg.eigvals(realize(model, tag))
         assert block.shape == (model.dim,)
+        assert np.array_equal(spectrum(model, tag.value), block)
         cost = np.abs(block[:, None] - dense[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10
@@ -295,7 +282,7 @@ class TestCatalogSpectrum:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
         for tag in OperatorTag:
-            catalog_brown(tag).spectrum(model)
+            spectrum(model, tag)
         assert shapes == [(16, 16), (16, 16)]
 
     @pytest.mark.parametrize("name", ["reflected_eigenvalues", "nilpotent_eigenvalues"])
@@ -321,7 +308,7 @@ class TestCatalogSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(EigensolveError, match=r"dim=16, normalized Frobenius norm="):
-            catalog_brown(OperatorTag.W1F12).spectrum(build_m2_free_m2(16, seed=5))
+            spectrum(build_m2_free_m2(16, seed=5), OperatorTag.W1F12)
 
 
 class TestEmpiricalCdf:
@@ -355,19 +342,19 @@ class TestEmpiricalCdf:
         ],
     )
     def test_spectra_match_catalog(self, big_model, tag):
-        radii = pullback_radii(tag, spectrum(realize(tag, big_model), source=tag.value))
+        radii = pullback_radii(tag, np.linalg.eigvals(realize(big_model, tag)))
         # the dense eigensolve leaves the W1F12 kernel below 1e-14 rather
         # than at 0, the law's atom; every other radius is above 1e-3
         radii = np.where(radii < 1e-12, 0.0, radii)
         assert ks_distance(radii, catalog_brown(tag).cdf) <= 0.05
 
     def test_spectrum_matches_catalog_in_pullback_coordinate(self, big_model):
-        vals = spectrum(realize(OperatorTag.W1_plus_F12, big_model), source="W1_plus_F12")
+        vals = np.linalg.eigvals(realize(big_model, OperatorTag.W1_plus_F12))
         rho = pullback_radii(OperatorTag.W1_plus_F12, vals)
         assert ks_distance(rho, catalog_brown(OperatorTag.W1_plus_F12).cdf) <= 0.05
 
     def test_support_radius_bound(self, big_model):
-        vals = spectrum(realize(OperatorTag.E12_plus_F12, big_model), source="e")
+        vals = np.linalg.eigvals(realize(big_model, OperatorTag.E12_plus_F12))
         assert np.abs(vals).max() <= 1.0 / math.sqrt(2.0) + 0.05
 
     def test_two_atom_annulus_against_recipe(self, big_model):
@@ -380,7 +367,7 @@ class TestEmpiricalCdf:
         rng = derive_rng(97, "annulus-check")
         u = haar_unitary(dim, rng)
         h = np.diag(np.concatenate([np.full(dim // 2, 0.5), np.full(dim // 2, 1.5)]))
-        radii = np.abs(spectrum(u @ h, source="UH"))
+        radii = np.abs(np.linalg.eigvals(u @ h))
         law = brown_rdiagonal(ScalarMeasure(atoms=((0.5, 0.5), (1.5, 0.5))))
         assert ks_distance(radii, law.cdf) <= 0.05
 
