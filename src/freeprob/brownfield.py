@@ -47,6 +47,10 @@ __all__ = [
 GRID_N = 256
 # the default regularization is EPSILON_SCALE * ||T||_2^2
 EPSILON_SCALE = 1e-6
+# Gram entries in one worker's batch: 2**18 complex entries are 4 MiB
+BATCH_ENTRIES = 1 << 18
+# logdet_field starts one thread per worker, so their count is bounded
+MAX_THREADS = 256
 
 
 def _bind_zpotrf():
@@ -122,16 +126,18 @@ class GridSpec:
 
     @classmethod
     def covering(cls, points: np.ndarray, n: int, epsilon: float | None = 0.0) -> "GridSpec":
-        """An n x n grid around the given complex points; see _around."""
+        """An n x n grid around the given complex points; see _around.  An
+        unset epsilon pads as 0, since the matrix that sets it is not given."""
         return cls(nx=n, ny=n)._around(points, epsilon)
 
     def _around(self, points: np.ndarray, epsilon: float | None) -> "GridSpec":
         """This grid's nodes spread over the given complex points, padded on
-        every side by a quarter of the larger side of their bounding box."""
+        every side by a quarter of the larger side of their bounding box, and
+        by at least 10 sqrt(epsilon), over which an epsilon > 0 spreads mass."""
         points = np.asarray(points, dtype=complex)
         x0, x1 = float(points.real.min()), float(points.real.max())
         y0, y1 = float(points.imag.min()), float(points.imag.max())
-        pad = 0.25 * max(x1 - x0, y1 - y0, 1e-3)
+        pad = max(0.25 * max(x1 - x0, y1 - y0, 1e-3), 10.0 * math.sqrt(epsilon or 0.0))
         return replace(
             self, x_min=x0 - pad, x_max=x1 + pad, y_min=y0 - pad, y_max=y1 + pad, epsilon=epsilon
         )
@@ -206,9 +212,9 @@ def default_epsilon(matrix: np.ndarray) -> float:
 def require_gram_fits(n: int, nx: int, workers: int) -> int:
     """Refuse an epsilon > 0 field of an n x n matrix on nx-node grid rows if
     its workers, each holding a row's Gram pair B*B, B + B* and a batch of at
-    most 2**22 Gram entries, would pass the size cap; return the batch length,
-    which the worker count never changes."""
-    chunk = min(nx, max(1, (1 << 22) // max(1, n * n)))
+    most BATCH_ENTRIES Gram entries, would pass the size cap; return the
+    batch length, which the worker count never changes."""
+    chunk = min(nx, max(1, BATCH_ENTRIES // max(1, n * n)))
     what = f"{workers} worker(s), each with the Gram pair of a {n} x {n} matrix and a {chunk}-node batch,"
     require_fits(workers * (16 * chunk + 32) * n * n, what)
     return chunk
@@ -250,12 +256,7 @@ def _cholesky_batch(gram: np.ndarray) -> np.ndarray:
 
 
 def _svd_column(
-    matrix: np.ndarray,
-    xs: np.ndarray,
-    iy: int,
-    y: float,
-    epsilon: float,
-    buf: np.ndarray,
+    matrix: np.ndarray, xs: np.ndarray, iy: int, y: float, epsilon: float, buf: np.ndarray
 ) -> np.ndarray:
     """One grid row of (1/2N) sum ln(sigma_i^2 + eps) via Cholesky in buf.
 
@@ -287,19 +288,15 @@ def _svd_column(
     return out
 
 
-def logdet_field(
-    matrix: np.ndarray,
-    grid: GridSpec,
-    threads: int = 1,
-) -> BrownField:
+def logdet_field(matrix: np.ndarray, grid: GridSpec, threads: int = 1) -> BrownField:
     """Evaluate the log-determinant field on the grid and its cell masses.
 
     Unset bounds become GridSpec.covering of the eigenvalues at the grid's
     own nx and ny, an unset epsilon default_epsilon, and the field holds the
-    resolved grid.  In order: the square check; the size-cap refusal of an
-    epsilon > 0 field's Gram pairs and buffers, read while epsilon is unset
-    from its lower bound EPSILON_SCALE ||T||_F^2 / N, so before the 2-norm;
-    the default epsilon; one eigensolve for the covering grid and epsilon = 0.
+    resolved grid.  In order: the square and thread-count checks; the
+    size-cap refusal of the Gram pairs and batches, made when a given
+    epsilon is > 0 or an unset one belongs to a nonzero matrix; the default
+    epsilon; one eigensolve for the covering grid and epsilon = 0.
 
     The kernel follows epsilon.  At epsilon = 0 the "eigenvalues" kernel reads
     the eigenvalues' distances to each node (exact, and O(total nodes x N)
@@ -307,9 +304,10 @@ def logdet_field(
     distance h = hypot(dx, dy) / 2 and flags the node, so no node is
     singular.  At epsilon > 0 the "svd" kernel, named
     for the singular-value formula, builds each grid row's shifted Gram
-    matrices from two N x N matrices into a batch buffer of at most 2**22
-    Gram entries and factors them there by Cholesky; an epsilon below the
-    Gram matrix's rounding leaves a factor undefined and raises DomainError.
+    matrices from two N x N matrices into a batch buffer of at most
+    BATCH_ENTRIES Gram entries and factors them there by Cholesky; an
+    epsilon below the Gram matrix's rounding leaves a factor undefined and
+    raises DomainError.
     Grid rows are split into one contiguous share per thread, each thread
     reusing one buffer for its share, and written back by index, so the
     result is identical for any thread count.  Each factorization runs
@@ -321,19 +319,14 @@ def logdet_field(
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise DomainError(f"threads must be <= {MAX_THREADS}, got {threads}")
     n = matrix.shape[0]
     workers = min(threads, grid.ny)
-
-    if grid.epsilon is None:
-        # only the sign of the lower bound is read, so an overflow to inf does no harm
-        with np.errstate(over="ignore"):
-            if EPSILON_SCALE * np.linalg.norm(matrix) ** 2 / n > 0.0:
-                require_gram_fits(n, grid.nx, workers)
-        epsilon = default_epsilon(matrix)
-    else:
-        epsilon = grid.epsilon
-    if epsilon > 0.0:
+    # the Gram kernel runs at a given epsilon > 0 or the default of a nonzero matrix
+    if grid.epsilon > 0.0 if grid.epsilon is not None else matrix.any():
         chunk = require_gram_fits(n, grid.nx, workers)
+    epsilon = default_epsilon(matrix) if grid.epsilon is None else grid.epsilon
     if epsilon == 0.0 or grid.x_min is None:
         try:
             eigs = np.linalg.eigvals(matrix)

@@ -29,6 +29,7 @@ from . import __version__
 from .brownfield import (
     EPSILON_SCALE,
     GRID_N,
+    MAX_THREADS,
     GridSpec,
     field_csv_text,
     field_metadata,
@@ -220,8 +221,8 @@ def _field_matrix(args, grid: GridSpec) -> tuple[np.ndarray, str]:
 def cmd_field(args) -> CommandResult:
     """Build the requested grid, load or realize the matrix, and let
     logdet_field fill in the covering bounds and the default epsilon."""
-    if args.threads < 1:
-        raise DomainError(f"--threads must be >= 1, got {args.threads}")
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise DomainError(f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}")
     if args.grid is not None:
         *bounds, nx, ny = _parse_grid(args.grid)
     else:
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field = sub.add_parser(
         "field", parents=[seed, out_dir], help="log-determinant field and cell masses on a grid"
     )
-    p_field.add_argument("--threads", type=int, default=1, help="worker threads for the field's grid rows (>= 1)")
+    p_field.add_argument("--threads", type=int, default=1, help=f"worker threads for grid rows (1 to {MAX_THREADS})")
     source = p_field.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", default=None, help="matrix file (.json)")
     source.add_argument("--tag", default=None, choices=tags, help="catalog operator, realized with --seed")

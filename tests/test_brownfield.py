@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import zpotrf
 
-from freeprob import brownfield
+from freeprob import brownfield, config
 from freeprob.brownfield import (
     BrownField,
     GridSpec,
@@ -260,6 +260,23 @@ class TestLogdetField:
             with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
                 logdet_field(np.diag([0.0, 1.0]), g, threads=threads)
 
+    def test_refuses_more_than_max_threads_before_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        # a missing check fails here without starting a single thread
+        monkeypatch.setattr(brownfield, "ThreadPoolExecutor", no_pool)
+        g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5, epsilon=1e-3)
+        for threads in (257, 10**5):
+            with pytest.raises(DomainError, match=f"threads must be <= 256, got {threads}"):
+                logdet_field(np.diag([0.0, 1.0]), g, threads=threads)
+        monkeypatch.undo()
+        # the ceiling itself is accepted; a 5-row grid starts only 5 workers
+        assert np.array_equal(
+            logdet_field(np.diag([0.0, 1.0]), g, threads=256).values,
+            logdet_field(np.diag([0.0, 1.0]), g).values,
+        )
+
     def test_laplacian_refuses_non_finite_values(self):
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=5, ny=5)
         values = np.zeros((5, 5))
@@ -328,8 +345,8 @@ class TestLogdetField:
             assert np.abs(got - svd_oracle(t, g)).max() <= 1e-11
 
     def test_ragged_final_batch_matches_oracle(self):
-        # at N = 205 a batch holds 2**22 // 205**2 = 99 nodes, so a 101-node
-        # row is factored as batches of 99 and 2 in the same buffer
+        # at N = 205 a batch holds 2**18 // 205**2 = 6 nodes, so a 101-node
+        # row is factored as 16 batches of 6 and one of 5 in the same buffer
         t = random_matrix(205, 17)
         g = GridSpec(
             x_min=-1.1, x_max=1.1, y_min=-0.3, y_max=0.3, nx=101, ny=3,
@@ -375,12 +392,12 @@ class TestLogdetField:
             logdet_field(big, GridSpec.square(1.0, 3, epsilon=1e-6))
 
     def test_peak_memory_bounded_by_batch(self):
-        # at N = 128 a batch holds 2**22 // 128**2 = 256 nodes, i.e. 2**22
-        # complex Gram entries of 16 bytes = 64 MiB; the factor overwrites
+        # at N = 128 a batch holds 2**18 // 128**2 = 16 nodes, i.e. 2**18
+        # complex Gram entries of 16 bytes = 4 MiB; the factor overwrites
         # the batch, so the peak is one batch per worker thread plus the
         # rows' O(N^2) matrices and the O(nodes) output (4 MiB allowed).  A
-        # 256-node grid row fills one batch.
-        batch = (1 << 22) * 16
+        # 256-node grid row takes 16 batches; a whole row would be 64 MiB.
+        batch = (1 << 18) * 16
         t = random_matrix(128, 3)
         g = GridSpec(
             x_min=-1.2, x_max=1.2, y_min=-1.2, y_max=1.2, nx=256, ny=3,
@@ -394,6 +411,52 @@ class TestLogdetField:
             finally:
                 tracemalloc.stop()
             assert batch <= peak <= threads * batch + (4 << 20)
+
+    def test_gram_sizing_limits(self):
+        # four workers at the CLI's default N = 128 and 256-node rows hold
+        # 16-node batches, (16 * 16 + 32) * 128^2 bytes each: 18 MiB in all
+        assert brownfield.require_gram_fits(128, 256, 4) == 16
+        # past N = 2364 on one worker, and N = 1672 on two, a one-node batch
+        # and the Gram pair, 48 N^2 bytes per worker, pass 256 MiB
+        for n, workers in ((2364, 1), (1672, 2)):
+            assert brownfield.require_gram_fits(n, 256, workers) == 1
+            with pytest.raises(DomainError, match=f"Gram pair of a {n + 2} x {n + 2} matrix"):
+                brownfield.require_gram_fits(n + 2, 256, workers)
+
+    @pytest.mark.parametrize("entries", [1, 24 * 24 * 40], ids=["one-node", "whole-row"])
+    def test_batch_length_leaves_the_field_unchanged(self, monkeypatch, entries):
+        t = random_matrix(24, 21)
+        g = GridSpec(nx=40, ny=40, epsilon=None)
+        want = logdet_field(t, g, threads=2)
+        monkeypatch.setattr(brownfield, "BATCH_ENTRIES", entries)
+        assert brownfield.require_gram_fits(24, 40, 2) == (1 if entries == 1 else 40)
+        got = logdet_field(t, g, threads=2)
+        assert got.grid == want.grid and got.grid.epsilon > 0.0
+        assert np.array_equal(got.values, want.values)
+        assert field_csv_text(got) == field_csv_text(want)
+        assert mass_csv_text(got) == mass_csv_text(want)
+
+    def test_underflowing_default_epsilon_still_sized(self, monkeypatch):
+        # the default epsilon of this nonzero matrix, 1e-6 * (8e-170)^2,
+        # underflows to 0; its Gram pair (2048 bytes) is still checked, and
+        # when it fits the epsilon = 0 kernel runs
+        t = np.full((8, 8), 1e-170 + 0j)
+        assert t.any() and default_epsilon(t) == 0.0
+        monkeypatch.setattr(config, "MAX_SYSTEM_BYTES", 1536)
+        with pytest.raises(DomainError, match="Gram pair of a 8 x 8 matrix"):
+            logdet_field(t, GridSpec(nx=8, ny=8, epsilon=None))
+        monkeypatch.undo()
+        assert logdet_field(t, GridSpec(nx=8, ny=8, epsilon=None)).path == "eigenvalues"
+
+    @pytest.mark.parametrize("matrix", [np.array([[2.0]]), 2.0 * np.eye(4)], ids=["2", "2I4"])
+    def test_covering_grid_holds_the_regularized_mass(self, matrix):
+        # a degenerate normal spectrum has an empty bounding box; the grid
+        # is padded by 10 sqrt(epsilon), past which little mass spreads
+        fld = logdet_field(matrix, GridSpec(epsilon=None))
+        eps = fld.grid.epsilon
+        assert eps == default_epsilon(matrix) > 0.0
+        assert fld.grid.x_max - 2.0 == pytest.approx(10.0 * math.sqrt(eps))
+        assert fld.total_mass() >= 0.98
 
 
 class TestBrownLaplacian:

@@ -223,6 +223,26 @@ def test_threads_below_one_exits_4(gen_file, tmp_path, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["matrix", "tag"])
+def test_threads_above_ceiling_exit_4_before_any_work(tmp_path, monkeypatch, capsys, source):
+    # a tall grid and --threads 100000 would start 100000 threads; the
+    # refusal comes before the matrix is read or built and before any pool
+    def refused(*args, **kwargs):
+        raise AssertionError("reached past the thread check")
+
+    for name in ("load_matrix", "build_m2_free_m2"):
+        monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(brownfield, "ThreadPoolExecutor", refused)
+    source_argv = (["--matrix", tmp_path / "absent.json"] if source == "matrix"
+                   else ["--tag", "W1F12", "--seed", "1"])
+    for threads in ("257", "100000"):
+        out = tmp_path / threads
+        argv = ["field", *source_argv, "--grid=-1,1,-1,1,3,100000", "--threads", threads]
+        assert _run([*argv, "--out-dir", out]) == 4
+        assert f"--threads must lie in [1, 256], got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture()
 def gen_file(tmp_path):
     path = tmp_path / "g.json"
@@ -726,12 +746,7 @@ def test_field_covering_grid_eigensolve_failure_exits_7(tmp_path, monkeypatch, c
                                                         solver, epsilon):
     # without --grid the matrix's eigenvalues place the grid, and without
     # --epsilon its 2-norm's SVD sets the scale; either failure exits 7
-    real = getattr(np.linalg, solver)
-
-    def fail(a, *args):
-        # the Frobenius norm of the size check takes no SVD
-        if solver == "norm" and args != (2,):
-            return real(a, *args)
+    def fail(*args):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, solver, fail)
